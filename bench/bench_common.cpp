@@ -193,8 +193,7 @@ AnalyzedScenario run_scenario(const telescope::ScenarioConfig& config) {
       std::make_unique<core::ParallelPipeline>(options, env_threads());
 
   // Classification overlaps generation on the worker pool; finish()
-  // drains it, so the generate timing covers ingest like the serial
-  // pipeline's did.
+  // drains it, so the generate timing covers ingest too.
   const auto generate_start = std::chrono::steady_clock::now();
   telescope::TelescopeGenerator generator(config, registry(), deployment());
   {

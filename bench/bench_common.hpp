@@ -9,8 +9,8 @@
 //   QUICSAND_SEED  — scenario seed (default 2021)
 //   QUICSAND_TELESCOPE_BITS — telescope prefix length (default per-bench)
 //   QUICSAND_THREADS — analysis shards/threads (default: hardware).
-//     The parallel pipeline is bit-identical to the serial one for any
-//     value, so this only affects wall-clock time.
+//     Every analysis product is identical for any value, so this only
+//     affects wall-clock time.
 //
 // Every harness also takes observability flags (parsed by init()):
 //
@@ -30,7 +30,6 @@
 
 #include "asdb/registry.hpp"
 #include "core/parallel_pipeline.hpp"
-#include "core/pipeline.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "scanner/deployment.hpp"
@@ -84,14 +83,14 @@ struct LightScenarioOptions {
 telescope::ScenarioConfig light_scenario(const LightScenarioOptions& options);
 
 /// One fully generated + analyzed scenario. All harnesses run the
-/// sharded ParallelPipeline, whose products are bit-identical to the
-/// serial Pipeline (the differential tests in
-/// tests/core_parallel_pipeline_test.cpp enforce this).
+/// sharded ParallelPipeline, whose products equal the serial reference
+/// (Classifier + build_sessions + detect_attacks) at every shard count;
+/// tests/core_parallel_pipeline_test.cpp enforces this.
 struct AnalyzedScenario {
   telescope::ScenarioConfig config;
   telescope::GroundTruth truth;
   std::unique_ptr<core::ParallelPipeline> pipeline;
-  core::Pipeline::AttackAnalysis analysis;
+  core::AttackAnalysis analysis;
   threat::IntelDb intel;
   double generate_seconds = 0;
   double analyze_seconds = 0;

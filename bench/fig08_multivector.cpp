@@ -4,6 +4,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "core/correlate.hpp"
 
 namespace quicsand::bench {
 namespace {

@@ -211,10 +211,10 @@ void BM_ServerSim_Datagram(benchmark::State& state) {
 }
 BENCHMARK(BM_ServerSim_Datagram);
 
-// Serial vs parallel end-to-end analysis (classify + hourly binning +
-// sessionize + detect) on a one-day cut of the fig06 scenario. Arg(0)
-// runs the serial Pipeline; Arg(N) runs ParallelPipeline with N
-// shards/threads. items/sec is packets/sec.
+// End-to-end analysis (classify + hourly binning + sessionize + detect)
+// on a one-day cut of the fig06 scenario, fed one RawPacket at a time
+// through ParallelPipeline::consume(). Arg(N) runs N shards/threads.
+// items/sec is packets/sec.
 struct Fig06Workload {
   std::vector<net::RawPacket> packets;
   core::PipelineOptions options;
@@ -237,26 +237,22 @@ const Fig06Workload& fig06_workload() {
   return workload;
 }
 
-void BM_Pipeline_Fig06(benchmark::State& state) {
+void run_fig06(benchmark::State& state, const core::PipelineOptions& options) {
   const auto& workload = fig06_workload();
   const auto shards = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    if (shards == 0) {
-      core::Pipeline pipeline(workload.options);
-      for (const auto& packet : workload.packets) pipeline.consume(packet);
-      benchmark::DoNotOptimize(pipeline.analyze_attacks());
-    } else {
-      core::ParallelPipeline pipeline(workload.options, shards);
-      for (const auto& packet : workload.packets) pipeline.consume(packet);
-      benchmark::DoNotOptimize(pipeline.analyze_attacks());
-    }
-  }
+  core::ParallelPipeline pipeline(options, shards);
+  for (const auto& packet : workload.packets) pipeline.consume(packet);
+  benchmark::DoNotOptimize(pipeline.analyze_attacks());
+}
+
+void BM_Pipeline_Fig06(benchmark::State& state) {
+  const auto& workload = fig06_workload();
+  for (auto _ : state) run_fig06(state, workload.options);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(workload.packets.size()));
-  state.SetLabel(state.range(0) == 0 ? "serial" : "parallel");
+  state.SetLabel("parallel");
 }
 BENCHMARK(BM_Pipeline_Fig06)
-    ->Arg(0)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
@@ -270,7 +266,6 @@ BENCHMARK(BM_Pipeline_Fig06)
 // under 5% (recorded in EXPERIMENTS.md).
 void BM_Pipeline_Fig06_Observed(benchmark::State& state) {
   const auto& workload = fig06_workload();
-  const auto shards = static_cast<std::size_t>(state.range(0));
   static obs::MetricsRegistry registry;
   obs::Tracer tracer;
   auto options = workload.options;
@@ -278,22 +273,13 @@ void BM_Pipeline_Fig06_Observed(benchmark::State& state) {
   options.obs.tracer = &tracer;
   for (auto _ : state) {
     tracer.clear();  // keep span memory bounded across iterations
-    if (shards == 0) {
-      core::Pipeline pipeline(options);
-      for (const auto& packet : workload.packets) pipeline.consume(packet);
-      benchmark::DoNotOptimize(pipeline.analyze_attacks());
-    } else {
-      core::ParallelPipeline pipeline(options, shards);
-      for (const auto& packet : workload.packets) pipeline.consume(packet);
-      benchmark::DoNotOptimize(pipeline.analyze_attacks());
-    }
+    run_fig06(state, options);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(workload.packets.size()));
-  state.SetLabel(state.range(0) == 0 ? "serial+obs" : "parallel+obs");
+  state.SetLabel("parallel+obs");
 }
 BENCHMARK(BM_Pipeline_Fig06_Observed)
-    ->Arg(0)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
@@ -314,8 +300,7 @@ class BenchOutReporter : public benchmark::ConsoleReporter {
       const auto items = run.counters.find("items_per_second");
       result.records_per_s =
           items != run.counters.end() ? static_cast<double>(items->second) : 0;
-      // The benchmark arg is the shard count; 0 encodes the serial
-      // pipeline, i.e. one thread.
+      // The benchmark arg is the shard count.
       const auto slash = name.find('/');
       std::uint64_t shards = 0;
       if (slash != std::string::npos) {

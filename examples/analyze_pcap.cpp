@@ -14,7 +14,7 @@
 
 #include "asdb/registry.hpp"
 #include "asdb/serialize.hpp"
-#include "core/pipeline.hpp"
+#include "core/parallel_pipeline.hpp"
 #include "core/report.hpp"
 #include "net/pcap.hpp"
 #include "net/pcapng.hpp"
@@ -139,7 +139,7 @@ int analyze(const Args& args) {
       *net::Ipv4Prefix::parse("138.246.0.0/16"));
   options.research_prefixes.push_back(
       *net::Ipv4Prefix::parse("137.226.0.0/16"));
-  core::Pipeline pipeline(options);
+  core::ParallelPipeline pipeline(options, /*shards=*/0);
 
   // Auto-detect classic pcap vs pcapng by the first 4 bytes.
   std::uint64_t n = 0;

@@ -7,7 +7,7 @@
 #include <iostream>
 
 #include "asdb/registry.hpp"
-#include "core/pipeline.hpp"
+#include "core/parallel_pipeline.hpp"
 #include "core/victims.hpp"
 #include "scanner/deployment.hpp"
 #include "telescope/generator.hpp"
@@ -35,13 +35,13 @@ int main(int argc, char** argv) {
   telescope::TelescopeGenerator generator(config, registry, deployment);
 
   // 3. The analysis pipeline: classify -> sessionize -> detect ->
-  //    correlate.
+  //    correlate, sharded by source over every hardware thread.
   core::PipelineOptions options;
   options.window_start = config.start;
   options.days = config.days;
   options.research_prefixes.push_back(
       registry.prefixes_of(asdb::AsRegistry::kTumScanner).front());
-  core::Pipeline pipeline(options);
+  core::ParallelPipeline pipeline(options, /*shards=*/0);
   generator.generate(
       [&](const net::RawPacket& packet) { pipeline.consume(packet); });
 

@@ -3,8 +3,8 @@
 #   1. configure + build the default preset
 #   2. run the tier-1 ctest label (every registered gtest suite)
 #   3. build the tsan preset and run the concurrency-sensitive suites
-#      (thread pool, parallel pipeline, obs registry/tracer/event log,
-#      health model, admin HTTP server) under ThreadSanitizer
+#      (the QUICSAND_TSAN_SUITES list in tests/CMakeLists.txt) under
+#      ThreadSanitizer
 #   4. build the asan and ubsan presets' fuzz drivers and run a bounded
 #      smoke (FUZZ_SMOKE_ITERATIONS per target, default 500) from the
 #      committed corpus — replays every committed crasher, then fuzzes
@@ -56,13 +56,8 @@ scripts/smoke_live.sh
 if [ "$run_tsan" = 1 ]; then
   echo "==> configure+build (tsan preset)"
   cmake --preset tsan
-  cmake --build --preset tsan -j "$jobs" --target \
-    core_parallel_pipeline_test obs_latency_test obs_metrics_test \
-    obs_trace_test obs_events_test obs_health_test obs_http_test \
-    obs_tsdb_test \
-    net_live_ring_test net_live_error_test live_e2e_test \
-    telescope_batch_diff_test net_record_batch_test util_sync_test
-  echo "==> ctest tsan (parallel + obs + live + batch hand-off suites)"
+  cmake --build --preset tsan -j "$jobs" --target tsan_suites
+  echo "==> ctest tsan (the tsan_suites list in tests/CMakeLists.txt)"
   ctest --preset tsan -j "$jobs"
 fi
 

@@ -122,7 +122,7 @@ void OnlineDetector::consume(const PacketRecord& record,
     sweep(record.timestamp);
     last_sweep_ = record.timestamp;
   }
-  if (!config_.filter(record)) return;
+  if (!accepts(quic_response_filter(), record)) return;
 
   auto [it, inserted] = open_.try_emplace(record.src.value());
   OpenSession& open = it->second;

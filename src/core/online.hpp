@@ -27,7 +27,6 @@ namespace quicsand::core {
 struct OnlineDetectorConfig {
   util::Duration session_timeout = 5 * util::kMinute;
   DosThresholds thresholds;
-  RecordFilter filter = quic_response_filter();
   /// Sweep cadence for evicting idle sessions.
   util::Duration sweep_interval = util::kMinute;
   /// Optional observability sinks: obs.events receives the structured
@@ -57,7 +56,8 @@ class OnlineDetector {
     on_attack_ = std::move(callback);
   }
 
-  /// Consume one record (non-decreasing timestamps). `timing`, when
+  /// Consume one record (non-decreasing timestamps). Only sanitized QUIC
+  /// responses join sessions; every record drives the sweep. `timing`, when
   /// provided by a live capture path, carries the record's wall-clock
   /// ingest stamps; the first admitted packet's stamps anchor the
   /// session's wire -> alert detection latency.

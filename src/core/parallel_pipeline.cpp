@@ -1,6 +1,7 @@
 #include "core/parallel_pipeline.hpp"
 
-#include <chrono>
+#include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -17,31 +18,44 @@ std::size_t resolve_shards(std::size_t requested) {
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
-std::uint64_t steady_us() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 }  // namespace
 
-ParallelPipeline::ParallelPipeline(ParallelPipelineOptions options)
+void publish_classifier_stats(const ClassifierStats& stats,
+                              obs::MetricsRegistry& metrics) {
+  metrics.gauge("classifier.total", "decodable+undecodable packets seen")
+      .set(static_cast<std::int64_t>(stats.total));
+  metrics.gauge("classifier.undecodable", "not parseable as IPv4/UDP/TCP/ICMP")
+      .set(static_cast<std::int64_t>(stats.undecodable));
+  metrics
+      .gauge("classifier.quic_port_rejects",
+             "UDP port 443 that failed QUIC dissection")
+      .set(static_cast<std::int64_t>(stats.quic_port_rejects));
+  metrics.gauge("classifier.research", "research-scanner QUIC packets")
+      .set(static_cast<std::int64_t>(stats.research));
+  for (std::size_t c = 0; c < kTrafficClassCount; ++c) {
+    metrics
+        .gauge(std::string("classifier.class.") +
+               traffic_class_name(static_cast<TrafficClass>(c)))
+        .set(static_cast<std::int64_t>(stats.by_class[c]));
+  }
+}
+
+ParallelPipeline::ParallelPipeline(PipelineOptions options,
+                                   std::size_t shards)
     : options_(std::move(options)),
-      shards_(resolve_shards(options_.shards)),
-      hours_(static_cast<std::size_t>(options_.base.days) * 24) {
-  if (options_.batch_size == 0) options_.batch_size = 4096;
+      shards_(resolve_shards(shards)),
+      hours_(static_cast<std::size_t>(options_.days) * 24),
+      worker_staging_(shards_, ShardParts(shards_)) {
   worker_classifiers_.reserve(shards_);
   for (std::size_t i = 0; i < shards_; ++i) {
     worker_classifiers_.push_back(std::make_unique<Classifier>(
-        ClassifierConfig{options_.base.research_prefixes}));
+        ClassifierConfig{options_.research_prefixes}));
   }
   worker_hourly_.reserve(kHourlySlotCount);
   for (std::size_t slot = 0; slot < kHourlySlotCount; ++slot) {
     worker_hourly_.emplace_back(shards_, hours_);
   }
-  pending_.reserve(options_.batch_size);
-  if (auto* metrics = options_.base.obs.metrics) {
+  if (auto* metrics = options_.obs.metrics) {
     packets_counter_ = &metrics->counter(
         "pipeline.packets", "packets consumed by the pipeline");
     records_counter_ = &metrics->counter(
@@ -74,16 +88,12 @@ ParallelPipeline::ParallelPipeline(ParallelPipelineOptions options)
     metrics->gauge("parallel.shards", "analysis shards / worker threads")
         .set(static_cast<std::int64_t>(shards_));
   }
-  if (auto* health = options_.base.obs.health) {
+  if (auto* health = options_.obs.health) {
     health_ = &health->component("parallel_pipeline");
     health_->set_ready(true);
   }
   pool_ = std::make_unique<util::ThreadPool>(shards_);
 }
-
-ParallelPipeline::ParallelPipeline(PipelineOptions base, std::size_t shards)
-    : ParallelPipeline(
-          ParallelPipelineOptions{std::move(base), shards, 4096}) {}
 
 ParallelPipeline::~ParallelPipeline() {
   if (pool_) pool_->wait_idle();
@@ -91,11 +101,19 @@ ParallelPipeline::~ParallelPipeline() {
 
 void ParallelPipeline::consume(const net::RawPacket& packet) {
   if (packets_counter_ != nullptr) packets_counter_->add();
-  pending_.push_back(packet);
-  if (pending_gauge_ != nullptr) {
-    pending_gauge_->set(static_cast<std::int64_t>(pending_.size()));
+  if (!current_.try_append(packet.timestamp, packet.data)) {
+    flush_current();
+    current_ = acquire_batch();
+    if (!current_.try_append(packet.timestamp, packet.data)) {
+      // Larger than a whole batch arena: the packet travels alone.
+      net::RecordBatch single(1, packet.data.size());
+      single.try_append(packet.timestamp, packet.data);
+      submit(std::move(single));
+    }
   }
-  if (pending_.size() >= options_.batch_size) dispatch_batch();
+  if (pending_gauge_ != nullptr) {
+    pending_gauge_->set(static_cast<std::int64_t>(current_.size()));
+  }
 }
 
 net::RecordBatch ParallelPipeline::acquire_batch() {
@@ -107,7 +125,16 @@ net::RecordBatch ParallelPipeline::acquire_batch() {
       return batch;
     }
   }
-  return net::RecordBatch(options_.batch_size);
+  return net::RecordBatch();
+}
+
+void ParallelPipeline::recycle(net::RecordBatch&& batch) {
+  // Only default batches return to the pool, so acquire_batch() always
+  // hands out one.
+  if (batch.capacity() != net::RecordBatch::kDefaultCapacity) return;
+  batch.clear();
+  util::LockGuard lock(pool_mutex_);
+  batch_pool_.push_back(std::move(batch));
 }
 
 void ParallelPipeline::wait_for_inflight_slot(util::UniqueLock& lock) {
@@ -131,146 +158,120 @@ void ParallelPipeline::release_inflight_slot() {
 
 void ParallelPipeline::consume_batch(net::RecordBatch&& batch) {
   if (batch.empty()) {
-    util::LockGuard lock(pool_mutex_);
-    batch_pool_.push_back(std::move(batch));
+    recycle(std::move(batch));
     return;
   }
   if (packets_counter_ != nullptr) packets_counter_->add(batch.size());
-  // Flush any per-packet consume() stragglers first so the record stream
-  // keeps global arrival order.
-  dispatch_batch();
-  {
-    const auto wait_start =
-        backpressure_wait_us_ != nullptr ? steady_us() : 0;
-    util::UniqueLock lock(inflight_mutex_);
-    wait_for_inflight_slot(lock);
-    if (backpressure_wait_us_ != nullptr) {
-      backpressure_wait_us_->record(steady_us() - wait_start);
-    }
-  }
-  if (batches_counter_ != nullptr) batches_counter_->add();
-  if (health_ != nullptr) health_->heartbeat();
-  batches_.emplace_back();
-  auto* out = &batches_.back();
-  auto shared = std::make_shared<net::RecordBatch>(std::move(batch));
-  const auto submit_us = queue_wait_us_ != nullptr ? steady_us() : 0;
-  pool_->submit([this, out, shared, submit_us](std::size_t worker) {
-    if (queue_wait_us_ != nullptr) {
-      queue_wait_us_->record(steady_us() - submit_us);
-    }
-    const auto batch_start = classify_batch_us_ != nullptr ? steady_us() : 0;
-    obs::Span span(options_.base.obs.tracer, "parallel.classify_batch");
-    auto& classifier = *worker_classifiers_[worker];
-    out->reserve(shared->size());
-    for (std::size_t i = 0; i < shared->size(); ++i) {
-      const auto view = shared->view(i);
-      const auto record = classifier.classify(view.timestamp, view.data);
-      if (!record) continue;
-      bin_hourly(*record, options_.base.window_start, hours_,
-                 [this, worker](HourlySlot slot, std::size_t hour) {
-                   worker_hourly_[static_cast<std::size_t>(slot)].add(worker,
-                                                                      hour);
-                 });
-      if (!keep_for_analysis(*record)) continue;
-      out->push_back(*record);
-    }
-    if (records_counter_ != nullptr) {
-      records_counter_->add(out->size());
-    }
-    if (classify_batch_us_ != nullptr) {
-      classify_batch_us_->record(steady_us() - batch_start);
-    }
-    {
-      util::LockGuard lock(pool_mutex_);
-      shared->clear();
-      batch_pool_.push_back(std::move(*shared));
-    }
-    release_inflight_slot();
-  });
+  // consume() stragglers go first, so each shard keeps arrival order.
+  flush_current();
+  submit(std::move(batch));
 }
 
-void ParallelPipeline::dispatch_batch() {
-  if (pending_.empty()) return;
+void ParallelPipeline::flush_current() {
+  if (current_.empty()) return;
+  submit(std::exchange(current_, net::RecordBatch(0, 0)));
+  if (pending_gauge_ != nullptr) pending_gauge_->set(0);
+}
+
+void ParallelPipeline::submit(net::RecordBatch&& batch) {
   {
-    const auto wait_start =
-        backpressure_wait_us_ != nullptr ? steady_us() : 0;
+    const obs::ScopedLatency wait(backpressure_wait_us_);
     util::UniqueLock lock(inflight_mutex_);
     wait_for_inflight_slot(lock);
-    if (backpressure_wait_us_ != nullptr) {
-      backpressure_wait_us_->record(steady_us() - wait_start);
-    }
   }
   if (batches_counter_ != nullptr) batches_counter_->add();
   if (health_ != nullptr) health_->heartbeat();
-  batches_.emplace_back();
-  auto* out = &batches_.back();
-  auto batch =
-      std::make_shared<std::vector<net::RawPacket>>(std::move(pending_));
-  pending_.clear();
-  pending_.reserve(options_.batch_size);
-  if (pending_gauge_ != nullptr) pending_gauge_->set(0);
-  const auto submit_us = queue_wait_us_ != nullptr ? steady_us() : 0;
-  pool_->submit([this, out, batch, submit_us](std::size_t worker) {
+  auto* out = &batches_.emplace_back(shards_);
+  auto shared = std::make_shared<net::RecordBatch>(std::move(batch));
+  const auto submit_us = queue_wait_us_ != nullptr ? obs::steady_us() : 0;
+  pool_->submit([this, out, shared, submit_us](std::size_t worker) {
     if (queue_wait_us_ != nullptr) {
-      queue_wait_us_->record(steady_us() - submit_us);
+      queue_wait_us_->record(obs::steady_us() - submit_us);
     }
-    const auto batch_start = classify_batch_us_ != nullptr ? steady_us() : 0;
-    obs::Span span(options_.base.obs.tracer, "parallel.classify_batch");
-    auto& classifier = *worker_classifiers_[worker];
-    out->reserve(batch->size());
-    for (const auto& packet : *batch) {
-      const auto record = classifier.classify(packet);
-      if (!record) continue;
-      bin_hourly(*record, options_.base.window_start, hours_,
-                 [this, worker](HourlySlot slot, std::size_t hour) {
-                   worker_hourly_[static_cast<std::size_t>(slot)].add(worker,
-                                                                      hour);
-                 });
-      if (!keep_for_analysis(*record)) continue;
-      out->push_back(*record);
+    {
+      const obs::ScopedLatency latency(classify_batch_us_);
+      obs::Span span(options_.obs.tracer, "parallel.classify_batch");
+      auto& classifier = *worker_classifiers_[worker];
+      auto& staged = worker_staging_[worker];
+      for (std::size_t i = 0; i < shared->size(); ++i) {
+        const auto view = shared->view(i);
+        const auto record = classifier.classify(view.timestamp, view.data);
+        if (!record) continue;
+        bin_hourly(*record, options_.window_start, hours_,
+                   [this, worker](HourlySlot slot, std::size_t hour) {
+                     worker_hourly_[static_cast<std::size_t>(slot)].add(
+                         worker, hour);
+                   });
+        if (!keep_for_analysis(*record)) continue;
+        staged[util::shard_of(record->src.value(), shards_)].push_back(
+            *record);
+      }
+      // Each part leaves at its exact size; the staging keeps capacity.
+      std::size_t kept = 0;
+      for (std::size_t s = 0; s < shards_; ++s) {
+        (*out)[s].assign(staged[s].begin(), staged[s].end());
+        kept += staged[s].size();
+        staged[s].clear();
+      }
+      if (records_counter_ != nullptr) records_counter_->add(kept);
     }
-    if (records_counter_ != nullptr) {
-      records_counter_->add(out->size());
-    }
-    if (classify_batch_us_ != nullptr) {
-      classify_batch_us_->record(steady_us() - batch_start);
-    }
+    recycle(std::move(*shared));
     release_inflight_slot();
   });
 }
 
 void ParallelPipeline::finish() {
   if (finished_) return;
-  dispatch_batch();
+  flush_current();
   {
-    obs::Span span(options_.base.obs.tracer, "parallel.ingest_drain");
+    obs::Span span(options_.obs.tracer, "parallel.ingest_drain");
     pool_->wait_idle();
   }
 
-  obs::Span span(options_.base.obs.tracer, "parallel.merge_ingest");
+  obs::Span span(options_.obs.tracer, "parallel.merge_ingest");
   for (const auto& classifier : worker_classifiers_) {
     stats_.merge_from(classifier->stats());
   }
   for (std::size_t slot = 0; slot < kHourlySlotCount; ++slot) {
     hourly_.of(static_cast<HourlySlot>(slot)) = worker_hourly_[slot].merged();
   }
-  std::size_t total = 0;
-  for (const auto& batch : batches_) total += batch.size();
-  records_.reserve(total);
-  // Batches were dispatched in arrival order, so concatenating them
-  // reproduces the serial pipeline's record stream exactly.
-  for (auto& batch : batches_) {
-    records_.insert(records_.end(), batch.begin(), batch.end());
-  }
-  batches_.clear();
+  lay_out_records();
   finished_ = true;
-  if (auto* metrics = options_.base.obs.metrics) {
+  if (auto* metrics = options_.obs.metrics) {
     publish_classifier_stats(stats_, *metrics);
   }
   if (health_ != nullptr) {
     health_->heartbeat();
     health_->set_idle(true);  // ingest drained and merged
   }
+}
+
+void ParallelPipeline::lay_out_records() {
+  shard_begin_.assign(shards_ + 1, 0);
+  for (const auto& parts : batches_) {
+    for (std::size_t s = 0; s < shards_; ++s) {
+      shard_begin_[s + 1] += parts[s].size();
+    }
+  }
+  for (std::size_t s = 0; s < shards_; ++s) {
+    if (shard_records_hist_ != nullptr) {
+      shard_records_hist_->observe(shard_begin_[s + 1]);
+    }
+    shard_begin_[s + 1] += shard_begin_[s];
+  }
+  records_.reset(static_cast<PacketRecord*>(
+      ::operator new(shard_begin_.back() * sizeof(PacketRecord))));
+  // Batches were submitted in arrival order, so concatenating each
+  // shard's parts keeps arrival order within the shard. Every part is
+  // freed as soon as it is copied.
+  pool_->parallel_for(shards_, [&](std::size_t s, std::size_t) {
+    auto* out = records_.get() + shard_begin_[s];
+    for (auto& parts : batches_) {
+      out = std::uninitialized_copy(parts[s].begin(), parts[s].end(), out);
+      std::vector<PacketRecord>().swap(parts[s]);
+    }
+  });
+  batches_.clear();
 }
 
 const ClassifierStats& ParallelPipeline::stats() {
@@ -285,87 +286,54 @@ const HourlySeries& ParallelPipeline::hourly() {
 
 std::span<const PacketRecord> ParallelPipeline::records() {
   finish();
-  return records_;
+  return {records_.get(), shard_begin_.back()};
 }
 
-const std::vector<std::vector<PacketRecord>>&
-ParallelPipeline::shard_records() {
+std::span<const PacketRecord> ParallelPipeline::shard(std::size_t s) const {
+  return {records_.get() + shard_begin_[s],
+          shard_begin_[s + 1] - shard_begin_[s]};
+}
+
+std::vector<Session> ParallelPipeline::sessions(util::Duration timeout,
+                                                RecordFilter filter) {
   finish();
-  if (!sharded_) {
-    obs::Span span(options_.base.obs.tracer, "parallel.shard_partition");
-    // Count first so each shard vector is reserved exactly once — the
-    // partition then never reallocates mid-pass.
-    std::vector<std::size_t> counts(shards_, 0);
-    for (const auto& record : records_) {
-      ++counts[util::shard_of(record.src.value(), shards_)];
-    }
-    shard_records_.assign(shards_, {});
-    for (std::size_t s = 0; s < shards_; ++s) {
-      shard_records_[s].reserve(counts[s]);
-    }
-    for (const auto& record : records_) {
-      shard_records_[util::shard_of(record.src.value(), shards_)].push_back(
-          record);
-    }
-    sharded_ = true;
-    if (shard_records_hist_ != nullptr) {
-      for (const auto& shard : shard_records_) {
-        shard_records_hist_->observe(shard.size());
-      }
-    }
-  }
-  return shard_records_;
-}
-
-std::vector<std::vector<Session>> ParallelPipeline::sharded_sessions(
-    util::Duration timeout, const RecordFilter& filter) {
-  const auto& shards = shard_records();
   std::vector<std::vector<Session>> parts(shards_);
   pool_->parallel_for(shards_, [&](std::size_t s, std::size_t) {
-    obs::Span span(options_.base.obs.tracer,
+    obs::Span span(options_.obs.tracer,
                    "parallel.sessionize.shard" + std::to_string(s));
-    const auto start = sessionize_shard_us_ != nullptr ? steady_us() : 0;
-    parts[s] = build_sessions(shards[s], timeout, filter);
-    if (sessionize_shard_us_ != nullptr) {
-      sessionize_shard_us_->record(steady_us() - start);
-    }
+    const obs::ScopedLatency latency(sessionize_shard_us_);
+    parts[s] = build_sessions(shard(s), timeout, filter);
   });
-  return parts;
+  obs::Span span(options_.obs.tracer, "parallel.merge_sessions");
+  return merge_sessions(std::move(parts)).sessions;
 }
 
 std::vector<Session> ParallelPipeline::request_sessions(
     util::Duration timeout) {
-  auto parts = sharded_sessions(timeout, quic_request_filter());
-  obs::Span span(options_.base.obs.tracer, "parallel.merge_sessions");
-  return merge_sessions(std::move(parts)).sessions;
+  return sessions(timeout, quic_request_filter());
 }
 
 std::vector<Session> ParallelPipeline::response_sessions(
     util::Duration timeout) {
-  auto parts = sharded_sessions(timeout, quic_response_filter());
-  obs::Span span(options_.base.obs.tracer, "parallel.merge_sessions");
-  return merge_sessions(std::move(parts)).sessions;
+  return sessions(timeout, quic_response_filter());
 }
 
 std::vector<Session> ParallelPipeline::common_sessions(
     util::Duration timeout) {
-  auto parts = sharded_sessions(timeout, common_backscatter_filter());
-  obs::Span span(options_.base.obs.tracer, "parallel.merge_sessions");
-  return merge_sessions(std::move(parts)).sessions;
+  return sessions(timeout, common_backscatter_filter());
 }
 
 std::vector<std::pair<util::Duration, std::uint64_t>>
 ParallelPipeline::session_timeout_sweep(
     std::span<const util::Duration> timeouts) {
-  const auto& shards = shard_records();
-  const auto filter = sanitized_quic_filter();
+  finish();
   std::vector<GapProfile> profiles(shards_);
   pool_->parallel_for(shards_, [&](std::size_t s, std::size_t) {
-    obs::Span span(options_.base.obs.tracer,
+    obs::Span span(options_.obs.tracer,
                    "parallel.gap_profile.shard" + std::to_string(s));
-    profiles[s] = collect_gap_profile(shards[s], filter);
+    profiles[s] = collect_gap_profile(shard(s), sanitized_quic_filter());
   });
-  obs::Span span(options_.base.obs.tracer, "parallel.merge_gap_profiles");
+  obs::Span span(options_.obs.tracer, "parallel.merge_gap_profiles");
   GapProfile merged;
   for (auto& profile : profiles) {
     merge_gap_profiles(merged, std::move(profile));
@@ -373,66 +341,49 @@ ParallelPipeline::session_timeout_sweep(
   return sweep_counts(std::move(merged), timeouts);
 }
 
-Pipeline::AttackAnalysis ParallelPipeline::analyze_attacks() {
-  return analyze_attacks(options_.base.thresholds);
+AttackAnalysis ParallelPipeline::analyze_attacks() {
+  return analyze_attacks(options_.thresholds);
 }
 
-Pipeline::AttackAnalysis ParallelPipeline::analyze_attacks(
+AttackAnalysis ParallelPipeline::analyze_attacks(
     const DosThresholds& thresholds) {
-  const auto& shards = shard_records();
-  const auto timeout = options_.base.session_timeout;
-  const auto response_filter = quic_response_filter();
-  const auto common_filter = common_backscatter_filter();
-
-  struct ShardAnalysis {
-    std::vector<Session> response, common;
-    std::vector<DetectedAttack> quic_attacks, common_attacks;
-  };
-  std::vector<ShardAnalysis> outs(shards_);
-  pool_->parallel_for(shards_, [&](std::size_t s, std::size_t) {
-    obs::Span span(options_.base.obs.tracer,
-                   "parallel.analyze.shard" + std::to_string(s));
-    const auto start = analyze_shard_us_ != nullptr ? steady_us() : 0;
-    auto& out = outs[s];
-    out.response = build_sessions(shards[s], timeout, response_filter);
-    out.common = build_sessions(shards[s], timeout, common_filter);
-    out.quic_attacks = detect_attacks(out.response, thresholds);
-    out.common_attacks = detect_attacks(out.common, thresholds);
-    if (analyze_shard_us_ != nullptr) {
-      analyze_shard_us_->record(steady_us() - start);
-    }
-  });
-
-  obs::Span merge_span(options_.base.obs.tracer, "parallel.merge_analysis");
-  const auto merge_start_us =
-      options_.base.obs.metrics != nullptr ? steady_us() : 0;
-
+  finish();
+  const auto timeout = options_.session_timeout;
   std::vector<std::vector<Session>> response_parts(shards_);
   std::vector<std::vector<Session>> common_parts(shards_);
   std::vector<std::vector<DetectedAttack>> quic_parts(shards_);
   std::vector<std::vector<DetectedAttack>> common_attack_parts(shards_);
-  for (std::size_t s = 0; s < shards_; ++s) {
-    response_parts[s] = std::move(outs[s].response);
-    common_parts[s] = std::move(outs[s].common);
-    quic_parts[s] = std::move(outs[s].quic_attacks);
-    common_attack_parts[s] = std::move(outs[s].common_attacks);
+  pool_->parallel_for(shards_, [&](std::size_t s, std::size_t) {
+    obs::Span span(options_.obs.tracer,
+                   "parallel.analyze.shard" + std::to_string(s));
+    const obs::ScopedLatency latency(analyze_shard_us_);
+    response_parts[s] =
+        build_sessions(shard(s), timeout, quic_response_filter());
+    common_parts[s] =
+        build_sessions(shard(s), timeout, common_backscatter_filter());
+    quic_parts[s] = detect_attacks(response_parts[s], thresholds);
+    common_attack_parts[s] = detect_attacks(common_parts[s], thresholds);
+  });
+
+  auto* metrics = options_.obs.metrics;
+  AttackAnalysis analysis;
+  {
+    obs::Span span(options_.obs.tracer, "parallel.merge_analysis");
+    const obs::ScopedLatency latency(
+        metrics != nullptr
+            ? &metrics->latency("parallel.merge_analysis_us",
+                                "wall time of the final session/attack merge")
+            : nullptr);
+    auto response_merge = merge_sessions(std::move(response_parts));
+    analysis.quic_attacks =
+        merge_attacks(std::move(quic_parts), response_merge.global_index);
+    analysis.response_sessions = std::move(response_merge.sessions);
+    auto common_merge = merge_sessions(std::move(common_parts));
+    analysis.common_attacks = merge_attacks(std::move(common_attack_parts),
+                                            common_merge.global_index);
+    analysis.common_sessions = std::move(common_merge.sessions);
   }
-
-  Pipeline::AttackAnalysis analysis;
-  auto response_merge = merge_sessions(std::move(response_parts));
-  analysis.quic_attacks =
-      merge_attacks(std::move(quic_parts), response_merge.global_index);
-  analysis.response_sessions = std::move(response_merge.sessions);
-  auto common_merge = merge_sessions(std::move(common_parts));
-  analysis.common_attacks =
-      merge_attacks(std::move(common_attack_parts), common_merge.global_index);
-  analysis.common_sessions = std::move(common_merge.sessions);
-
-  if (auto* metrics = options_.base.obs.metrics) {
-    metrics
-        ->latency("parallel.merge_analysis_us",
-                  "wall time of the final session/attack merge")
-        .record(steady_us() - merge_start_us);
+  if (metrics != nullptr) {
     metrics->gauge("pipeline.quic_attacks")
         .set(static_cast<std::int64_t>(analysis.quic_attacks.size()));
     metrics->gauge("pipeline.common_attacks")

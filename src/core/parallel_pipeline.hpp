@@ -1,13 +1,14 @@
-// Sharded, multi-threaded variant of the serial analysis Pipeline.
+// The QUICsand batch analysis engine, sharded by source IP.
 //
-// Ingest classifies fixed-size packet batches on a worker pool: each
-// worker owns a Classifier and a row of hourly ShardedCounters, merged by
-// summation when ingest finishes. The analyses then shard the record
-// stream by hash(source IP) % N; sessionization and DoS detection are
-// purely source-local (§5.1), so every shard runs the serial inner loops
-// on its own subspan and the merged output is bit-identical to the
-// serial Pipeline regardless of shard count. See DESIGN.md
-// "Parallel execution model" for the determinism argument.
+// Ingest classifies packet batches on a worker pool: each worker owns a
+// Classifier and a row of hourly ShardedCounters, merged by summation
+// when ingest finishes. Each classify task routes the records it keeps
+// by hash(source IP) % N, and finish() lays them out once, grouped by
+// shard, every shard on its own worker. Sessionization and DoS detection
+// are purely source-local (§5.1), so every shard runs the serial inner
+// loops on its own range and the merged output equals build_sessions /
+// detect_attacks over the whole stream, whatever the shard count. See
+// DESIGN.md "Parallel execution model" for the determinism argument.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "core/pipeline.hpp"
+#include "net/packet.hpp"
 #include "net/record_batch.hpp"
 #include "obs/health.hpp"
 #include "util/sharded_counter.hpp"
@@ -31,118 +33,132 @@ namespace quicsand::core {
 /// QS_GUARDED_BY/QS_REQUIRES here makes the probe build, CI fails.
 struct TsaNegativeProbe;
 
-struct ParallelPipelineOptions {
-  PipelineOptions base;
-  /// Worker threads == analysis shards. 0 means hardware concurrency.
-  std::size_t shards = 0;
-  /// Packets classified per worker task.
-  std::size_t batch_size = 4096;
-};
-
 class ParallelPipeline {
  public:
-  explicit ParallelPipeline(ParallelPipelineOptions options);
-  ParallelPipeline(PipelineOptions base, std::size_t shards);
+  /// `shards` is both the worker-thread and the analysis-shard count;
+  /// 0 means hardware concurrency.
+  ParallelPipeline(PipelineOptions options, std::size_t shards);
   ~ParallelPipeline();
 
   ParallelPipeline(const ParallelPipeline&) = delete;
   ParallelPipeline& operator=(const ParallelPipeline&) = delete;
 
-  /// Ingest one packet (must arrive in time order). Classification runs
-  /// on the pool, overlapping with the caller's capture/generation loop.
+  /// Ingest one packet (must arrive in time order). Packets collect in a
+  /// current batch that is classified on the pool once full; a packet
+  /// larger than a whole batch arena travels in a batch of its own.
   void consume(const net::RawPacket& packet);
 
-  /// Take a recycled (empty) batch from the pool, or a fresh one sized
-  /// to options().batch_size on first use. Fill it with packets in time
-  /// order and hand it back via consume_batch().
+  /// Take a recycled (empty) batch from the pool, or a fresh default
+  /// RecordBatch on first use. Fill it with packets in time order and
+  /// hand it back via consume_batch().
   [[nodiscard]] net::RecordBatch acquire_batch();
 
   /// Ingest a whole batch: classification of the batch runs as one pool
   /// task, and the batch itself is recycled into the pool afterwards, so
   /// the generate→ingest hot loop performs no steady-state allocation.
   /// Batches (and any interleaved consume() packets) must arrive in
-  /// global time order.
+  /// global time order; consume() stragglers are handed over first.
   void consume_batch(net::RecordBatch&& batch);
 
-  /// Flush pending batches and merge per-worker state. Idempotent; every
-  /// analysis accessor calls it, after which consume() must not be
-  /// called again.
+  /// Flush pending packets, drain the pool and merge per-worker state.
+  /// Idempotent; every analysis accessor calls it, after which neither
+  /// consume() nor consume_batch() may be called again.
   void finish();
 
   [[nodiscard]] const ClassifierStats& stats();
   [[nodiscard]] const HourlySeries& hourly();
 
-  /// Sanitized records in arrival order, identical to the serial
-  /// pipeline's record stream.
+  /// Sanitized records grouped by shard (util::shard_of of the source),
+  /// in arrival order within each shard; at 1 shard, the arrival order.
   [[nodiscard]] std::span<const PacketRecord> records();
 
   std::vector<Session> request_sessions(util::Duration timeout);
   std::vector<Session> response_sessions(util::Duration timeout);
   std::vector<Session> common_sessions(util::Duration timeout);
 
+  /// Figure 4 sweep over the sanitized QUIC records (both directions).
   std::vector<std::pair<util::Duration, std::uint64_t>>
   session_timeout_sweep(std::span<const util::Duration> timeouts);
 
-  Pipeline::AttackAnalysis analyze_attacks();
-  Pipeline::AttackAnalysis analyze_attacks(const DosThresholds& thresholds);
+  /// Detected attacks at the configured (or the given) thresholds.
+  AttackAnalysis analyze_attacks();
+  AttackAnalysis analyze_attacks(const DosThresholds& thresholds);
 
-  [[nodiscard]] const PipelineOptions& options() const {
-    return options_.base;
-  }
+  [[nodiscard]] const PipelineOptions& options() const { return options_; }
   [[nodiscard]] std::size_t shard_count() const { return shards_; }
 
  private:
   friend struct TsaNegativeProbe;
 
-  void dispatch_batch();
+  /// One classified batch's kept records, one exactly sized part per
+  /// shard.
+  using ShardParts = std::vector<std::vector<PacketRecord>>;
+
+  /// Frees the record storage, which finish() allocates uninitialized so
+  /// each shard first-touches its own range.
+  struct OperatorDelete {
+    void operator()(PacketRecord* records) const {
+      ::operator delete(records);
+    }
+  };
+
+  /// Classify `batch` as one pool task (after backpressure).
+  void submit(net::RecordBatch&& batch);
+  /// Submit the consume() batch if it holds packets.
+  void flush_current();
+  /// Return a default-sized batch to the pool (others are dropped).
+  void recycle(net::RecordBatch&& batch);
   /// Block until fewer than 4 * shards_ batches are in flight, then
   /// claim a slot (increments inflight_, publishes the gauge). Caller
-  /// holds inflight_mutex_ via `lock` — both ingest paths share this
-  /// backpressure gate.
+  /// holds inflight_mutex_ via `lock`.
   void wait_for_inflight_slot(util::UniqueLock& lock)
       QS_REQUIRES(inflight_mutex_);
   /// Return a claimed slot and wake blocked producers; takes
   /// inflight_mutex_ itself (called from worker jobs).
   void release_inflight_slot() QS_EXCLUDES(inflight_mutex_);
-  /// Partition records() by hash(source IP) % shards, once.
-  const std::vector<std::vector<PacketRecord>>& shard_records();
-  std::vector<std::vector<Session>> sharded_sessions(
-      util::Duration timeout, const RecordFilter& filter);
+  /// Lay the per-batch parts out once, grouped by shard, each shard on
+  /// its own worker.
+  void lay_out_records();
+  [[nodiscard]] std::span<const PacketRecord> shard(std::size_t s) const;
+  /// Sessionize every shard in parallel, then merge.
+  std::vector<Session> sessions(util::Duration timeout, RecordFilter filter);
 
-  ParallelPipelineOptions options_;
+  PipelineOptions options_;
   std::size_t shards_;
   std::size_t hours_;
 
   // Per-worker ingest state: workers only touch their own slot/row.
   std::vector<std::unique_ptr<Classifier>> worker_classifiers_;
   std::vector<util::ShardedCounter> worker_hourly_;  // one per HourlySlot
+  std::vector<ShardParts> worker_staging_;  // routing buffers, reused
 
-  // Ingest: the main thread appends an output slot per batch before
-  // submitting it, so workers write disjoint, stable deque elements.
-  std::vector<net::RawPacket> pending_;
-  std::deque<std::vector<PacketRecord>> batches_;
+  // Ingest: consume() fills current_; the main thread appends an output
+  // slot per batch before submitting it, so workers write disjoint,
+  // stable deque elements.
+  net::RecordBatch current_{0, 0};
+  std::deque<ShardParts> batches_;
   util::Mutex inflight_mutex_{util::LockRank::kPipelineInflight,
                               "pipeline_inflight"};
   util::CondVar inflight_cv_;
   std::size_t inflight_ QS_GUARDED_BY(inflight_mutex_) = 0;
 
-  // Recycled RecordBatch pool for the batched ingest path. Workers take
-  // pool_mutex_ and inflight_mutex_ strictly sequentially (never
-  // nested), so both are leaf ranks.
+  // Recycled RecordBatch pool. Workers take pool_mutex_ and
+  // inflight_mutex_ strictly sequentially (never nested), so both are
+  // leaf ranks.
   util::Mutex pool_mutex_{util::LockRank::kPipelineBatchPool,
                           "pipeline_batch_pool"};
   std::vector<net::RecordBatch> batch_pool_ QS_GUARDED_BY(pool_mutex_);
 
-  // Merged state, valid once finished_.
+  // Merged state, valid once finished_. Shard s owns records_ range
+  // [shard_begin_[s], shard_begin_[s + 1]).
   bool finished_ = false;
   ClassifierStats stats_;
   HourlySeries hourly_;
-  std::vector<PacketRecord> records_;
-  bool sharded_ = false;
-  std::vector<std::vector<PacketRecord>> shard_records_;
+  std::unique_ptr<PacketRecord[], OperatorDelete> records_;
+  std::vector<std::size_t> shard_begin_;
 
   // Observability handles, resolved once at construction; all nullptr
-  // when no registry is attached (options_.base.obs).
+  // when no registry is attached (options_.obs).
   obs::Counter* packets_counter_ = nullptr;
   obs::Counter* records_counter_ = nullptr;
   obs::Counter* batches_counter_ = nullptr;

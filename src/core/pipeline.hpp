@@ -1,20 +1,15 @@
-// End-to-end QUICsand analysis pipeline.
-//
-// Feed it captured packets (from a pcap file or the telescope generator);
-// it classifies them, keeps compact records for the analysis stages, and
-// exposes the hourly series, sessionization, DoS detection and
-// correlation helpers that the figure harnesses consume.
+// Shared types of the QUICsand analysis pipeline (the engine itself is
+// core::ParallelPipeline): its options, the hourly series the figures
+// consume, the per-record ingest helpers, and the attack analysis it
+// returns.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/classifier.hpp"
-#include "core/correlate.hpp"
 #include "core/dos.hpp"
 #include "core/sessions.hpp"
-#include "net/packet.hpp"
 #include "obs/hooks.hpp"
 
 namespace quicsand::core {
@@ -31,8 +26,7 @@ struct PipelineOptions {
 };
 
 /// Publish a ClassifierStats snapshot as gauges ("classifier.*") on
-/// `metrics`; shared by the serial and parallel pipelines and usable
-/// directly by tools that run a bare Classifier.
+/// `metrics`; usable directly by tools that run a bare Classifier.
 void publish_classifier_stats(const ClassifierStats& stats,
                               obs::MetricsRegistry& metrics);
 
@@ -70,8 +64,7 @@ struct HourlySeries {
 }
 
 /// Invoke add(slot, hour) for each hourly series the record contributes
-/// to (shared by the serial and parallel ingest paths). Out-of-window
-/// records contribute nothing.
+/// to. Out-of-window records contribute nothing.
 template <typename AddFn>
 void bin_hourly(const PacketRecord& record, util::Timestamp window_start,
                 std::size_t hours, AddFn&& add) {
@@ -92,66 +85,13 @@ void bin_hourly(const PacketRecord& record, util::Timestamp window_start,
   }
 }
 
-class Pipeline {
- public:
-  explicit Pipeline(PipelineOptions options);
-
-  /// Ingest one packet (must arrive in time order).
-  void consume(const net::RawPacket& packet);
-
-  /// Zero-copy variant over a non-owning view (batched ingest, e.g. a
-  /// RecordBatch PacketView); the RawPacket overload delegates here.
-  void consume(util::Timestamp timestamp, std::span<const std::uint8_t> data);
-
-  [[nodiscard]] const ClassifierStats& stats() const {
-    return classifier_.stats();
-  }
-  [[nodiscard]] const HourlySeries& hourly() const { return hourly_; }
-
-  /// Sanitized records (research scanners and kOther dropped).
-  [[nodiscard]] std::span<const PacketRecord> records() const {
-    return records_;
-  }
-
-  [[nodiscard]] std::vector<Session> request_sessions(
-      util::Duration timeout) const {
-    return build_sessions(records_, timeout, quic_request_filter());
-  }
-  [[nodiscard]] std::vector<Session> response_sessions(
-      util::Duration timeout) const {
-    return build_sessions(records_, timeout, quic_response_filter());
-  }
-  [[nodiscard]] std::vector<Session> common_sessions(
-      util::Duration timeout) const {
-    return build_sessions(records_, timeout, common_backscatter_filter());
-  }
-
-  /// Figure 4 sweep over the sanitized QUIC records (both directions).
-  [[nodiscard]] std::vector<std::pair<util::Duration, std::uint64_t>>
-  session_timeout_sweep(std::span<const util::Duration> timeouts) const;
-
-  /// Detected QUIC and TCP/ICMP attacks at the configured thresholds,
-  /// with their session lists.
-  struct AttackAnalysis {
-    std::vector<Session> response_sessions;
-    std::vector<Session> common_sessions;
-    std::vector<DetectedAttack> quic_attacks;
-    std::vector<DetectedAttack> common_attacks;
-  };
-  [[nodiscard]] AttackAnalysis analyze_attacks() const;
-  [[nodiscard]] AttackAnalysis analyze_attacks(
-      const DosThresholds& thresholds) const;
-
-  [[nodiscard]] const PipelineOptions& options() const { return options_; }
-
- private:
-  PipelineOptions options_;
-  Classifier classifier_;
-  HourlySeries hourly_;
-  std::vector<PacketRecord> records_;
-  // Resolved once at construction; nullptr when no registry is attached.
-  obs::Counter* packets_counter_ = nullptr;
-  obs::Counter* records_counter_ = nullptr;
+/// Detected QUIC and TCP/ICMP attacks at one set of thresholds, with the
+/// session lists they were detected in.
+struct AttackAnalysis {
+  std::vector<Session> response_sessions;
+  std::vector<Session> common_sessions;
+  std::vector<DetectedAttack> quic_attacks;
+  std::vector<DetectedAttack> common_attacks;
 };
 
 }  // namespace quicsand::core

@@ -8,8 +8,8 @@
 
 namespace quicsand::core {
 
-AnalysisReport build_report(const Pipeline& pipeline,
-                            const Pipeline::AttackAnalysis& analysis,
+AnalysisReport build_report(ParallelPipeline& pipeline,
+                            const AttackAnalysis& analysis,
                             const asdb::AsRegistry& registry,
                             const scanner::Deployment& deployment) {
   AnalysisReport report;

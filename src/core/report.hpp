@@ -8,7 +8,7 @@
 
 #include "asdb/registry.hpp"
 #include "core/correlate.hpp"
-#include "core/pipeline.hpp"
+#include "core/parallel_pipeline.hpp"
 #include "core/victims.hpp"
 #include "scanner/deployment.hpp"
 
@@ -48,8 +48,8 @@ struct AnalysisReport {
 };
 
 /// Assemble the full report from an analyzed pipeline.
-AnalysisReport build_report(const Pipeline& pipeline,
-                            const Pipeline::AttackAnalysis& analysis,
+AnalysisReport build_report(ParallelPipeline& pipeline,
+                            const AttackAnalysis& analysis,
                             const asdb::AsRegistry& registry,
                             const scanner::Deployment& deployment);
 

@@ -18,7 +18,7 @@ Session open_session(const PacketRecord& record) {
 }  // namespace
 
 void absorb_record(Session& session, const PacketRecord& record) {
-  session.end = record.timestamp;
+  session.end = std::max(session.end, record.timestamp);
   ++session.packets;
   session.bytes += record.wire_size;
   // Boundary packets (elapsed time an exact multiple of a minute) close
@@ -27,7 +27,7 @@ void absorb_record(Session& session, const PacketRecord& record) {
   // the DoS threshold.
   const auto elapsed = record.timestamp - session.start;
   const auto slot =
-      elapsed == util::Duration{}
+      elapsed <= util::Duration{}
           ? util::MinuteBin{}
           : util::MinuteBin{(elapsed - util::kMicrosecond) / util::kMinute};
   const auto minute = static_cast<std::size_t>(slot.count());
@@ -66,37 +66,13 @@ std::uint32_t Session::dominant_version() const {
   return best_version;
 }
 
-RecordFilter quic_request_filter(bool include_research) {
-  return [include_research](const PacketRecord& r) {
-    return r.cls == TrafficClass::kQuicRequest &&
-           (include_research || !r.is_research);
-  };
-}
-
-RecordFilter quic_response_filter() {
-  return [](const PacketRecord& r) {
-    return r.cls == TrafficClass::kQuicResponse && !r.is_research;
-  };
-}
-
-RecordFilter common_backscatter_filter() {
-  return [](const PacketRecord& r) {
-    return r.cls == TrafficClass::kTcpBackscatter ||
-           r.cls == TrafficClass::kIcmpBackscatter;
-  };
-}
-
-RecordFilter sanitized_quic_filter() {
-  return [](const PacketRecord& r) { return r.is_quic() && !r.is_research; };
-}
-
 std::vector<Session> build_sessions(std::span<const PacketRecord> records,
                                     util::Duration timeout,
-                                    const RecordFilter& filter) {
+                                    RecordFilter filter) {
   std::vector<Session> closed;
   std::unordered_map<std::uint32_t, Session> open;
   for (const auto& record : records) {
-    if (!filter(record)) continue;
+    if (!accepts(filter, record)) continue;
     auto [it, inserted] = open.try_emplace(record.src.value());
     if (inserted) {
       it->second = open_session(record);
@@ -143,11 +119,11 @@ SessionMerge merge_sessions(std::vector<std::vector<Session>> parts) {
 }
 
 GapProfile collect_gap_profile(std::span<const PacketRecord> records,
-                               const RecordFilter& filter) {
+                               RecordFilter filter) {
   GapProfile profile;
   std::unordered_map<std::uint32_t, util::Timestamp> last_seen;
   for (const auto& record : records) {
-    if (!filter(record)) continue;
+    if (!accepts(filter, record)) continue;
     const auto [it, inserted] =
         last_seen.try_emplace(record.src.value(), record.timestamp);
     if (!inserted) {
@@ -180,7 +156,7 @@ std::vector<std::pair<util::Duration, std::uint64_t>> sweep_counts(
 
 std::vector<std::pair<util::Duration, std::uint64_t>> timeout_sweep(
     std::span<const PacketRecord> records,
-    std::span<const util::Duration> timeouts, const RecordFilter& filter) {
+    std::span<const util::Duration> timeouts, RecordFilter filter) {
   return sweep_counts(collect_gap_profile(records, filter), timeouts);
 }
 

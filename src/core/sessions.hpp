@@ -6,7 +6,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
@@ -53,6 +52,8 @@ struct Session {
 /// the session start, with the start packet in slot 0: a packet exactly
 /// 60 s after the start has one minute of elapsed activity and belongs
 /// to the closing minute rather than opening a phantom trailing slot.
+/// A late record (older than the session start) counts in slot 0, and
+/// `end` never moves backwards.
 void absorb_record(Session& session, const PacketRecord& record);
 
 /// Strict ordering of session lists: by start time, ties broken by
@@ -60,20 +61,51 @@ void absorb_record(Session& session, const PacketRecord& record);
 /// sessions are time-disjoint), so sorted output is unique.
 [[nodiscard]] bool session_before(const Session& a, const Session& b);
 
-using RecordFilter = std::function<bool(const PacketRecord&)>;
+/// The record groups the analyses sessionize.
+enum class RecordFilter : std::uint8_t {
+  kQuicRequests,       ///< QUIC requests, research scanners excluded
+  kQuicResponses,      ///< QUIC responses, research scanners excluded
+  kCommonBackscatter,  ///< TCP + ICMP backscatter
+  kSanitizedQuic,      ///< both QUIC directions, research excluded
+};
 
-/// Standard filters.
-RecordFilter quic_request_filter(bool include_research = false);
-RecordFilter quic_response_filter();
-RecordFilter common_backscatter_filter();  ///< TCP + ICMP backscatter
-RecordFilter sanitized_quic_filter();      ///< both QUIC directions
+/// True when `record` belongs to `filter`'s group.
+[[nodiscard]] constexpr bool accepts(RecordFilter filter,
+                                     const PacketRecord& record) {
+  switch (filter) {
+    case RecordFilter::kQuicRequests:
+      return record.cls == TrafficClass::kQuicRequest && !record.is_research;
+    case RecordFilter::kQuicResponses:
+      return record.cls == TrafficClass::kQuicResponse && !record.is_research;
+    case RecordFilter::kCommonBackscatter:
+      return record.cls == TrafficClass::kTcpBackscatter ||
+             record.cls == TrafficClass::kIcmpBackscatter;
+    case RecordFilter::kSanitizedQuic:
+      return record.is_quic() && !record.is_research;
+  }
+  return false;
+}
+
+/// Named shorthands for the four groups.
+constexpr RecordFilter quic_request_filter() {
+  return RecordFilter::kQuicRequests;
+}
+constexpr RecordFilter quic_response_filter() {
+  return RecordFilter::kQuicResponses;
+}
+constexpr RecordFilter common_backscatter_filter() {
+  return RecordFilter::kCommonBackscatter;
+}
+constexpr RecordFilter sanitized_quic_filter() {
+  return RecordFilter::kSanitizedQuic;
+}
 
 /// Group the filtered records into per-source sessions with the given
 /// inactivity timeout. Records must be in non-decreasing time order
 /// (pcap / generator order). Sessions are returned sorted by start time.
 std::vector<Session> build_sessions(std::span<const PacketRecord> records,
                                     util::Duration timeout,
-                                    const RecordFilter& filter);
+                                    RecordFilter filter);
 
 /// K-way merge of session lists each sorted by `session_before` (the
 /// order build_sessions returns). When the parts partition the record
@@ -97,7 +129,7 @@ struct GapProfile {
 };
 
 GapProfile collect_gap_profile(std::span<const PacketRecord> records,
-                               const RecordFilter& filter);
+                               RecordFilter filter);
 void merge_gap_profiles(GapProfile& into, GapProfile&& from);
 
 /// Session count per timeout from a gap profile: for timeout T the count
@@ -111,6 +143,6 @@ std::vector<std::pair<util::Duration, std::uint64_t>> sweep_counts(
 /// bound (one session per source).
 std::vector<std::pair<util::Duration, std::uint64_t>> timeout_sweep(
     std::span<const PacketRecord> records,
-    std::span<const util::Duration> timeouts, const RecordFilter& filter);
+    std::span<const util::Duration> timeouts, RecordFilter filter);
 
 }  // namespace quicsand::core

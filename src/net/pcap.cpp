@@ -2,7 +2,6 @@
 
 #include <array>
 #include <bit>
-#include <chrono>
 #include <cstring>
 #include <stdexcept>
 
@@ -38,30 +37,6 @@ std::uint32_t bswap32(std::uint32_t v) {
   return ((v & 0xff) << 24) | ((v & 0xff00) << 8) | ((v >> 8) & 0xff00) |
          (v >> 24);
 }
-
-std::uint64_t steady_us() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-/// Records scope duration into `hist` on destruction; reads the clock
-/// only when a histogram is attached, so unobserved readers stay free.
-class ScopedLatency {
- public:
-  explicit ScopedLatency(obs::LatencyHistogram* hist)
-      : hist_(hist), start_(hist != nullptr ? steady_us() : 0) {}
-  ~ScopedLatency() {
-    if (hist_ != nullptr) hist_->record(steady_us() - start_);
-  }
-  ScopedLatency(const ScopedLatency&) = delete;
-  ScopedLatency& operator=(const ScopedLatency&) = delete;
-
- private:
-  obs::LatencyHistogram* hist_;
-  std::uint64_t start_;
-};
 
 }  // namespace
 
@@ -149,7 +124,7 @@ void PcapReader::set_metrics(obs::MetricsRegistry* metrics) {
 }
 
 std::optional<RawPacket> PcapReader::next() {
-  const ScopedLatency latency(read_us_);
+  const obs::ScopedLatency latency(read_us_);
   std::array<std::uint8_t, 16> rec{};
   in_->read(reinterpret_cast<char*>(rec.data()),
            static_cast<std::streamsize>(rec.size()));

@@ -1,6 +1,5 @@
 #include "net/pcapng.hpp"
 
-#include <chrono>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
@@ -12,30 +11,6 @@ namespace quicsand::net {
 namespace {
 
 constexpr std::size_t kMaxBlockSize = 16u << 20;
-
-std::uint64_t steady_us() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-/// Records scope duration into `hist` on destruction; reads the clock
-/// only when a histogram is attached, so unobserved readers stay free.
-class ScopedLatency {
- public:
-  explicit ScopedLatency(obs::LatencyHistogram* hist)
-      : hist_(hist), start_(hist != nullptr ? steady_us() : 0) {}
-  ~ScopedLatency() {
-    if (hist_ != nullptr) hist_->record(steady_us() - start_);
-  }
-  ScopedLatency(const ScopedLatency&) = delete;
-  ScopedLatency& operator=(const ScopedLatency&) = delete;
-
- private:
-  obs::LatencyHistogram* hist_;
-  std::uint64_t start_;
-};
 
 }  // namespace
 
@@ -256,7 +231,7 @@ void PcapngReader::set_metrics(obs::MetricsRegistry* metrics) {
 }
 
 std::optional<RawPacket> PcapngReader::next() {
-  const ScopedLatency latency(read_us_);
+  const obs::ScopedLatency latency(read_us_);
   std::uint32_t type = 0;
   std::vector<std::uint8_t> body;
   while (read_block(type, body)) {

@@ -1,6 +1,7 @@
 #include "obs/latency.hpp"
 
 #include <bit>
+#include <chrono>
 #include <cmath>
 
 namespace quicsand::obs {
@@ -10,6 +11,13 @@ namespace {
 constexpr unsigned kOctave0 = LatencyHistogram::kSubBucketBits;
 
 }  // namespace
+
+std::uint64_t steady_us() noexcept {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 LatencyHistogram::LatencyHistogram()
     : buckets_(new std::atomic<std::uint64_t>[kBuckets]) {

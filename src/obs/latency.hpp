@@ -123,4 +123,24 @@ class LatencyHistogram {
   std::atomic<std::uint64_t> max_{0};
 };
 
+/// Steady-clock microseconds, the time base of every *_us histogram.
+[[nodiscard]] std::uint64_t steady_us() noexcept;
+
+/// Records the scope's duration into `hist` on destruction; reads the
+/// clock only when a histogram is attached, so unobserved code stays free.
+class ScopedLatency {
+ public:
+  explicit ScopedLatency(LatencyHistogram* hist) noexcept
+      : hist_(hist), start_(hist != nullptr ? steady_us() : 0) {}
+  ~ScopedLatency() {
+    if (hist_ != nullptr) hist_->record(steady_us() - start_);
+  }
+  ScopedLatency(const ScopedLatency&) = delete;
+  ScopedLatency& operator=(const ScopedLatency&) = delete;
+
+ private:
+  LatencyHistogram* hist_;
+  std::uint64_t start_;
+};
+
 }  // namespace quicsand::obs

@@ -295,6 +295,24 @@ TEST(SessionsTest, TimeoutSweepMatchesBuildSessions) {
   EXPECT_GE(sweep[1].second, sweep[2].second);
 }
 
+TEST(SessionsTest, LateTimestampCountsInFirstMinuteSlot) {
+  // Two minutes older than its session's start: the record counts in
+  // minute slot 0 and leaves `end` where it was.
+  const auto src = net::Ipv4Address::from_octets(98, 0, 0, 1);
+  const auto records = classify_all({
+      quic_request(kT0 + 10 * util::kMinute, src),
+      quic_request(kT0 + 8 * util::kMinute, src),
+  });
+  std::vector<Session> sessions;
+  ASSERT_NO_THROW(sessions = build_sessions(records, 5 * util::kMinute,
+                                            quic_request_filter()));
+  ASSERT_EQ(sessions.size(), 1u);
+  EXPECT_EQ(sessions[0].packets.count(), 2u);
+  EXPECT_EQ(sessions[0].start, kT0 + 10 * util::kMinute);
+  EXPECT_EQ(sessions[0].end, kT0 + 10 * util::kMinute);
+  EXPECT_EQ(sessions[0].minute_counts, std::vector<std::uint32_t>{2});
+}
+
 TEST(SessionsTest, TrafficClassNames) {
   EXPECT_STREQ(traffic_class_name(TrafficClass::kQuicRequest),
                "quic-request");

@@ -207,5 +207,15 @@ TEST(OnlineEdge, SweepAtExactTimeoutBoundaryKeepsSession) {
   EXPECT_EQ(capture.attacks[0].end, last + kTimeout);
 }
 
+TEST(OnlineEdge, LateTimestampJoinsOpenSession) {
+  // Two minutes older than the session start must not throw.
+  OnlineDetector detector({});
+  detector.consume(response_record(kT0 + 2 * util::kMinute, 0xee000001));
+  EXPECT_NO_THROW(detector.consume(response_record(kT0, 0xee000001)));
+  EXPECT_EQ(detector.open_sessions(), 1u);
+  detector.finish();
+  EXPECT_EQ(detector.sessions_evicted(), 1u);
+}
+
 }  // namespace
 }  // namespace quicsand::core

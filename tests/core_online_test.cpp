@@ -5,7 +5,7 @@
 #include <set>
 
 #include "core/online.hpp"
-#include "core/pipeline.hpp"
+#include "core/parallel_pipeline.hpp"
 #include "scanner/deployment.hpp"
 #include "telescope/generator.hpp"
 
@@ -88,9 +88,7 @@ TEST(OnlineDetector, TimeoutSplitsSessions) {
 }
 
 TEST(OnlineDetector, SweepBoundsOpenSessions) {
-  OnlineDetectorConfig config;
-  config.filter = [](const PacketRecord&) { return true; };
-  OnlineDetector detector(config);
+  OnlineDetector detector({});
   // 10k sources, one packet each, spread over hours: the sweep must keep
   // the open-session table near the per-window population.
   for (int i = 0; i < 10000; ++i) {
@@ -119,7 +117,7 @@ TEST(OnlineDetector, MatchesBatchDetectorOnScenario) {
   PipelineOptions options;
   options.window_start = scenario.start;
   options.days = scenario.days;
-  Pipeline pipeline(options);
+  ParallelPipeline pipeline(options, 2);
 
   OnlineDetector online({});
   std::vector<DetectedAttack> online_attacks;

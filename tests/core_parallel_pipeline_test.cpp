@@ -1,18 +1,20 @@
-// Differential serial-vs-parallel harness: ParallelPipeline must produce
-// byte-identical analysis products to the serial Pipeline — hourly
-// series, classifier stats, record stream, session lists, timeout sweep
-// and detected attacks — for every shard count, including non-powers of
-// two. Also exercises the ThreadPool and ShardedCounter primitives the
-// parallel path is built on (run these under the `tsan` preset).
+// Differential harness: ParallelPipeline must produce byte-identical
+// analysis products to a serial reference built here from the free
+// functions (Classifier, bin_hourly, keep_for_analysis, build_sessions,
+// detect_attacks, timeout_sweep) — hourly series, classifier stats,
+// record stream, session lists, timeout sweep and detected attacks — for
+// every shard count, including non-powers of two. Also exercises the
+// ThreadPool and ShardedCounter primitives the engine is built on (run
+// these under the `tsan` preset).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <limits>
 #include <numeric>
 
 #include "asdb/registry.hpp"
 #include "core/parallel_pipeline.hpp"
-#include "core/pipeline.hpp"
 #include "scanner/deployment.hpp"
 #include "telescope/generator.hpp"
 #include "util/sharded_counter.hpp"
@@ -131,23 +133,59 @@ const TestScenario& scenario() {
   return instance;
 }
 
-Pipeline& serial_pipeline() {
-  static Pipeline instance = [] {
-    Pipeline pipeline(scenario().options);
-    for (const auto& packet : scenario().packets) pipeline.consume(packet);
-    return pipeline;
+/// The serial reference: one Classifier over the packets in arrival
+/// order, hourly bins and kept records collected by hand, and the
+/// analyses run by the free functions over the whole record stream.
+struct Reference {
+  ClassifierStats stats;
+  HourlySeries hourly;
+  std::vector<PacketRecord> records;  ///< arrival order
+
+  [[nodiscard]] std::vector<Session> sessions(util::Duration timeout,
+                                              RecordFilter filter) const {
+    return build_sessions(records, timeout, filter);
+  }
+
+  [[nodiscard]] AttackAnalysis attacks(const DosThresholds& thresholds,
+                                       util::Duration timeout) const {
+    AttackAnalysis analysis;
+    analysis.response_sessions = sessions(timeout, quic_response_filter());
+    analysis.common_sessions = sessions(timeout, common_backscatter_filter());
+    analysis.quic_attacks =
+        detect_attacks(analysis.response_sessions, thresholds);
+    analysis.common_attacks =
+        detect_attacks(analysis.common_sessions, thresholds);
+    return analysis;
+  }
+};
+
+const Reference& reference() {
+  static const Reference instance = [] {
+    const auto& options = scenario().options;
+    const auto hours = static_cast<std::size_t>(options.days) * 24;
+    Reference ref;
+    for (std::size_t slot = 0; slot < kHourlySlotCount; ++slot) {
+      ref.hourly.of(static_cast<HourlySlot>(slot)).assign(hours, 0);
+    }
+    Classifier classifier({options.research_prefixes});
+    for (const auto& packet : scenario().packets) {
+      const auto record = classifier.classify(packet);
+      if (!record) continue;
+      bin_hourly(*record, options.window_start, hours,
+                 [&ref](HourlySlot slot, std::size_t hour) {
+                   ++ref.hourly.of(slot)[hour];
+                 });
+      if (keep_for_analysis(*record)) ref.records.push_back(*record);
+    }
+    ref.stats = classifier.stats();
+    return ref;
   }();
   return instance;
 }
 
 std::unique_ptr<ParallelPipeline> parallel_pipeline(std::size_t shards) {
-  ParallelPipelineOptions options;
-  options.base = scenario().options;
-  options.shards = shards;
-  // Small batches so multiple classification tasks are actually in
-  // flight even on the one-day scenario.
-  options.batch_size = 512;
-  auto pipeline = std::make_unique<ParallelPipeline>(std::move(options));
+  auto pipeline =
+      std::make_unique<ParallelPipeline>(scenario().options, shards);
   for (const auto& packet : scenario().packets) pipeline->consume(packet);
   pipeline->finish();
   return pipeline;
@@ -165,48 +203,55 @@ void expect_stats_equal(const ClassifierStats& a, const ClassifierStats& b) {
 constexpr std::size_t kShardCounts[] = {1, 2, 4, 7};
 
 TEST(ParallelPipelineDifferentialTest, StatsHourlyAndRecordsMatchSerial) {
-  Pipeline& serial = serial_pipeline();
-  ASSERT_FALSE(serial.records().empty());
+  const auto& ref = reference();
+  ASSERT_FALSE(ref.records.empty());
+  // Several classify batches are in flight even on the one-day scenario.
+  ASSERT_GT(scenario().packets.size(), 8 * net::RecordBatch::kDefaultCapacity);
   for (const auto shards : kShardCounts) {
     SCOPED_TRACE(shards);
     auto parallel = parallel_pipeline(shards);
-    expect_stats_equal(parallel->stats(), serial.stats());
-    EXPECT_EQ(parallel->hourly().research_quic, serial.hourly().research_quic);
-    EXPECT_EQ(parallel->hourly().other_quic, serial.hourly().other_quic);
-    EXPECT_EQ(parallel->hourly().quic_requests, serial.hourly().quic_requests);
-    EXPECT_EQ(parallel->hourly().quic_responses,
-              serial.hourly().quic_responses);
+    expect_stats_equal(parallel->stats(), ref.stats);
+    EXPECT_EQ(parallel->hourly().research_quic, ref.hourly.research_quic);
+    EXPECT_EQ(parallel->hourly().other_quic, ref.hourly.other_quic);
+    EXPECT_EQ(parallel->hourly().quic_requests, ref.hourly.quic_requests);
+    EXPECT_EQ(parallel->hourly().quic_responses, ref.hourly.quic_responses);
+    // Records are grouped by shard, in arrival order within each shard.
+    auto expected = ref.records;
+    std::stable_sort(expected.begin(), expected.end(),
+                     [shards](const PacketRecord& a, const PacketRecord& b) {
+                       return util::shard_of(a.src.value(), shards) <
+                              util::shard_of(b.src.value(), shards);
+                     });
     const auto records = parallel->records();
-    ASSERT_EQ(records.size(), serial.records().size());
-    EXPECT_TRUE(std::equal(records.begin(), records.end(),
-                           serial.records().begin()));
+    ASSERT_EQ(records.size(), expected.size());
+    EXPECT_TRUE(std::equal(records.begin(), records.end(), expected.begin()));
   }
 }
 
 TEST(ParallelPipelineDifferentialTest, SessionListsMatchSerial) {
-  Pipeline& serial = serial_pipeline();
+  const auto& ref = reference();
   for (const auto shards : kShardCounts) {
     SCOPED_TRACE(shards);
     auto parallel = parallel_pipeline(shards);
     for (const auto timeout : {util::kMinute, 5 * util::kMinute}) {
       EXPECT_EQ(parallel->request_sessions(timeout),
-                serial.request_sessions(timeout));
+                ref.sessions(timeout, quic_request_filter()));
       EXPECT_EQ(parallel->response_sessions(timeout),
-                serial.response_sessions(timeout));
+                ref.sessions(timeout, quic_response_filter()));
       EXPECT_EQ(parallel->common_sessions(timeout),
-                serial.common_sessions(timeout));
+                ref.sessions(timeout, common_backscatter_filter()));
     }
   }
 }
 
 TEST(ParallelPipelineDifferentialTest, TimeoutSweepMatchesSerial) {
-  Pipeline& serial = serial_pipeline();
   std::vector<util::Duration> timeouts;
   for (const int minutes : {1, 2, 5, 10, 30, 60}) {
     timeouts.push_back(minutes * util::kMinute);
   }
   timeouts.push_back(std::numeric_limits<util::Duration>::max());
-  const auto expected = serial.session_timeout_sweep(timeouts);
+  const auto expected =
+      timeout_sweep(reference().records, timeouts, sanitized_quic_filter());
   for (const auto shards : kShardCounts) {
     SCOPED_TRACE(shards);
     EXPECT_EQ(parallel_pipeline(shards)->session_timeout_sweep(timeouts),
@@ -215,10 +260,13 @@ TEST(ParallelPipelineDifferentialTest, TimeoutSweepMatchesSerial) {
 }
 
 TEST(ParallelPipelineDifferentialTest, AttackAnalysisMatchesSerial) {
-  Pipeline& serial = serial_pipeline();
-  const auto expected = serial.analyze_attacks();
+  const auto timeout = scenario().options.session_timeout;
+  const auto expected = reference().attacks(DosThresholds{}, timeout);
   ASSERT_FALSE(expected.quic_attacks.empty());
   ASSERT_FALSE(expected.common_attacks.empty());
+  // Weighted thresholds (the Figure 10 sweep) must agree as well.
+  const auto strict = DosThresholds{}.weighted(0.5);
+  const auto expected_strict = reference().attacks(strict, timeout);
   for (const auto shards : kShardCounts) {
     SCOPED_TRACE(shards);
     auto parallel = parallel_pipeline(shards);
@@ -227,10 +275,8 @@ TEST(ParallelPipelineDifferentialTest, AttackAnalysisMatchesSerial) {
     EXPECT_EQ(analysis.common_sessions, expected.common_sessions);
     EXPECT_EQ(analysis.quic_attacks, expected.quic_attacks);
     EXPECT_EQ(analysis.common_attacks, expected.common_attacks);
-    // Weighted thresholds (the Figure 10 sweep) must agree as well.
-    const auto strict = DosThresholds{}.weighted(0.5);
     EXPECT_EQ(parallel->analyze_attacks(strict).quic_attacks,
-              serial.analyze_attacks(strict).quic_attacks);
+              expected_strict.quic_attacks);
   }
 }
 

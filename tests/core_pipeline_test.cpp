@@ -1,9 +1,12 @@
 // Focused pipeline tests: hourly binning bounds, classifier corner
-// cases, and the convenience accessors not exercised elsewhere.
+// cases, hostile input through consume() (late timestamps, packets
+// larger than a batch arena), the accessors on an empty pipeline, and
+// the custom-threshold accessor.
 #include <gtest/gtest.h>
 
-#include "core/pipeline.hpp"
+#include "core/parallel_pipeline.hpp"
 #include "net/headers.hpp"
+#include "obs/metrics.hpp"
 #include "quic/gquic.hpp"
 #include "quic/packets.hpp"
 #include "util/rng.hpp"
@@ -35,8 +38,10 @@ PipelineOptions one_day_options() {
   return options;
 }
 
+constexpr std::size_t kShards = 2;
+
 TEST(PipelineTest, HourlyBinsRespectWindowBounds) {
-  Pipeline pipeline(one_day_options());
+  ParallelPipeline pipeline(one_day_options(), kShards);
   pipeline.consume(quic_response_at(kT0));                      // hour 0
   pipeline.consume(quic_response_at(kT0 + 5 * util::kHour));    // hour 5
   pipeline.consume(quic_response_at(kT0 + 23 * util::kHour));   // hour 23
@@ -57,7 +62,7 @@ TEST(PipelineTest, HourlyBinsRespectWindowBounds) {
 TEST(PipelineTest, SourceAndDestPort443IsResponse) {
   // The paper finds no packets with both ports 443; ours classifies such
   // a packet as a response deterministically.
-  Pipeline pipeline(one_day_options());
+  ParallelPipeline pipeline(one_day_options(), kShards);
   const auto ctx = quic::HandshakeContext::random(1, rng());
   net::Ipv4Header ip;
   ip.src = net::Ipv4Address::from_octets(142, 250, 0, 9);
@@ -72,7 +77,7 @@ TEST(PipelineTest, SourceAndDestPort443IsResponse) {
 }
 
 TEST(PipelineTest, GquicBackscatterCountsAsQuicResponse) {
-  Pipeline pipeline(one_day_options());
+  ParallelPipeline pipeline(one_day_options(), kShards);
   net::Ipv4Header ip;
   ip.src = net::Ipv4Address::from_octets(142, 250, 0, 9);
   ip.dst = net::Ipv4Address::from_octets(44, 0, 0, 1);
@@ -89,7 +94,7 @@ TEST(PipelineTest, GquicBackscatterCountsAsQuicResponse) {
 }
 
 TEST(PipelineTest, EmptyPipelineAccessors) {
-  Pipeline pipeline(one_day_options());
+  ParallelPipeline pipeline(one_day_options(), kShards);
   EXPECT_TRUE(pipeline.records().empty());
   EXPECT_TRUE(pipeline.request_sessions(util::kMinute).empty());
   const auto analysis = pipeline.analyze_attacks();
@@ -102,7 +107,7 @@ TEST(PipelineTest, EmptyPipelineAccessors) {
 }
 
 TEST(PipelineTest, AnalyzeWithCustomThresholds) {
-  Pipeline pipeline(one_day_options());
+  ParallelPipeline pipeline(one_day_options(), kShards);
   // 30 response packets over 2 minutes from one victim.
   for (int i = 0; i < 30; ++i) {
     pipeline.consume(quic_response_at(kT0 + i * 4 * util::kSecond));
@@ -112,6 +117,73 @@ TEST(PipelineTest, AnalyzeWithCustomThresholds) {
   const auto relaxed =
       pipeline.analyze_attacks(DosThresholds{}.weighted(0.2));
   EXPECT_EQ(relaxed.quic_attacks.size(), 1u);
+}
+
+TEST(PipelineTest, LateTimestampMatchesReferenceAtOneAndFourShards) {
+  // The last packet is two minutes older than its session's start.
+  std::vector<net::RawPacket> packets;
+  for (int i = 0; i < 30; ++i) {
+    packets.push_back(
+        quic_response_at(kT0 + (5 * util::kMinute) + (i * util::kSecond)));
+  }
+  packets.push_back(quic_response_at(kT0 + 3 * util::kMinute));
+  Classifier classifier({});
+  std::vector<PacketRecord> records;
+  for (const auto& packet : packets) {
+    records.push_back(*classifier.classify(packet));
+  }
+  const auto expected =
+      build_sessions(records, 5 * util::kMinute, quic_response_filter());
+  ASSERT_EQ(expected.size(), 1u);
+  EXPECT_EQ(expected[0].packets.count(), 31u);
+  for (const std::size_t shards : {1u, 4u}) {
+    SCOPED_TRACE(shards);
+    ParallelPipeline pipeline(one_day_options(), shards);
+    for (const auto& packet : packets) pipeline.consume(packet);
+    EXPECT_EQ(pipeline.response_sessions(5 * util::kMinute), expected);
+    EXPECT_EQ(pipeline.analyze_attacks().response_sessions, expected);
+  }
+}
+
+TEST(PipelineTest, OversizedPacketIsClassifiedThroughConsume) {
+  // Larger than a whole batch arena; pcapng admits blocks up to 16 MiB.
+  auto big = quic_response_at(kT0 + util::kSecond);
+  big.data.resize(net::RecordBatch::kDefaultArenaBytes + 1, 0);
+  for (const std::size_t shards : {1u, 4u}) {
+    SCOPED_TRACE(shards);
+    ParallelPipeline pipeline(one_day_options(), shards);
+    pipeline.consume(quic_response_at(kT0));
+    pipeline.consume(big);
+    pipeline.consume(quic_response_at(kT0 + 2 * util::kSecond));
+    EXPECT_EQ(pipeline.stats().of(TrafficClass::kQuicResponse), 3u);
+    const auto records = pipeline.records();
+    ASSERT_EQ(records.size(), 3u);
+    // One source, one shard: arrival order survives the detour.
+    EXPECT_EQ(records[1].timestamp, kT0 + util::kSecond);
+    EXPECT_EQ(records[2].timestamp, kT0 + 2 * util::kSecond);
+  }
+}
+
+TEST(PipelineTest, MetricsTrackBatchesAndShards) {
+  obs::MetricsRegistry metrics;
+  auto options = one_day_options();
+  options.obs.metrics = &metrics;
+  ParallelPipeline pipeline(options, 3);
+  for (int i = 0; i < 10; ++i) {
+    pipeline.consume(quic_response_at(kT0 + i * util::kSecond));
+  }
+  EXPECT_EQ(metrics.gauge("parallel.pending_packets").value(), 10);
+  pipeline.finish();
+  EXPECT_EQ(metrics.gauge("parallel.pending_packets").value(), 0);
+  EXPECT_EQ(metrics.counter("pipeline.packets").value(), 10u);
+  EXPECT_EQ(metrics.counter("pipeline.records").value(), 10u);
+  EXPECT_EQ(metrics.counter("parallel.batches").value(), 1u);
+  EXPECT_EQ(metrics.latency("parallel.classify_batch_us").count(), 1u);
+  // finish() observes one record count per shard.
+  const auto& per_shard =
+      metrics.histogram("parallel.shard_records", obs::size_bounds());
+  EXPECT_EQ(per_shard.count(), 3u);
+  EXPECT_EQ(per_shard.sum(), 10u);
 }
 
 TEST(SessionTest, DominantVersionWithNoVersions) {

@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <sstream>
 
-#include "core/pipeline.hpp"
 #include "core/report.hpp"
 #include "net/pcap.hpp"
 #include "scanner/deployment.hpp"
@@ -49,7 +48,7 @@ core::PipelineOptions pipeline_options(const telescope::ScenarioConfig& c) {
 TEST(ReportTest, BuildAndPrint) {
   const auto config = small_scenario();
   telescope::TelescopeGenerator generator(config, registry(), deployment());
-  core::Pipeline pipeline(pipeline_options(config));
+  core::ParallelPipeline pipeline(pipeline_options(config), 2);
   generator.generate(
       [&](const net::RawPacket& packet) { pipeline.consume(packet); });
   const auto analysis = pipeline.analyze_attacks();
@@ -90,7 +89,7 @@ TEST(PcapEquivalence, PcapRoundTripMatchesDirectConsumption) {
           .string();
 
   // Direct path.
-  core::Pipeline direct(pipeline_options(config));
+  core::ParallelPipeline direct(pipeline_options(config), 2);
   {
     telescope::TelescopeGenerator generator(config, registry(), deployment());
     net::PcapWriter writer(path);
@@ -100,7 +99,7 @@ TEST(PcapEquivalence, PcapRoundTripMatchesDirectConsumption) {
     });
   }
   // Through the pcap file.
-  core::Pipeline via_pcap(pipeline_options(config));
+  core::ParallelPipeline via_pcap(pipeline_options(config), 3);
   {
     net::PcapReader reader(path);
     reader.for_each(
@@ -127,7 +126,7 @@ TEST(PcapEquivalence, PcapRoundTripMatchesDirectConsumption) {
 TEST(ReportTest, EmptyPipelineProducesEmptyReport) {
   core::PipelineOptions options;
   options.days = 1;
-  core::Pipeline pipeline(options);
+  core::ParallelPipeline pipeline(options, 2);
   const auto analysis = pipeline.analyze_attacks();
   const auto report =
       core::build_report(pipeline, analysis, registry(), deployment());

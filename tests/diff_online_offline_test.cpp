@@ -1,9 +1,9 @@
 // Differential oracle: the streaming OnlineDetector and the offline
-// Pipeline must agree bit-for-bit on the detected attack set — same
-// victims, same boundaries, same packet counts and peak rates — across
-// generator seeds, and the online path must be invariant to partitioning
-// the record stream by source (the streaming analogue of the batch
-// shard-count invariance).
+// ParallelPipeline must agree bit-for-bit on the detected attack set —
+// same victims, same boundaries, same packet counts and peak rates —
+// across generator seeds, and the online path must be invariant to
+// partitioning the record stream by source (the streaming analogue of the
+// batch shard-count invariance).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +12,7 @@
 
 #include "core/classifier.hpp"
 #include "core/online.hpp"
-#include "core/pipeline.hpp"
+#include "core/parallel_pipeline.hpp"
 #include "scanner/deployment.hpp"
 #include "telescope/generator.hpp"
 #include "telescope/scoring.hpp"
@@ -61,7 +61,7 @@ ScenarioRun run_scenario(std::uint64_t seed) {
   PipelineOptions options;
   options.window_start = scenario.start;
   options.days = scenario.days;
-  Pipeline pipeline(options);
+  ParallelPipeline pipeline(options, 4);
 
   OnlineDetector online({});
   ScenarioRun run;

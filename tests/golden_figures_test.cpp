@@ -16,7 +16,7 @@
 
 #include "core/correlate.hpp"
 #include "core/online.hpp"
-#include "core/pipeline.hpp"
+#include "core/parallel_pipeline.hpp"
 #include "core/victims.hpp"
 #include "net/record_batch.hpp"
 #include "scanner/deployment.hpp"
@@ -55,31 +55,32 @@ class GoldenFigures : public ::testing::Test {
     PipelineOptions options;
     options.window_start = scenario.start;
     options.days = scenario.days;
-    pipeline_ = new Pipeline(options);
+    pipeline_ = new ParallelPipeline(options, 4);
     online_ = new OnlineDetector({});
     online_attacks_ = new std::vector<DetectedAttack>();
     online_->set_on_attack([](const DetectedAttack& a) {
       online_attacks_->push_back(a);
     });
-    // The figure stream is produced through the batched path — the same
-    // one the benches and the parallel pipeline use — so every pin below
-    // also pins batched generation. Per-record next() stays covered by
-    // tests/telescope_batch_diff_test.cpp, which proves it bit-identical
-    // to this stream.
+    // The figure stream is produced and ingested through the batched
+    // path the benches use, so every pin below also pins batched
+    // generation and batch hand-off. Per-record next() and consume() stay
+    // covered by tests/telescope_batch_diff_test.cpp, which proves them
+    // identical to this stream.
     Classifier classifier({});
-    net::RecordBatch batch;
+    auto batch = pipeline_->acquire_batch();
     while (generator.next_batch(batch) > 0) {
       for (std::size_t i = 0; i < batch.size(); ++i) {
         const auto view = batch.view(i);
-        pipeline_->consume(view.timestamp, view.data);
         if (const auto record =
                 classifier.classify(view.timestamp, view.data)) {
           online_->consume(*record);
         }
       }
+      pipeline_->consume_batch(std::move(batch));
+      batch = pipeline_->acquire_batch();
     }
     online_->finish();
-    analysis_ = new Pipeline::AttackAnalysis(pipeline_->analyze_attacks());
+    analysis_ = new AttackAnalysis(pipeline_->analyze_attacks());
   }
 
   static void TearDownTestSuite() {
@@ -93,18 +94,18 @@ class GoldenFigures : public ::testing::Test {
 
   static asdb::AsRegistry* registry_;
   static scanner::Deployment* deployment_;
-  static Pipeline* pipeline_;
+  static ParallelPipeline* pipeline_;
   static OnlineDetector* online_;
   static std::vector<DetectedAttack>* online_attacks_;
-  static Pipeline::AttackAnalysis* analysis_;
+  static AttackAnalysis* analysis_;
 };
 
 asdb::AsRegistry* GoldenFigures::registry_ = nullptr;
 scanner::Deployment* GoldenFigures::deployment_ = nullptr;
-Pipeline* GoldenFigures::pipeline_ = nullptr;
+ParallelPipeline* GoldenFigures::pipeline_ = nullptr;
 OnlineDetector* GoldenFigures::online_ = nullptr;
 std::vector<DetectedAttack>* GoldenFigures::online_attacks_ = nullptr;
-Pipeline::AttackAnalysis* GoldenFigures::analysis_ = nullptr;
+AttackAnalysis* GoldenFigures::analysis_ = nullptr;
 
 TEST_F(GoldenFigures, Fig02Fig03HourlyTotals) {
   const auto& hourly = pipeline_->hourly();

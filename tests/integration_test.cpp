@@ -7,7 +7,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "core/pipeline.hpp"
+#include "core/parallel_pipeline.hpp"
 #include "core/victims.hpp"
 #include "scanner/deployment.hpp"
 #include "telescope/generator.hpp"
@@ -15,7 +15,7 @@
 namespace quicsand {
 namespace {
 
-using core::Pipeline;
+using core::ParallelPipeline;
 using core::PipelineOptions;
 using telescope::AttackProtocol;
 using telescope::ScenarioConfig;
@@ -63,15 +63,16 @@ class IntegrationTest : public ::testing::Test {
   struct State {
     ScenarioConfig config = scenario();
     telescope::GroundTruth truth;
-    std::unique_ptr<Pipeline> pipeline;
-    Pipeline::AttackAnalysis analysis;
+    std::unique_ptr<ParallelPipeline> pipeline;
+    core::AttackAnalysis analysis;
   };
 
   static State& state() {
     static State s = [] {
       State st;
       TelescopeGenerator generator(st.config, registry(), deployment());
-      st.pipeline = std::make_unique<Pipeline>(options(st.config));
+      st.pipeline =
+          std::make_unique<ParallelPipeline>(options(st.config), 4);
       generator.generate(
           [&](const net::RawPacket& packet) { st.pipeline->consume(packet); });
       st.truth = generator.ground_truth();

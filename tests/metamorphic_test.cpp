@@ -10,7 +10,7 @@
 
 #include "core/classifier.hpp"
 #include "core/online.hpp"
-#include "core/pipeline.hpp"
+#include "core/parallel_pipeline.hpp"
 #include "scanner/deployment.hpp"
 #include "telescope/generator.hpp"
 
@@ -53,12 +53,12 @@ TEST(Metamorphic, GlobalTimeShiftShiftsEverythingByDelta) {
   PipelineOptions base_options;
   base_options.window_start = scenario.start;
   base_options.days = scenario.days + 1;
-  Pipeline base(base_options);
+  ParallelPipeline base(base_options, 2);
   for (const auto& packet : packets) base.consume(packet);
 
   PipelineOptions shifted_options = base_options;
   shifted_options.window_start = scenario.start + kDelta;
-  Pipeline shifted(shifted_options);
+  ParallelPipeline shifted(shifted_options, 2);
   for (const auto& packet : packets) {
     net::RawPacket moved = packet;
     moved.timestamp += kDelta;

@@ -135,6 +135,15 @@ TEST(LatencyHistogramTest, EmptyHistogramIsAllZero) {
   EXPECT_EQ(snap.max, 0u);
 }
 
+TEST(ScopedLatencyTest, RecordsOneSampleOnlyWhenAttached) {
+  LatencyHistogram hist;
+  {
+    const obs::ScopedLatency timed(&hist);
+    const obs::ScopedLatency untimed(nullptr);
+  }
+  EXPECT_EQ(hist.count(), 1u);
+}
+
 TEST(LatencyHistogramTest, MergeEqualsSingleRecorder) {
   // Three shard-local recorders merged in different orders must agree
   // bucket-for-bucket with one recorder that saw the union — the
