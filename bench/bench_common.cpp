@@ -2,9 +2,8 @@
 
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
+#include <limits>
 #include <thread>
 
 #include "util/parse.hpp"
@@ -13,10 +12,16 @@ namespace quicsand::bench {
 
 namespace {
 
-std::uint64_t env_u64(const char* name, std::uint64_t default_value) {
+/// `name` parsed as an integer in [min, max]; anything else (unset,
+/// garbage, out of range) yields `default_value`.
+std::uint64_t env_u64(
+    const char* name, std::uint64_t default_value, std::uint64_t min = 0,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
   const char* value = std::getenv(name);
   if (value == nullptr) return default_value;
-  return util::parse_u64(value).value_or(default_value);
+  const auto parsed = util::parse_u64(value);
+  if (!parsed || *parsed < min || *parsed > max) return default_value;
+  return *parsed;
 }
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
@@ -28,8 +33,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 struct ObsOutputs {
   std::string metrics_out;
   std::string trace_out;
-  std::string bench_out;
-  std::vector<BenchResult> results;
 };
 
 ObsOutputs& obs_outputs() {
@@ -37,13 +40,20 @@ ObsOutputs& obs_outputs() {
   return outputs;
 }
 
+obs::MetricsRegistry& metrics() {
+  static obs::MetricsRegistry registry;
+  return registry;
+}
+
+obs::Tracer& tracer() {
+  static obs::Tracer instance;
+  return instance;
+}
+
 }  // namespace
 
 void init(int argc, char** argv) {
   auto& outputs = obs_outputs();
-  if (const char* env = std::getenv("QUICSAND_BENCH_OUT")) {
-    outputs.bench_out = env;
-  }
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> const char* {
@@ -57,29 +67,12 @@ void init(int argc, char** argv) {
       outputs.metrics_out = value();
     } else if (arg == "--trace-out") {
       outputs.trace_out = value();
-    } else if (arg == "--bench-out") {
-      outputs.bench_out = value();
     } else {
       std::cerr << "usage: " << argv[0]
-                << " [--metrics-out FILE] [--trace-out FILE]"
-                   " [--bench-out FILE]\n";
+                << " [--metrics-out FILE] [--trace-out FILE]\n";
       std::exit(2);
     }
   }
-}
-
-obs::MetricsRegistry& metrics() {
-  static obs::MetricsRegistry registry;
-  return registry;
-}
-
-obs::Tracer& tracer() {
-  static obs::Tracer instance;
-  return instance;
-}
-
-void append_bench_result(BenchResult result) {
-  obs_outputs().results.push_back(std::move(result));
 }
 
 void write_obs_outputs() {
@@ -100,48 +93,26 @@ void write_obs_outputs() {
       std::cerr << "cannot write " << outputs.trace_out << "\n";
     }
   }
-  if (!outputs.bench_out.empty() && !outputs.results.empty()) {
-    std::ofstream out(outputs.bench_out, std::ios::trunc);
-    if (!out) {
-      std::cerr << "cannot write " << outputs.bench_out << "\n";
-      return;
-    }
-    out << "[";
-    bool first = true;
-    for (const auto& result : outputs.results) {
-      out << (first ? "\n" : ",\n");
-      first = false;
-      std::ostringstream row;
-      row.precision(3);
-      row << std::fixed;
-      row << "  {\"name\": \"" << result.name
-          << "\", \"wall_ms\": " << result.wall_ms
-          << ", \"records_per_s\": " << result.records_per_s
-          << ", \"threads\": " << result.threads << "}";
-      out << row.str();
-    }
-    out << "\n]\n";
-    std::cout << "[benchmark datapoints written to " << outputs.bench_out
-              << "]\n";
-  }
 }
 
 int env_days(int default_days) {
-  return static_cast<int>(
-      env_u64("QUICSAND_DAYS", static_cast<std::uint64_t>(default_days)));
+  return static_cast<int>(env_u64("QUICSAND_DAYS",
+                                  static_cast<std::uint64_t>(default_days),
+                                  1, std::numeric_limits<int>::max()));
 }
 
 std::uint64_t env_seed() { return env_u64("QUICSAND_SEED", 2021); }
 
 int env_telescope_bits(int default_bits) {
   return static_cast<int>(env_u64("QUICSAND_TELESCOPE_BITS",
-                                  static_cast<std::uint64_t>(default_bits)));
+                                  static_cast<std::uint64_t>(default_bits),
+                                  0, 32));
 }
 
 std::size_t env_threads() {
   const auto hw = std::thread::hardware_concurrency();
   return static_cast<std::size_t>(
-      env_u64("QUICSAND_THREADS", hw == 0 ? 1 : hw));
+      env_u64("QUICSAND_THREADS", hw == 0 ? 1 : hw, 1));
 }
 
 const asdb::AsRegistry& registry() {
@@ -224,6 +195,12 @@ void print_scale(const telescope::ScenarioConfig& config) {
             << " (paper: /9)"
             << "  seed=" << config.seed
             << "  threads=" << env_threads() << "\n";
+}
+
+void print_timing(const AnalyzedScenario& scenario) {
+  std::cout << "[generate " << util::fmt(scenario.generate_seconds, 1)
+            << "s, analyze " << util::fmt(scenario.analyze_seconds, 1)
+            << "s]\n";
 }
 
 void compare(const std::string& metric, const std::string& paper,

@@ -5,23 +5,25 @@
 // prefix, seed) come from environment variables so the same binaries can
 // run a quick CI-sized reproduction or a full-scale one:
 //
-//   QUICSAND_DAYS  — window length in days (default: per-bench)
+//   QUICSAND_DAYS  — window length in days, >= 1 (default: per-bench)
 //   QUICSAND_SEED  — scenario seed (default 2021)
-//   QUICSAND_TELESCOPE_BITS — telescope prefix length (default per-bench)
-//   QUICSAND_THREADS — analysis shards/threads (default: hardware).
+//   QUICSAND_TELESCOPE_BITS — telescope prefix length, <= 32 (default
+//     per-bench)
+//   QUICSAND_THREADS — analysis shards/threads, >= 1 (default: hardware).
 //     Every analysis product is identical for any value, so this only
 //     affects wall-clock time.
+//
+// A value that does not parse or is out of range falls back to the
+// default; the `scale:` banner shows what a run actually used.
 //
 // Every harness also takes observability flags (parsed by init()):
 //
 //   --metrics-out FILE — write a JSON metrics snapshot after the run
 //   --trace-out FILE   — write a chrome://tracing / Perfetto trace
-//   --bench-out FILE   — append machine-readable benchmark datapoints
-//                        (also via env QUICSAND_BENCH_OUT); see
-//                        append_bench_result()
 //
 // Each binary prints its effective scale and, where the paper reports a
-// number, a "paper vs measured" line.
+// number, a "paper vs measured" line. Performance is measured by
+// perfbench/run.py and the micro-benchmarks, not by these harnesses.
 #pragma once
 
 #include <memory>
@@ -40,27 +42,14 @@
 
 namespace quicsand::bench {
 
-/// Parse the common observability flags (--metrics-out, --trace-out,
-/// --bench-out). Prints usage and exits(2) on unknown flags or missing
-/// values. Call first in every harness main().
+/// Parse the common observability flags (--metrics-out, --trace-out).
+/// Prints usage and exits(2) on unknown flags or missing values. Call
+/// first in every harness main().
 void init(int argc, char** argv);
 
-/// Process-wide sinks; run_scenario attaches them to the pipeline, and
-/// harnesses can add their own metrics/spans.
-obs::MetricsRegistry& metrics();
-obs::Tracer& tracer();
-
-/// One machine-readable benchmark datapoint (BENCH_pipeline.json schema).
-struct BenchResult {
-  std::string name;
-  double wall_ms = 0;
-  double records_per_s = 0;  ///< packets (records) per second of wall time
-  std::size_t threads = 0;
-};
-void append_bench_result(BenchResult result);
-
-/// Write whatever --metrics-out/--trace-out/--bench-out requested. Call
-/// after run(); a no-op when no output was requested.
+/// Write the process-wide metrics/trace sinks that run_scenario attaches
+/// to the pipeline, as --metrics-out/--trace-out requested. Call after
+/// run(); a no-op when no output was requested.
 void write_obs_outputs();
 
 /// Environment overrides with defaults.
@@ -104,6 +93,9 @@ AnalyzedScenario run_scenario(const telescope::ScenarioConfig& config);
 
 /// Print the standard scale banner.
 void print_scale(const telescope::ScenarioConfig& config);
+
+/// Print the trailing `[generate …, analyze …]` timing line.
+void print_timing(const AnalyzedScenario& scenario);
 
 /// Print a "paper vs measured" comparison row.
 void compare(const std::string& metric, const std::string& paper,

@@ -68,9 +68,7 @@ int run() {
   std::cout << "\nsingle full-IPv4 pass deposits "
             << util::with_commas(config.telescope.size())
             << " packets into this telescope (paper: 2^23 ~ 8.4M into /9)\n";
-  std::cout << "[generate " << util::fmt(scenario.generate_seconds, 1)
-            << "s, analyze " << util::fmt(scenario.analyze_seconds, 1)
-            << "s]\n";
+  print_timing(scenario);
   return 0;
 }
 

@@ -72,9 +72,7 @@ int run() {
     compare("other (short header etc.)", "12%",
             util::pct((n - initial - handshake) / n));
   }
-  std::cout << "[generate " << util::fmt(scenario.generate_seconds, 1)
-            << "s, analyze " << util::fmt(scenario.analyze_seconds, 1)
-            << "s]\n";
+  print_timing(scenario);
   return 0;
 }
 

@@ -50,9 +50,7 @@ int run() {
   }
   compare("knee (chosen threshold)", "5 min",
           std::to_string(sweep[knee].first / util::kMinute) + " min");
-  std::cout << "[generate " << util::fmt(scenario.generate_seconds, 1)
-            << "s, analyze " << util::fmt(scenario.analyze_seconds, 1)
-            << "s]\n";
+  print_timing(scenario);
   return 0;
 }
 

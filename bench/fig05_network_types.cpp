@@ -95,9 +95,7 @@ int run() {
   compare("Bangladesh", "34%", util::pct(by_country["BD"] / total));
   compare("USA", "27%", util::pct(by_country["US"] / total));
   compare("Algeria", "8%", util::pct(by_country["DZ"] / total));
-  std::cout << "[generate " << util::fmt(scenario.generate_seconds, 1)
-            << "s, analyze " << util::fmt(scenario.analyze_seconds, 1)
-            << "s]\n";
+  print_timing(scenario);
   return 0;
 }
 

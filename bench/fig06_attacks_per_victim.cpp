@@ -2,33 +2,13 @@
 // paper finds 2905 attacks on 394 victims in 30 days, more than half of
 // the victims attacked exactly once, and 98% of attacks aimed at known
 // QUIC servers from the active-scan hitlist.
-#include <chrono>
 #include <iostream>
 
 #include "bench_common.hpp"
 #include "core/victims.hpp"
-#include "net/record_batch.hpp"
 
 namespace quicsand::bench {
 namespace {
-
-/// Generation-only throughput: drain the scenario through next_batch()
-/// into one reused RecordBatch and discard the packets. Isolates the
-/// batched producer from classification/analysis.
-double generate_only_seconds(const telescope::ScenarioConfig& config,
-                             std::size_t batch_capacity,
-                             std::uint64_t* packets_out) {
-  telescope::TelescopeGenerator generator(config, registry(), deployment());
-  net::RecordBatch batch(batch_capacity, batch_capacity * 1500);
-  const auto start = std::chrono::steady_clock::now();
-  std::uint64_t packets = 0;
-  while (generator.next_batch(batch) > 0) packets += batch.size();
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  if (packets_out != nullptr) *packets_out = packets;
-  return seconds;
-}
 
 int run() {
   const auto config = light_scenario({});
@@ -62,49 +42,7 @@ int run() {
                    victim.known_quic_server ? "yes" : "no"});
   }
   table.print(std::cout);
-  std::cout << "[generate " << util::fmt(scenario.generate_seconds, 1)
-            << "s, analyze " << util::fmt(scenario.analyze_seconds, 1)
-            << "s]\n";
-
-  // Perf-trajectory datapoints (--bench-out / QUICSAND_BENCH_OUT):
-  // packets through generate+ingest, records through the analyses.
-  const auto packets = scenario.pipeline->stats().total;
-  const auto records = scenario.pipeline->records().size();
-  append_bench_result(
-      {"fig06.generate_ingest", scenario.generate_seconds * 1e3,
-       scenario.generate_seconds > 0
-           ? static_cast<double>(packets) / scenario.generate_seconds
-           : 0,
-       env_threads()});
-  append_bench_result(
-      {"fig06.analyze", scenario.analyze_seconds * 1e3,
-       scenario.analyze_seconds > 0
-           ? static_cast<double>(records) / scenario.analyze_seconds
-           : 0,
-       env_threads()});
-
-  // Generation-only datapoint plus a batch-size sweep showing where the
-  // arena amortization saturates. Single-threaded by construction.
-  {
-    std::uint64_t generated = 0;
-    const double seconds = generate_only_seconds(config, 4096, &generated);
-    append_bench_result(
-        {"fig06.generate_only", seconds * 1e3,
-         seconds > 0 ? static_cast<double>(generated) / seconds : 0, 1});
-    std::cout << "[generate-only " << util::fmt(seconds, 2) << "s, "
-              << util::with_commas(generated) << " packets]\n";
-    for (const std::size_t capacity : {256, 1024, 16384}) {
-      const double sweep_seconds =
-          generate_only_seconds(config, capacity, &generated);
-      append_bench_result(
-          {"fig06.generate_only.batch" + std::to_string(capacity),
-           sweep_seconds * 1e3,
-           sweep_seconds > 0
-               ? static_cast<double>(generated) / sweep_seconds
-               : 0,
-           1});
-    }
-  }
+  print_timing(scenario);
   return 0;
 }
 

@@ -58,9 +58,7 @@ int run() {
   print_cdf("(b) intensity CDF: QUIC", util::Cdf(quic_rates), "max pps");
   print_cdf("(b) intensity CDF: TCP/ICMP", util::Cdf(common_rates),
             "max pps");
-  std::cout << "[generate " << util::fmt(scenario.generate_seconds, 1)
-            << "s, analyze " << util::fmt(scenario.analyze_seconds, 1)
-            << "s]\n";
+  print_timing(scenario);
   return 0;
 }
 

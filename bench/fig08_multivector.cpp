@@ -42,9 +42,7 @@ int run() {
   compare("planned concurrent share", "51%",
           util::pct(static_cast<double>(planned_concurrent) /
                     std::max<double>(1, static_cast<double>(planned_total))));
-  std::cout << "[generate " << util::fmt(scenario.generate_seconds, 1)
-            << "s, analyze " << util::fmt(scenario.analyze_seconds, 1)
-            << "s]\n";
+  print_timing(scenario);
   return 0;
 }
 

@@ -62,9 +62,7 @@ int run() {
           util::fmt(excluded.median_duration_s, 0) + " s");
   compare("median intensity", "0.18 max pps",
           util::fmt(excluded.median_peak_pps, 2) + " max pps");
-  std::cout << "[generate " << util::fmt(scenario.generate_seconds, 1)
-            << "s, analyze " << util::fmt(scenario.analyze_seconds, 1)
-            << "s]\n";
+  print_timing(scenario);
   return 0;
 }
 

@@ -61,9 +61,7 @@ int run() {
   table.print(std::cout);
   compare("pattern", "1 concurrent multi-vector + sequential QUIC floods",
           std::to_string(best_count) + " QUIC attacks, >=1 concurrent");
-  std::cout << "[generate " << util::fmt(scenario.generate_seconds, 1)
-            << "s, analyze " << util::fmt(scenario.analyze_seconds, 1)
-            << "s]\n";
+  print_timing(scenario);
   return 0;
 }
 

@@ -30,9 +30,7 @@ int run() {
           util::pct(1.0 - cdf.at(0.999)));
   compare("mean overlap share", "95%", util::pct(cdf.mean()));
   print_cdf("CDF: overlap share", cdf, "fraction of QUIC attack time");
-  std::cout << "[generate " << util::fmt(scenario.generate_seconds, 1)
-            << "s, analyze " << util::fmt(scenario.analyze_seconds, 1)
-            << "s]\n";
+  print_timing(scenario);
   return 0;
 }
 

@@ -38,9 +38,7 @@ int run() {
   compare("maximum gap", "up to 28 d",
           util::format_duration(util::from_seconds(cdf.max())));
   print_cdf("CDF: gap", cdf, "seconds");
-  std::cout << "[generate " << util::fmt(scenario.generate_seconds, 1)
-            << "s, analyze " << util::fmt(scenario.analyze_seconds, 1)
-            << "s]\n";
+  print_timing(scenario);
   return 0;
 }
 

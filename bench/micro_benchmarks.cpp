@@ -1,23 +1,28 @@
 // Microbenchmarks (google-benchmark) for the hot paths: the crypto core,
 // the QUIC codec/dissector, packet builders and the classifier. These
 // bound the throughput of the telescope generator and the analysis
-// pipeline.
+// pipeline. The last one prices the metrics-history sampler's pass.
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
-#include <string_view>
+#include <chrono>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "asdb/registry.hpp"
 #include "bench_common.hpp"
-#include "util/parse.hpp"
 #include "core/classifier.hpp"
+#include "core/online_shards.hpp"
 #include "core/parallel_pipeline.hpp"
 #include "core/pipeline.hpp"
 #include "telescope/generator.hpp"
 #include "crypto/gcm.hpp"
 #include "crypto/sha256.hpp"
 #include "net/headers.hpp"
+#include "net/live/frame.hpp"
+#include "net/live/receiver.hpp"
+#include "obs/sampler.hpp"
+#include "obs/tsdb.hpp"
 #include "quic/dissector.hpp"
 #include "quic/packets.hpp"
 #include "quic/ack_tracker.hpp"
@@ -284,66 +289,73 @@ BENCHMARK(BM_Pipeline_Fig06_Observed)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Console output plus the repo's simple perf-trajectory schema: every
-// pipeline benchmark run becomes one {name, wall_ms, records/s, threads}
-// datapoint for BENCH_pipeline.json (see bench_common.hpp).
-class BenchOutReporter : public benchmark::ConsoleReporter {
- public:
-  void ReportRuns(const std::vector<Run>& reports) override {
-    for (const auto& run : reports) {
-      if (run.error_occurred || run.run_type != Run::RT_Iteration) continue;
-      const auto name = run.benchmark_name();
-      if (name.find("BM_Pipeline_") != 0) continue;
-      bench::BenchResult result;
-      result.name = name;
-      result.wall_ms = run.GetAdjustedRealTime();  // Unit(kMillisecond)
-      const auto items = run.counters.find("items_per_second");
-      result.records_per_s =
-          items != run.counters.end() ? static_cast<double>(items->second) : 0;
-      // The benchmark arg is the shard count.
-      const auto slash = name.find('/');
-      std::uint64_t shards = 0;
-      if (slash != std::string::npos) {
-        auto digits = name.substr(slash + 1);
-        const auto tail = digits.find_first_not_of("0123456789");
-        if (tail != std::string::npos) digits = digits.substr(0, tail);
-        shards = util::parse_u64(digits).value_or(0);
-      }
-      result.threads = shards == 0 ? 1 : static_cast<std::size_t>(shards);
-      bench::append_bench_result(std::move(result));
+// One obs::Sampler pass (the 1 s bridge into the /tsdb history) over the
+// registry `monitor --live` builds at Arg(0) shards: its LiveReceiver,
+// wall-clocked ShardedOnlineDetector and Sampler register the counters,
+// gauges, fixed-bucket histogram and latency histograms, each given a
+// value. Arg(1) copies of every metric scale the series count toward
+// the default store's 512-series cap; the store keeps default_tiers().
+// Arg(2) is the idle time before each pass in ms: 0 runs the passes back
+// to back on a warm cache, 1000 is the sampler's cadence, after which
+// the caches are cold. `series` is the series one pass writes.
+void BM_Sampler_Pass(benchmark::State& state) {
+  const auto shards = static_cast<std::size_t>(state.range(0));
+  obs::MetricsRegistry metrics;
+  net::live::LiveReceiver receiver(
+      {.shards = shards, .obs = {.metrics = &metrics}});
+  core::ShardedOnlineDetectorConfig detector_config;
+  detector_config.shards = shards;
+  detector_config.detector.obs.metrics = &metrics;
+  detector_config.detector.wall_clock = net::live::wall_clock_us;
+  core::ShardedOnlineDetector detector(detector_config);
+  obs::TimeSeriesStore store;
+  std::uint64_t now_us = 0;
+  obs::Sampler sampler({.metrics = &metrics,
+                        .store = &store,
+                        .clock = [&] { return now_us += 1'000'000; }});
+  const auto counters = metrics.counter_snapshot();
+  const auto gauges = metrics.gauge_snapshot();
+  const auto histograms = metrics.histogram_snapshot();
+  const auto latencies = metrics.latency_snapshot();
+  for (std::int64_t copy = 0; copy < state.range(1); ++copy) {
+    const auto suffix = copy == 0 ? "" : ".copy" + std::to_string(copy);
+    for (const auto& c : counters) metrics.counter(c.first + suffix).add(9);
+    for (const auto& g : gauges) metrics.gauge(g.first + suffix).set(9);
+    for (const auto& totals : histograms) {
+      auto& h = metrics.histogram(totals.name + suffix, obs::size_bounds());
+      for (std::uint64_t v = 1; v <= 1000; ++v) h.observe(v);
     }
-    ConsoleReporter::ReportRuns(reports);
+    for (const auto& totals : latencies) {
+      auto& h = metrics.latency(totals.name + suffix);
+      for (std::uint64_t v = 1; v <= 1000; ++v) h.record(v * 37);
+    }
   }
-};
+  sampler.sample_once();  // creates every series
+  const std::chrono::milliseconds idle(state.range(2));
+  for (auto _ : state) {
+    if (idle.count() > 0) {
+      state.PauseTiming();
+      std::this_thread::sleep_for(idle);
+      state.ResumeTiming();
+    }
+    sampler.sample_once();
+  }
+  if (store.series_dropped() != 0) state.SkipWithError("series dropped");
+  state.counters["series"] = static_cast<double>(store.series_count());
+}
+BENCHMARK(BM_Sampler_Pass)
+    ->Args({1, 1, 0})
+    ->Args({4, 1, 0})
+    ->Args({4, 8, 0})
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Sampler_Pass)
+    ->Args({1, 1, 1000})
+    ->Args({4, 1, 1000})
+    ->Args({4, 8, 1000})
+    ->Iterations(5)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace quicsand
 
-int main(int argc, char** argv) {
-  // Peel off the repo's obs flags (--bench-out etc.) before google
-  // benchmark sees the rest of the command line.
-  std::vector<char*> own{argv[0]};
-  std::vector<char*> forwarded{argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--bench-out" || arg == "--metrics-out" ||
-        arg == "--trace-out") {
-      own.push_back(argv[i]);
-      if (i + 1 < argc) own.push_back(argv[++i]);
-    } else {
-      forwarded.push_back(argv[i]);
-    }
-  }
-  quicsand::bench::init(static_cast<int>(own.size()), own.data());
-  int forwarded_argc = static_cast<int>(forwarded.size());
-  benchmark::Initialize(&forwarded_argc, forwarded.data());
-  if (benchmark::ReportUnrecognizedArguments(forwarded_argc,
-                                             forwarded.data())) {
-    return 1;
-  }
-  quicsand::BenchOutReporter reporter;
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  benchmark::Shutdown();
-  quicsand::bench::write_obs_outputs();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -15,6 +15,19 @@
 
 namespace quicsand::net::live {
 
+namespace {
+
+/// Receiver poll timeout: the latency of noticing stop().
+constexpr util::Duration kPollTimeout = 50 * util::kMillisecond;
+
+/// Per-stage latency histograms record every Nth received datagram
+/// (deterministic 1-in-N). Sampled packets cost two extra clock reads on
+/// the worker thread; the timing stamps themselves ride along on every
+/// packet.
+constexpr std::uint64_t kLatencySampleEvery = 64;
+
+}  // namespace
+
 LiveReceiver::LiveReceiver(LiveReceiverConfig config)
     : config_(std::move(config)) {
   if (config_.shards == 0) config_.shards = 1;
@@ -123,7 +136,7 @@ void LiveReceiver::receive_loop() {
   while (!stopping_.load(std::memory_order_relaxed)) {
     std::uint64_t kernel_delta = 0;
     const int n =
-        socket_.receive_batch(&batch, config_.poll_timeout, &kernel_delta);
+        socket_.receive_batch(&batch, kPollTimeout, &kernel_delta);
     if (kernel_delta > 0) {
       dropped_kernel_.fetch_add(kernel_delta, std::memory_order_relaxed);
       if (dropped_kernel_counter_ != nullptr) {
@@ -162,8 +175,7 @@ void LiveReceiver::receive_loop() {
           net::RawPacket(timestamp,
                          {frame.datagram.begin(), frame.datagram.end()}),
           DatagramTiming{frame.send_wall_us, recv_wall,
-                         config_.latency_sample_every > 0 &&
-                             seen++ % config_.latency_sample_every == 0}};
+                         seen++ % kLatencySampleEvery == 0}};
       if (frame.send_wall_us >= 0 && wire_latency_ != nullptr &&
           timed.timing.sampled) {
         const std::int64_t wire = recv_wall - frame.send_wall_us;

@@ -45,13 +45,6 @@ struct LiveReceiverConfig {
   std::size_t ring_capacity = std::size_t{1} << 16;
   /// SO_RCVBUF request; best effort (kernel clamps to rmem_max).
   std::size_t rcvbuf_bytes = std::size_t{1} << 22;
-  /// Receiver poll timeout: the latency of noticing stop().
-  util::Duration poll_timeout = 50 * util::kMillisecond;
-  /// Record per-stage latency histograms for every Nth received
-  /// datagram (deterministic 1-in-N; 0 disables sampling). Sampled
-  /// packets cost two extra clock reads on the worker thread; the
-  /// timing stamps themselves ride along on every packet.
-  std::size_t latency_sample_every = 64;
   obs::Hooks obs;
 };
 

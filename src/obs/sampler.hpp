@@ -9,8 +9,8 @@
 // drains any new EventLog entries into annotations pinned to the same
 // sample clock. The pass runs on its own
 // thread every `cadence` (default 1 s) — never on the packet hot path —
-// and costs O(metrics) per tick; the live-ingest benchmark pins this at
-// well under 1% of a 100k pps capture budget (EXPERIMENTS.md).
+// and costs O(series) per tick; the BM_Sampler_Pass micro-benchmark
+// measures one pass against the series count (EXPERIMENTS.md).
 //
 // The clock is injectable (default: wall microseconds since the Unix
 // epoch, so /tsdb timestamps line up with QSL1 capture timestamps and

@@ -10,9 +10,10 @@
 //     -> per-shard Classifier -> ShardedOnlineDetector
 //
 // Assertions: sender throughput (the harness must be able to stress the
-// receiver, not trickle at it), exact packet accounting
-// (sent == delivered + ring drops + kernel drops), metric export of the
-// drop counters, and precision/recall floors against ground truth.
+// receiver, not trickle at it, and must not outrun its pacing target),
+// exact packet accounting (sent == delivered + ring drops + kernel
+// drops), metric export of the drop counters, and precision/recall
+// floors against ground truth.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -141,6 +142,9 @@ TEST(LiveE2E, MixedScanAndFloodOverLoopback) {
   EXPECT_GE(stats.achieved_pps, kSendRateFloor)
       << "harness too slow to stress the receiver: " << stats.achieved_pps
       << " pps over " << stats.elapsed_s << " s";
+  // The pacer starts with zero credit, so a slow runner can only lower
+  // the rate; running ahead of the target is a pacing bug.
+  EXPECT_LE(stats.achieved_pps, 1.05 * kSendRateTarget);
 
   // Every datagram the kernel did not drop must surface in received();
   // give the receiver a moment to drain the socket, then stop (which
@@ -271,6 +275,7 @@ TEST(LiveE2E, BareDatagramsFallBackToArrivalClock) {
         return net::RawPacket(util::Timestamp{0}, datagram);
       });
   ASSERT_EQ(stats.sent, 32u);
+  EXPECT_LE(stats.achieved_pps, 1.05 * sender_config.pps);
 
   for (int i = 0; i < 2000 && sunk.load() < 32; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
