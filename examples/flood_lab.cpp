@@ -10,7 +10,7 @@
 //                                      0 = until SIGINT/SIGTERM
 //
 // Send mode turns the lab into a real traffic source: it streams a
-// telescope scenario's datagrams over loopback UDP (QSL1-encapsulated,
+// telescope scenario's datagrams over loopback UDP (QSL2-encapsulated,
 // batched sendmmsg) at a shaped rate, for `monitor --live` or the live
 // e2e test on the other side (DESIGN.md §10):
 //

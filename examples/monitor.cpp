@@ -39,6 +39,10 @@
 // Prints "live capture on udp://HOST:PORT" (flushed) once the socket is
 // bound — with port 0 that line is how scripts learn the real port —
 // then alerts as they fire, until SIGINT/SIGTERM (or --serve-for).
+//
+// Both modes share one obs stack, one admin endpoint, one set of
+// exports and one ShardedOnlineDetector: a single shard for the
+// scenario, one per receiver shard (--shards) for live capture.
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -52,7 +56,6 @@
 
 #include "asdb/registry.hpp"
 #include "core/classifier.hpp"
-#include "core/online.hpp"
 #include "core/online_shards.hpp"
 #include "net/live/frame.hpp"
 #include "net/live/receiver.hpp"
@@ -77,53 +80,23 @@ std::atomic<bool> g_stop{false};
 
 void handle_signal(int) { g_stop.store(true); }
 
-/// Live capture mode: socket -> per-shard classifier -> sharded online
-/// detector, until a signal or --serve-for. Owns its own obs stack so
-/// the scenario path below stays untouched.
-int run_live(const util::HostPort& endpoint, std::size_t shards,
-             std::uint64_t serve_for_s, const std::string& metrics_out,
-             const std::string& prom_out, const std::string& events_out,
-             const std::string& flight_out,
-             const std::optional<util::HostPort>& listen,
-             const asdb::AsRegistry& registry) {
-  obs::MetricsRegistry metrics;
-  obs::EventLog events;
-  obs::Health health;
-  obs::TimeSeriesStore tsdb;
-  obs::Sampler sampler([&] {
-    obs::SamplerConfig config;
-    config.metrics = &metrics;
-    config.store = &tsdb;
-    config.events = &events;
-    return config;
-  }());
-  obs::FlightRecorder flight([&] {
-    obs::FlightRecorderConfig config;
-    config.store = &tsdb;
-    return config;
-  }());
+/// Sleeps until SIGINT/SIGTERM or, when `serve_for_s` > 0, until that
+/// many seconds have passed.
+void wait_for_stop(std::uint64_t serve_for_s) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::seconds(serve_for_s);
+  while (!g_stop.load() &&
+         (serve_for_s == 0 ||
+          std::chrono::steady_clock::now() < deadline)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+}
 
-  core::ShardedOnlineDetectorConfig detector_config;
-  detector_config.shards = shards;
-  detector_config.detector.obs.metrics = &metrics;
-  detector_config.detector.obs.events = &events;
-  detector_config.detector.obs.health = &health;
-  // Wall-clock hook: alerts measure wire -> callback detection latency
-  // against the QSL2 stamps the receiver threads through.
-  detector_config.detector.wall_clock = net::live::wall_clock_us;
-  core::ShardedOnlineDetector detector(detector_config);
-  detector.set_on_alert([&](const core::DetectedAttack& attack) {
-    const auto* info = registry.lookup(attack.victim);
-    // Alerts are the point of live mode: flush each one immediately.
-    std::cout << util::format_utc(attack.end) << "  ALERT  victim "
-              << attack.victim.to_string() << " ("
-              << (info != nullptr ? info->name : "?") << ")  "
-              << attack.packets.count() << " pkts in "
-              << util::format_duration(attack.end - attack.start)
-              << ", running at " << util::fmt(attack.peak_pps.count(), 2)
-              << " max pps" << std::endl;
-  });
-
+/// Live capture mode: socket -> per-shard classifier -> detector shard,
+/// until a signal or --serve-for. False when the socket cannot be bound.
+bool run_live(const util::HostPort& endpoint, std::size_t shards,
+              std::uint64_t serve_for_s, obs::MetricsRegistry& metrics,
+              obs::Health& health, core::ShardedOnlineDetector& detector) {
   std::vector<std::unique_ptr<core::Classifier>> classifiers;
   classifiers.reserve(shards);
   for (std::size_t i = 0; i < shards; ++i) {
@@ -138,35 +111,6 @@ int run_live(const util::HostPort& endpoint, std::size_t shards,
   receiver_config.obs.metrics = &metrics;
   receiver_config.obs.health = &health;
   net::live::LiveReceiver receiver(receiver_config);
-
-  obs::http::AdminServer admin([&] {
-    obs::http::AdminOptions options;
-    options.http.host = listen ? listen->host : "127.0.0.1";
-    options.http.port = listen ? listen->port : 0;
-    options.metrics = &metrics;
-    options.health = &health;
-    options.events = &events;
-    options.tsdb = &tsdb;
-    options.flight = &flight;
-    return options;
-  }());
-  if (listen) {
-    if (!admin.start()) {
-      std::cerr << "cannot listen on " << listen->host << ":" << listen->port
-                << ": " << admin.last_error() << "\n";
-      return 2;
-    }
-    std::cout << "admin endpoint on http://" << listen->host << ":"
-              << admin.port() << "/ (metrics, healthz, events, tsdb, dash)"
-              << std::endl;
-  }
-  // Live capture always retains history: /dash and the flight recorder
-  // must have data even when no admin endpoint was requested, so that a
-  // post-incident --flight-out dump is never empty.
-  sampler.start();
-
-  std::signal(SIGINT, handle_signal);
-  std::signal(SIGTERM, handle_signal);
   if (!receiver.start([&](std::size_t shard, const net::RawPacket& packet,
                           const net::live::DatagramTiming& timing) {
         if (const auto record = classifiers[shard]->classify(packet)) {
@@ -179,7 +123,7 @@ int run_live(const util::HostPort& endpoint, std::size_t shards,
       })) {
     std::cerr << "cannot capture on udp://" << endpoint.host << ":"
               << endpoint.port << ": " << receiver.last_error() << "\n";
-    return 2;
+    return false;
   }
   std::cout << "live capture on udp://" << endpoint.host << ":"
             << receiver.port() << " (" << shards << " shard(s))"
@@ -188,52 +132,90 @@ int run_live(const util::HostPort& endpoint, std::size_t shards,
             << (serve_for_s > 0 ? "--serve-for elapse or SIGINT/SIGTERM"
                                 : "SIGINT/SIGTERM")
             << std::endl;
-
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::seconds(serve_for_s);
-  while (!g_stop.load() &&
-         (serve_for_s == 0 ||
-          std::chrono::steady_clock::now() < deadline)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
+  wait_for_stop(serve_for_s);
   receiver.stop();
   detector.finish();
-  sampler.stop();  // takes one final sample so the dump includes the tail
 
   std::cout << "\nreceived " << receiver.received() << " datagrams, "
             << receiver.delivered() << " analyzed, " << receiver.dropped_ring()
             << " dropped in rings, " << receiver.dropped_kernel()
             << " dropped by the kernel, " << receiver.undecodable()
             << " undecodable\n";
-  std::cout << "alerts: " << detector.alerts_fired()
-            << ", attacks closed: " << detector.attacks_closed() << "\n";
+  return true;
+}
 
-  if (!metrics_out.empty() && !metrics.write_json_file(metrics_out)) {
-    std::cerr << "cannot write " << metrics_out << "\n";
-    return 2;
-  }
-  if (!prom_out.empty()) {
-    std::ofstream out(prom_out, std::ios::trunc);
-    if (out) out << metrics.to_prometheus();
-    if (!out) {
-      std::cerr << "cannot write " << prom_out << "\n";
-      return 2;
+/// Scenario mode: streams `days` of a generated telescope month through
+/// the detector (one shard), counting them in `packets_counter` and
+/// printing a [metrics] line every `snapshot_every_s` of simulated time.
+/// `days` 0 streams nothing.
+void run_scenario(int days, std::uint64_t seed,
+                  std::uint64_t snapshot_every_s,
+                  const asdb::AsRegistry& registry,
+                  obs::MetricsRegistry& metrics, obs::Counter& packets_counter,
+                  obs::Health& health, core::ShardedOnlineDetector& detector) {
+  const auto deployment = scanner::Deployment::synthetic(registry, {}, seed);
+  // --days 0 skips ingest entirely (serve-only mode for smoke tests);
+  // the scenario builder itself requires at least one day.
+  auto config =
+      telescope::ScenarioConfig::april2021(days > 0 ? days : 1, seed);
+  config.telescope = {net::Ipv4Address::from_octets(44, 0, 0, 0), 18};
+  config.tum.passes_per_day = 0;
+  config.rwth.passes_per_day = 0;
+  config.attacks.quic_attacks_per_day = 40;
+  config.attacks.common_attacks_per_day = 0;
+  telescope::TelescopeGenerator generator(config, registry, deployment);
+  core::Classifier classifier({});
+
+  auto& ingest_health = health.component("telescope_generator");
+  ingest_health.set_ready(true);
+  const util::Duration snapshot_every = snapshot_every_s * util::kSecond;
+  util::Timestamp next_snapshot{};
+  auto print_snapshot = [&](util::Timestamp now) {
+    std::cout << util::format_utc(now) << "  [metrics] packets="
+              << packets_counter.value()
+              << " records=" << metrics.counter("online.records").value()
+              << " open_sessions=" << detector.open_sessions()
+              << " alerts=" << detector.alerts_fired()
+              << " attacks_closed=" << detector.attacks_closed()
+              << " evicted=" << detector.sessions_evicted() << "\n";
+  };
+
+  std::uint64_t streamed = 0;
+  net::RecordBatch batch;
+  net::RawPacket packet;
+  bool stopped = false;
+  while (!stopped && days > 0 && generator.next_batch(batch) > 0) {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (g_stop.load()) {
+        stopped = true;
+        break;
+      }
+      const auto view = batch.view(i);
+      packet.timestamp = view.timestamp;
+      packet.data.assign(view.data.begin(), view.data.end());
+      packets_counter.add();
+      if ((++streamed & 0x3FF) == 0) ingest_health.heartbeat();
+      if (snapshot_every_s > 0) {
+        if (next_snapshot == util::Timestamp{}) {
+          next_snapshot = packet.timestamp + snapshot_every;
+        } else if (packet.timestamp >= next_snapshot) {
+          print_snapshot(packet.timestamp);
+          while (next_snapshot <= packet.timestamp) {
+            next_snapshot += snapshot_every;
+          }
+        }
+      }
+      if (const auto record = classifier.classify(packet)) {
+        detector.consume(0, *record);
+      }
     }
   }
-  if (!events_out.empty() && !events.write_ndjson_file(events_out)) {
-    std::cerr << "cannot write " << events_out << "\n";
-    return 2;
-  }
-  if (!flight_out.empty()) {
-    if (flight.dump_file(flight_out)) {
-      std::cout << "flight recorder bundle written to " << flight_out << "\n";
-    } else {
-      std::cerr << "cannot write " << flight_out << "\n";
-      return 2;
-    }
-  }
-  if (listen) admin.stop();
-  return 0;
+  detector.finish();
+  ingest_health.heartbeat();
+  ingest_health.set_idle(true);  // scenario drained: quiet, not stale
+
+  std::cout << "\nprocessed " << packets_counter.value() << " packets over "
+            << days << " day(s)\n";
 }
 
 }  // namespace
@@ -297,22 +279,6 @@ int main(int argc, char** argv) {
   }
 
   const auto registry = asdb::AsRegistry::synthetic({}, seed);
-  if (live) {
-    return run_live(*live, static_cast<std::size_t>(shards), serve_for_s,
-                    metrics_out, prom_out, events_out, flight_out, listen,
-                    registry);
-  }
-  const auto deployment = scanner::Deployment::synthetic(registry, {}, seed);
-  // --days 0 skips ingest entirely (serve-only mode for smoke tests);
-  // the scenario builder itself requires at least one day.
-  auto config = telescope::ScenarioConfig::april2021(days > 0 ? days : 1, seed);
-  config.telescope = {net::Ipv4Address::from_octets(44, 0, 0, 0), 18};
-  config.tum.passes_per_day = 0;
-  config.rwth.passes_per_day = 0;
-  config.attacks.quic_attacks_per_day = 40;
-  config.attacks.common_attacks_per_day = 0;
-  telescope::TelescopeGenerator generator(config, registry, deployment);
-
   obs::MetricsRegistry metrics;
   obs::EventLog events;
   obs::Health health;
@@ -330,23 +296,26 @@ int main(int argc, char** argv) {
     return config;
   }());
 
-  core::Classifier classifier({});
-  core::OnlineDetectorConfig detector_config;
-  detector_config.obs.metrics = &metrics;
-  detector_config.obs.events = &events;
-  detector_config.obs.health = &health;
-  core::OnlineDetector detector(detector_config);
-  std::uint64_t alerts = 0;
+  core::ShardedOnlineDetectorConfig detector_config;
+  detector_config.shards = live ? static_cast<std::size_t>(shards) : 1;
+  detector_config.detector.obs.metrics = &metrics;
+  detector_config.detector.obs.events = &events;
+  detector_config.detector.obs.health = &health;
+  // Live alerts measure wire -> callback detection latency against the
+  // QSL2 stamps the receiver threads through; scenario runs stay
+  // deterministic without a wall clock.
+  if (live) detector_config.detector.wall_clock = net::live::wall_clock_us;
+  core::ShardedOnlineDetector detector(detector_config);
   detector.set_on_alert([&](const core::DetectedAttack& attack) {
-    ++alerts;
     const auto* info = registry.lookup(attack.victim);
+    // Alerts are the point of a monitor: flush each one immediately.
     std::cout << util::format_utc(attack.end) << "  ALERT  victim "
               << attack.victim.to_string() << " ("
               << (info != nullptr ? info->name : "?") << ")  "
               << attack.packets.count() << " pkts in "
               << util::format_duration(attack.end - attack.start)
               << ", running at " << util::fmt(attack.peak_pps.count(), 2)
-              << " max pps\n";
+              << " max pps" << std::endl;
   });
   detector.set_on_attack([&](const core::DetectedAttack& attack) {
     std::cout << util::format_utc(attack.end) << "  ended  victim "
@@ -355,11 +324,13 @@ int main(int argc, char** argv) {
               << util::format_duration(attack.end - attack.start) << "\n";
   });
 
-  auto& packets_counter =
-      metrics.counter("monitor.packets", "telescope packets streamed");
+  // Exists before the admin endpoint opens, so its first scrape lists it.
+  obs::Counter* packets_counter =
+      live ? nullptr
+           : &metrics.counter("monitor.packets", "telescope packets streamed");
 
   // The admin server (when requested) serves live state for the whole
-  // run, including the post-ingest serve window.
+  // run, including the scenario's post-ingest serve window.
   obs::http::AdminServer admin([&] {
     obs::http::AdminOptions options;
     options.http.host = listen ? listen->host : "127.0.0.1";
@@ -371,9 +342,11 @@ int main(int argc, char** argv) {
     options.flight = &flight;
     return options;
   }());
-  if (listen) {
+  if (live || listen) {
     std::signal(SIGINT, handle_signal);
     std::signal(SIGTERM, handle_signal);
+  }
+  if (listen) {
     if (!admin.start()) {
       std::cerr << "cannot listen on " << listen->host << ":" << listen->port
                 << ": " << admin.last_error() << "\n";
@@ -386,126 +359,76 @@ int main(int argc, char** argv) {
               << std::endl;
   }
   // History only matters when somebody can read it: an admin endpoint
-  // (/dash, /tsdb/*) or a --flight-out dump on exit. Batch-only runs
-  // skip the sampler thread entirely.
-  if (listen || !flight_out.empty()) sampler.start();
-  auto& ingest_health = health.component("telescope_generator");
-  ingest_health.set_ready(true);
-  const util::Duration snapshot_every = snapshot_every_s * util::kSecond;
-  util::Timestamp next_snapshot{};
-  auto print_snapshot = [&](util::Timestamp now) {
-    std::cout << util::format_utc(now) << "  [metrics] packets="
-              << packets_counter.value()
-              << " records=" << metrics.counter("online.records").value()
-              << " open_sessions=" << detector.open_sessions()
-              << " alerts=" << detector.alerts_fired()
-              << " attacks_closed=" << detector.attacks_closed()
-              << " evicted=" << detector.sessions_evicted() << "\n";
-  };
+  // (/dash, /tsdb/*) or a --flight-out dump on exit. Live capture always
+  // retains it, so a post-incident dump is never empty; batch-only
+  // scenario runs skip the sampler thread entirely.
+  if (live || listen || !flight_out.empty()) sampler.start();
 
-  std::uint64_t streamed = 0;
-  net::RecordBatch batch;
-  net::RawPacket packet;
-  bool stopped = false;
-  while (!stopped && days > 0 && generator.next_batch(batch) > 0) {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (g_stop.load()) {
-        stopped = true;
-        break;
-      }
-      const auto view = batch.view(i);
-      packet.timestamp = view.timestamp;
-      packet.data.assign(view.data.begin(), view.data.end());
-      packets_counter.add();
-      if ((++streamed & 0x3FF) == 0) ingest_health.heartbeat();
-      if (snapshot_every_s > 0) {
-        if (next_snapshot == util::Timestamp{}) {
-          next_snapshot = packet.timestamp + snapshot_every;
-        } else if (packet.timestamp >= next_snapshot) {
-          print_snapshot(packet.timestamp);
-          while (next_snapshot <= packet.timestamp) {
-            next_snapshot += snapshot_every;
-          }
-        }
-      }
-      if (const auto record = classifier.classify(packet)) {
-        detector.consume(*record);
-      }
+  if (live) {
+    if (!run_live(*live, detector_config.shards, serve_for_s, metrics,
+                  health, detector)) {
+      return 2;
     }
+  } else {
+    run_scenario(days, seed, snapshot_every_s, registry, metrics,
+                 *packets_counter, health, detector);
   }
-  detector.finish();
-  ingest_health.heartbeat();
-  ingest_health.set_idle(true);  // scenario drained: quiet, not stale
-
-  std::cout << "\nprocessed " << packets_counter.value() << " packets over "
-            << days << " day(s)\n";
   std::cout << "alerts: " << detector.alerts_fired() << ", attacks closed: "
             << detector.attacks_closed() << "\n";
   std::cout << "mean time from attack start to alert: "
             << util::fmt(detector.mean_alert_latency_s(), 0)
             << " s (vs waiting for session end + batch analysis)\n";
 
-  if (!metrics_out.empty()) {
-    if (metrics.write_json_file(metrics_out)) {
-      std::cout << "metrics snapshot written to " << metrics_out << "\n";
+  // Each export says where it went; a failed write exits 2.
+  const auto written = [](bool ok, const std::string& what,
+                          const std::string& path) {
+    if (ok) {
+      std::cout << what << " written to " << path << "\n";
     } else {
-      std::cerr << "cannot write " << metrics_out << "\n";
-      return 2;
+      std::cerr << "cannot write " << path << "\n";
     }
+    return ok;
+  };
+  if (!metrics_out.empty() &&
+      !written(metrics.write_json_file(metrics_out), "metrics snapshot",
+               metrics_out)) {
+    return 2;
   }
   if (!prom_out.empty()) {
     std::ofstream out(prom_out, std::ios::trunc);
     if (out) out << metrics.to_prometheus();
-    if (out) {
-      std::cout << "prometheus exposition written to " << prom_out << "\n";
-    } else {
-      std::cerr << "cannot write " << prom_out << "\n";
+    if (!written(static_cast<bool>(out), "prometheus exposition", prom_out)) {
       return 2;
     }
   }
-  if (!events_out.empty()) {
-    if (events.write_ndjson_file(events_out)) {
-      std::cout << events.events().size() << " detector events written to "
-                << events_out << "\n";
-    } else {
-      std::cerr << "cannot write " << events_out << "\n";
-      return 2;
-    }
+  if (!events_out.empty() &&
+      !written(events.write_ndjson_file(events_out),
+               std::to_string(events.events().size()) + " detector events",
+               events_out)) {
+    return 2;
   }
 
-  // Written on every exit path below — including SIGINT/SIGTERM ending
-  // the serve window — so an operator killing a wedged monitor still
-  // gets the incident bundle.
-  auto dump_flight = [&]() -> bool {
-    sampler.stop();  // final sample: the dump includes the last tail
-    if (flight_out.empty()) return true;
-    if (flight.dump_file(flight_out)) {
-      std::cout << "flight recorder bundle written to " << flight_out
-                << "\n";
-      return true;
-    }
-    std::cerr << "cannot write " << flight_out << "\n";
-    return false;
-  };
-
-  if (listen) {
+  if (listen && !live) {
     // Keep serving live state until a signal (or --serve-for elapses);
     // operators curl /metrics and /events against the finished run.
     std::cout << "serving until "
               << (serve_for_s > 0 ? "--serve-for elapses" : "SIGINT/SIGTERM")
               << std::endl;
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::seconds(serve_for_s);
-    while (!g_stop.load() &&
-           (serve_for_s == 0 ||
-            std::chrono::steady_clock::now() < deadline)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    const bool flight_ok = dump_flight();
+    wait_for_stop(serve_for_s);
+  }
+  // Written on every exit path, including SIGINT/SIGTERM ending the
+  // capture or serve window, so an operator killing a wedged monitor
+  // still gets the incident bundle.
+  sampler.stop();  // final sample: the dump includes the last tail
+  const bool flight_ok =
+      flight_out.empty() || written(flight.dump_file(flight_out),
+                                    "flight recorder bundle", flight_out);
+  if (listen) {
     admin.stop();
     std::cout << "admin endpoint stopped\n";
-    return flight_ok ? 0 : 2;  // zero-alert serve windows still exit clean
   }
-  if (!dump_flight()) return 2;
-  return alerts > 0 ? 0 : 1;
+  if (!flight_ok) return 2;
+  // Someone watching (live capture, admin endpoint) makes a quiet run a
+  // clean exit; a scenario without a single alert is a failure.
+  return live || listen || detector.alerts_fired() > 0 ? 0 : 1;
 }

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Tier-1 gate, runnable locally and in CI:
-#   1. configure + build the default preset
+#   1. configure + build the default preset with -DQUICSAND_WERROR=ON
+#      (warnings are errors, as in CI)
 #   2. run the tier-1 ctest label (every registered gtest suite)
 #   3. build the tsan preset and run the concurrency-sensitive suites
 #      (the QUICSAND_TSAN_SUITES list in tests/CMakeLists.txt) under
@@ -40,8 +41,8 @@ fuzz_quic_dissect fuzz_quic_header fuzz_quic_transport_params \
 fuzz_quic_varint"
 smoke_iters="${FUZZ_SMOKE_ITERATIONS:-500}"
 
-echo "==> configure+build (default preset)"
-cmake --preset default
+echo "==> configure+build (default preset, -Werror)"
+cmake --preset default -DQUICSAND_WERROR=ON
 cmake --build --preset default -j "$jobs"
 
 echo "==> ctest tier1"

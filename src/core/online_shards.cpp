@@ -3,46 +3,209 @@
 #include <algorithm>
 #include <tuple>
 
+#include "obs/events.hpp"
+#include "obs/health.hpp"
+#include "obs/metrics.hpp"
+
 namespace quicsand::core {
 
+namespace {
+
+obs::DetectorEvent make_event(obs::DetectorEventType type,
+                              const Session& session) {
+  obs::DetectorEvent event;
+  event.type = type;
+  event.time = session.end;
+  event.victim = session.source.to_string();
+  event.packets = session.packets.count();
+  event.peak_pps = session.peak_pps().count();
+  event.duration_s = util::to_seconds(session.duration());
+  return event;
+}
+
+DetectedAttack to_attack(const Session& session) {
+  return {0, session.source, session.start, session.end, session.packets,
+          session.peak_pps()};
+}
+
+}  // namespace
+
 ShardedOnlineDetector::ShardedOnlineDetector(
-    ShardedOnlineDetectorConfig config) {
-  const std::size_t count = config.shards == 0 ? 1 : config.shards;
+    ShardedOnlineDetectorConfig config)
+    : config_(std::move(config.detector)) {
+  const std::size_t count = std::max<std::size_t>(config.shards, 1);
   shards_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    shards_.push_back(std::make_unique<Shard>(config.detector));
-    Shard* shard = shards_.back().get();
-    shard->detector.set_on_attack([shard](const DetectedAttack& attack) {
-      shard->attacks.push_back(attack);
-    });
-    shard->detector.set_on_alert([this](const DetectedAttack& attack) {
-      util::LockGuard lock(alert_mutex_);
-      if (on_alert_) on_alert_(attack);
-    });
+    shards_.push_back(std::make_unique<Shard>());
+  }
+  if (auto* metrics = config_.obs.metrics) {
+    records_counter_ = &metrics->counter(
+        "online.records", "records consumed by the online detector");
+    alerts_counter_ =
+        &metrics->counter("online.alerts", "threshold-crossing alerts fired");
+    attacks_counter_ =
+        &metrics->counter("online.attacks_closed", "alerted sessions closed");
+    evictions_counter_ = &metrics->counter(
+        "online.sessions_evicted", "sessions removed by expiry or finish");
+    open_gauge_ =
+        &metrics->gauge("online.open_sessions", "sessions currently open");
+    alert_latency_us_ = &metrics->latency(
+        "online.alert_latency_us", "session start to alert, simulation time");
+    if (config_.wall_clock) {
+      detect_latency_us_ = &metrics->latency(
+          "live.detect_latency_us",
+          "first admitted packet on the wire to alert callback (us)");
+    }
+  }
+  if (auto* health = config_.obs.health) {
+    health_ = &health->component("online_detector");
+    health_->set_ready(true);
   }
 }
 
 void ShardedOnlineDetector::set_on_alert(AlertCallback callback) {
-  util::LockGuard lock(alert_mutex_);
+  util::LockGuard lock(callback_mutex_);
   on_alert_ = std::move(callback);
 }
 
-void ShardedOnlineDetector::consume(std::size_t shard,
+void ShardedOnlineDetector::set_on_attack(AlertCallback callback) {
+  util::LockGuard lock(callback_mutex_);
+  on_attack_ = std::move(callback);
+}
+
+void ShardedOnlineDetector::alert(Shard& shard, OpenSession& open,
+                                  util::Timestamp now) {
+  open.alerted = true;
+  ++shard.alerts;
+  const auto latency = now - open.session.start;
+  shard.latency_sum_s += util::to_seconds(latency);
+  if (alerts_counter_ != nullptr) alerts_counter_->add();
+  if (alert_latency_us_ != nullptr) {
+    alert_latency_us_->record(static_cast<std::uint64_t>(
+        std::max<std::int64_t>(latency.count(), 0)));
+  }
+  // Wall-clock detection latency: first admitted packet's wire stamp
+  // (arrival stamp when the frame carried none) to this callback.
+  double detect_latency_s = -1;
+  const std::int64_t origin = open.first_send_wall_us >= 0
+                                  ? open.first_send_wall_us
+                                  : open.first_recv_wall_us;
+  if (config_.wall_clock && origin >= 0) {
+    const std::int64_t detect_us =
+        std::max<std::int64_t>(config_.wall_clock() - origin, 0);
+    detect_latency_s = static_cast<double>(detect_us) / 1e6;
+    if (detect_latency_us_ != nullptr) {
+      detect_latency_us_->record(static_cast<std::uint64_t>(detect_us));
+    }
+  }
+  if (config_.obs.events != nullptr) {
+    auto event = make_event(obs::DetectorEventType::kAlertFired, open.session);
+    event.alert_latency_s = util::to_seconds(latency);
+    event.detect_latency_s = detect_latency_s;
+    event.duration_s = -1;  // session still open
+    config_.obs.events->emit(std::move(event));
+  }
+  util::LockGuard lock(callback_mutex_);
+  if (on_alert_) on_alert_(to_attack(open.session));
+}
+
+void ShardedOnlineDetector::evict(Shard& shard, OpenSession& open) {
+  if (open.alerted) {
+    ++shard.closed;
+    if (attacks_counter_ != nullptr) attacks_counter_->add();
+    if (config_.obs.events != nullptr) {
+      config_.obs.events->emit(make_event(
+          obs::DetectorEventType::kAttackClosed, open.session));
+    }
+    shard.attacks.push_back(to_attack(open.session));
+    util::LockGuard lock(callback_mutex_);
+    if (on_attack_) on_attack_(shard.attacks.back());
+  }
+  ++shard.evicted;
+  if (evictions_counter_ != nullptr) evictions_counter_->add();
+  if (open_gauge_ != nullptr) open_gauge_->add(-1);
+  if (config_.obs.events != nullptr) {
+    auto event =
+        make_event(obs::DetectorEventType::kSessionEvicted, open.session);
+    event.alerted = open.alerted;
+    config_.obs.events->emit(std::move(event));
+  }
+}
+
+void ShardedOnlineDetector::sweep(Shard& shard, util::Timestamp now) {
+  for (auto it = shard.open.begin(); it != shard.open.end();) {
+    if (now - it->second.session.end > config_.session_timeout) {
+      evict(shard, it->second);
+      it = shard.open.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
+void ShardedOnlineDetector::consume(std::size_t shard_index,
                                     const PacketRecord& record,
                                     const IngestTiming* timing) {
-  shards_[shard % shards_.size()]->detector.consume(record, timing);
+  Shard& shard = *shards_[shard_index % shards_.size()];
+  if (records_counter_ != nullptr) records_counter_->add();
+  // One heartbeat per 256 records keeps the watchdog fed without a
+  // clock read on every record.
+  if (health_ != nullptr && (++shard.consumed & 0xFF) == 0) {
+    health_->heartbeat();
+  }
+  if (shard.last_sweep == util::Timestamp{}) {
+    shard.last_sweep = record.timestamp;
+  }
+  if (record.timestamp - shard.last_sweep >= config_.sweep_interval) {
+    sweep(shard, record.timestamp);
+    shard.last_sweep = record.timestamp;
+  }
+  if (!accepts(quic_response_filter(), record)) return;
+
+  auto [it, inserted] = shard.open.try_emplace(record.src.value());
+  OpenSession& open = it->second;
+  if (!inserted &&
+      record.timestamp - open.session.end > config_.session_timeout) {
+    // The previous session expired: close it and start fresh.
+    evict(shard, open);
+    open = OpenSession{};
+    inserted = true;
+  }
+  if (inserted) {
+    open.session.source = record.src;
+    open.session.start = record.timestamp;
+    open.session.end = record.timestamp;
+    if (open_gauge_ != nullptr) open_gauge_->add(1);
+  }
+  if (timing != nullptr) {
+    // First available stamps anchor the session; later packets of an
+    // already-anchored session leave them alone.
+    if (open.first_send_wall_us < 0) {
+      open.first_send_wall_us = timing->send_wall_us;
+    }
+    if (open.first_recv_wall_us < 0) {
+      open.first_recv_wall_us = timing->recv_wall_us;
+    }
+  }
+  absorb_record(open.session, record);
+  if (!open.alerted && config_.thresholds.admits(open.session)) {
+    alert(shard, open, record.timestamp);
+  }
 }
 
 const std::vector<DetectedAttack>& ShardedOnlineDetector::finish() {
   if (finished_) return merged_;
   finished_ = true;
-  for (auto& shard : shards_) shard->detector.finish();
-  std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard->attacks.size();
-  merged_.reserve(total);
-  for (const auto& shard : shards_) {
+  for (auto& shard : shards_) {
+    for (auto& [source, open] : shard->open) evict(*shard, open);
+    shard->open.clear();
     merged_.insert(merged_.end(), shard->attacks.begin(),
                    shard->attacks.end());
+  }
+  if (config_.obs.events != nullptr) config_.obs.events->flush();
+  if (health_ != nullptr) {
+    health_->heartbeat();
+    health_->set_idle(true);  // stream drained: quiet, not stale
   }
   std::sort(merged_.begin(), merged_.end(),
             [](const DetectedAttack& a, const DetectedAttack& b) {
@@ -55,31 +218,9 @@ const std::vector<DetectedAttack>& ShardedOnlineDetector::finish() {
   return merged_;
 }
 
-std::uint64_t ShardedOnlineDetector::alerts_fired() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->detector.alerts_fired();
-  return total;
-}
-
-std::uint64_t ShardedOnlineDetector::attacks_closed() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->detector.attacks_closed();
-  }
-  return total;
-}
-
-std::uint64_t ShardedOnlineDetector::sessions_evicted() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->detector.sessions_evicted();
-  }
-  return total;
-}
-
 std::size_t ShardedOnlineDetector::open_sessions() const {
   std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard->detector.open_sessions();
+  for (const auto& shard : shards_) total += shard->open.size();
   return total;
 }
 

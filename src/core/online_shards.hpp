@@ -1,91 +1,172 @@
-// Sharded online detection for the live capture path.
+// Online (streaming) DoS detection, sharded by source.
 //
-// The live receiver partitions datagrams by IPv4 source — the same key
-// sessionization groups by — so each shard's packet stream contains
-// complete sessions and an independent OnlineDetector per shard is
-// *exact*: no session ever spans two shards. This wrapper owns one
-// detector per shard, lets each shard's worker thread consume() its own
-// stream without locks, serializes the user-facing alert callbacks
-// (shards fire from different threads; the callback itself needs no
-// locking), and merges the per-shard attack lists into one
-// deterministic, (start, victim, end)-ordered result at finish().
+// The paper's motivation (§1) is operational: "it will be crucial to
+// monitor such attack attempts early in the QUIC deployment phase".
+// The batch pipeline answers "what happened last month"; this detector
+// answers "what is happening now": it consumes classified records in
+// time order, keeps per-source open sessions, fires an alert callback
+// the moment a session crosses the Moore et al. thresholds (not when it
+// ends), and reports the finished attack when the session closes.
 //
-// Shards share one obs::Hooks: the metrics registry is get-or-create,
-// so the online.* counters aggregate across shards. The open-sessions
-// gauge becomes last-writer-wins under concurrency, which is acceptable
-// for a load indicator.
+// Sessions are keyed by source, so a stream partitioned by source (the
+// live receiver uses util::shard_of, the partition ParallelPipeline
+// uses) splits into shards that share no session state: each shard's
+// thread consume()s its own stream without locks, the user callbacks
+// are serialized (shards fire from different threads), and finish()
+// merges the per-shard attack lists into one deterministic,
+// (start, victim, end)-ordered result. Single-stream callers keep the
+// default of one shard and call consume(0, record).
+//
+// Memory is bounded by the number of sources active within one timeout
+// window; expired sessions are evicted lazily and by periodic sweeps.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
-#include "core/online.hpp"
+#include "core/dos.hpp"
+#include "core/record.hpp"
+#include "core/sessions.hpp"
+#include "obs/health.hpp"
+#include "obs/hooks.hpp"
 #include "util/sync.hpp"
 
 namespace quicsand::core {
 
 struct ShardedOnlineDetectorConfig {
   std::size_t shards = 1;
-  /// Per-shard detector configuration (shared verbatim by every shard).
-  OnlineDetectorConfig detector;
+  /// What every shard runs with.
+  struct Detector {
+    util::Duration session_timeout = 5 * util::kMinute;
+    DosThresholds thresholds;
+    /// Sweep cadence for evicting idle sessions.
+    util::Duration sweep_interval = util::kMinute;
+    /// Optional observability sinks, resolved once for all shards:
+    /// obs.events receives the structured alert-fired / attack-closed /
+    /// session-evicted stream (NDJSON-able), obs.metrics the online.*
+    /// counters, the open-sessions gauge and the alert-latency
+    /// histogram, obs.health the `online_detector` component.
+    obs::Hooks obs;
+    /// Wall-clock source (microseconds since the epoch) read at alert
+    /// time to measure wire -> alert detection latency against the
+    /// IngestTiming stamps. Null (the default) disables the measurement,
+    /// keeping scenario/golden runs free of nondeterministic reads.
+    std::function<std::int64_t()> wall_clock;
+  } detector;
 };
 
 class ShardedOnlineDetector {
  public:
-  using AlertCallback = OnlineDetector::AlertCallback;
+  using AlertCallback = std::function<void(const DetectedAttack&)>;
 
   explicit ShardedOnlineDetector(ShardedOnlineDetectorConfig config);
 
   ShardedOnlineDetector(const ShardedOnlineDetector&) = delete;
   ShardedOnlineDetector& operator=(const ShardedOnlineDetector&) = delete;
 
-  /// Fired on the first record that crosses every threshold. Invoked
-  /// under an internal mutex, so concurrent shards never interleave
-  /// inside the callback. Set before the first consume().
+  /// `on_alert` fires once per session, at the first record that pushes
+  /// it over every threshold — the early-warning signal. `on_attack`
+  /// fires when an alerted session closes, with the final numbers. Both
+  /// run under one internal mutex, so concurrent shards never interleave
+  /// inside them. Set before the first consume().
   void set_on_alert(AlertCallback callback);
+  void set_on_attack(AlertCallback callback);
 
-  /// Consume one record on shard `shard`. Thread-safe across *distinct*
-  /// shards (one thread per shard, the live receiver's contract); calls
-  /// for the same shard must stay on one thread in time order. `timing`
-  /// optionally carries the record's wall-clock ingest stamps for
-  /// detection-latency accounting.
+  /// Consume one record on shard `shard` (non-decreasing timestamps per
+  /// shard). Only sanitized QUIC responses join sessions; every record
+  /// drives its shard's sweep. Thread-safe across *distinct* shards (one
+  /// thread per shard, the live receiver's contract). `timing`, when
+  /// provided by a live capture path, carries the record's wall-clock
+  /// ingest stamps; the first admitted packet's stamps anchor the
+  /// session's wire -> alert detection latency.
   void consume(std::size_t shard, const PacketRecord& record,
                const IngestTiming* timing = nullptr);
 
-  /// Close every open session on every shard and merge the per-shard
-  /// attacks into one list ordered by (start, victim, end), with
-  /// session_index rewritten to the merged position. Call once, after
-  /// all consumers stopped; attacks() returns the same list afterwards.
+  /// Close every open session on every shard (end of stream) and merge
+  /// the per-shard attacks into one list ordered by (start, victim,
+  /// end), with session_index rewritten to the merged position. Call
+  /// after all consumers stopped; later calls return the same list.
   const std::vector<DetectedAttack>& finish();
 
-  [[nodiscard]] const std::vector<DetectedAttack>& attacks() const {
-    return merged_;
-  }
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
-
-  // Aggregates over all shards.
-  [[nodiscard]] std::uint64_t alerts_fired() const;
-  [[nodiscard]] std::uint64_t attacks_closed() const;
-  [[nodiscard]] std::uint64_t sessions_evicted() const;
+  // Sums over all shards; read them from the consuming thread or after
+  // the consumers stopped.
   [[nodiscard]] std::size_t open_sessions() const;
+  [[nodiscard]] std::uint64_t alerts_fired() const {
+    return total(&Shard::alerts);
+  }
+  [[nodiscard]] std::uint64_t attacks_closed() const {
+    return total(&Shard::closed);
+  }
+  /// Sessions removed so far (expiry or finish), alerted or not.
+  [[nodiscard]] std::uint64_t sessions_evicted() const {
+    return total(&Shard::evicted);
+  }
+  /// Detection latency: seconds from session start to alert, averaged.
+  [[nodiscard]] double mean_alert_latency_s() const {
+    const auto alerts = static_cast<double>(alerts_fired());
+    return alerts == 0 ? 0.0 : total(&Shard::latency_sum_s) / alerts;
+  }
 
  private:
-  struct Shard {
-    explicit Shard(const OnlineDetectorConfig& config)
-        : detector(config) {}
-    OnlineDetector detector;
-    std::vector<DetectedAttack> attacks;
+  struct OpenSession {
+    Session session;
+    bool alerted = false;
+    /// Wall-clock stamps of the first admitted packet (-1 unknown);
+    /// the send stamp is preferred as the detection-latency origin,
+    /// falling back to arrival when the frame carried none.
+    std::int64_t first_send_wall_us = -1;
+    std::int64_t first_recv_wall_us = -1;
   };
 
+  /// One shard's state, written only by its consuming thread. Each is
+  /// its own cache-line-aligned allocation, so shards share no line.
+  struct alignas(64) Shard {
+    std::unordered_map<std::uint32_t, OpenSession> open;
+    util::Timestamp last_sweep{};
+    std::uint64_t consumed = 0;  ///< drives the health heartbeat
+    std::uint64_t alerts = 0;
+    std::uint64_t closed = 0;
+    std::uint64_t evicted = 0;
+    double latency_sum_s = 0;
+    std::vector<DetectedAttack> attacks;  ///< closed, in close order
+  };
+
+  template <typename T>
+  [[nodiscard]] T total(T Shard::*field) const {
+    T sum{};
+    for (const auto& shard : shards_) sum += (*shard).*field;
+    return sum;
+  }
+  void alert(Shard& shard, OpenSession& open, util::Timestamp now);
+  /// Bookkeeping for any session leaving the open table: the
+  /// attack-closed side effects first, then the eviction event.
+  void evict(Shard& shard, OpenSession& open);
+  void sweep(Shard& shard, util::Timestamp now);
+
+  ShardedOnlineDetectorConfig::Detector config_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Bottom of the repo's lock hierarchy (kOnlineAlert): the serialized
-  /// callback typically emits into an EventLog (kEventLog), which in
-  /// turn pushes to subscriber rings (kEventSubscription).
-  util::Mutex alert_mutex_{util::LockRank::kOnlineAlert, "online_alert"};
-  AlertCallback on_alert_ QS_GUARDED_BY(alert_mutex_);
+  /// Bottom of the repo's lock hierarchy (kOnlineAlert): a callback
+  /// typically emits into an EventLog (kEventLog), which in turn pushes
+  /// to subscriber rings (kEventSubscription).
+  util::Mutex callback_mutex_{util::LockRank::kOnlineAlert, "online_alert"};
+  AlertCallback on_alert_ QS_GUARDED_BY(callback_mutex_);
+  AlertCallback on_attack_ QS_GUARDED_BY(callback_mutex_);
   std::vector<DetectedAttack> merged_;  ///< finish()/main thread only
   bool finished_ = false;               ///< finish()/main thread only
+  // Resolved metric handles; nullptr without an attached registry.
+  obs::Counter* records_counter_ = nullptr;
+  obs::Counter* alerts_counter_ = nullptr;
+  obs::Counter* attacks_counter_ = nullptr;
+  obs::Counter* evictions_counter_ = nullptr;
+  obs::Gauge* open_gauge_ = nullptr;  ///< +1 per open, -1 per eviction
+  obs::LatencyHistogram* alert_latency_us_ = nullptr;
+  obs::LatencyHistogram* detect_latency_us_ = nullptr;
+  // Liveness component; each shard heartbeats it every 256 records,
+  // idle after finish.
+  obs::Health::Component* health_ = nullptr;
 };
 
 }  // namespace quicsand::core

@@ -5,7 +5,7 @@
 
 #include "net/live/frame.hpp"
 #include "obs/metrics.hpp"
-#include "util/rng.hpp"
+#include "util/sharded_counter.hpp"
 
 // Arrival timestamps come from frame.hpp's wall_clock_us()
 // (CLOCK_REALTIME): live capture is the one place the pipeline
@@ -23,7 +23,8 @@ constexpr util::Duration kPollTimeout = 50 * util::kMillisecond;
 /// Per-stage latency histograms record every Nth received datagram
 /// (deterministic 1-in-N). Sampled packets cost two extra clock reads on
 /// the worker thread; the timing stamps themselves ride along on every
-/// packet.
+/// packet, so all four stages are recorded at pop, for the same
+/// datagrams, and a sampled datagram the ring evicts records none.
 constexpr std::uint64_t kLatencySampleEvery = 64;
 
 }  // namespace
@@ -162,10 +163,7 @@ void LiveReceiver::receive_loop() {
           frame.encapsulated ? frame.timestamp : util::Timestamp{recv_wall};
       std::size_t shard = 0;
       if (const auto src = quick_ipv4_source(frame.datagram)) {
-        shard = config_.shards == 1
-                    ? 0
-                    : static_cast<std::size_t>(util::mix64(*src, 0x1157)) %
-                          config_.shards;
+        shard = util::shard_of(*src, config_.shards);
       } else {
         undecodable_.fetch_add(1, std::memory_order_relaxed);
         if (undecodable_counter_ != nullptr) undecodable_counter_->add();
@@ -176,12 +174,6 @@ void LiveReceiver::receive_loop() {
                          {frame.datagram.begin(), frame.datagram.end()}),
           DatagramTiming{frame.send_wall_us, recv_wall,
                          seen++ % kLatencySampleEvery == 0}};
-      if (frame.send_wall_us >= 0 && wire_latency_ != nullptr &&
-          timed.timing.sampled) {
-        const std::int64_t wire = recv_wall - frame.send_wall_us;
-        wire_latency_->record(
-            static_cast<std::uint64_t>(std::max<std::int64_t>(wire, 0)));
-      }
       watermarks_[shard]->enqueued_event_us.store(timestamp.count(),
                                                  std::memory_order_relaxed);
       const auto evicted =
@@ -232,20 +224,24 @@ void LiveReceiver::worker_loop(std::size_t shard) {
       delivered_.fetch_add(1, std::memory_order_relaxed);
       if (delivered_counter_ != nullptr) delivered_counter_->add();
       if (timed->timing.sampled && ring_latency_ != nullptr) {
-        // Sampled path: two extra clock reads bracket the sink call and
-        // feed the queue/process/end-to-end histograms.
-        const std::int64_t popped = wall_clock_us();
-        ring_latency_->record(static_cast<std::uint64_t>(
-            std::max<std::int64_t>(popped - timed->timing.recv_wall_us, 0)));
-        if (sink_) sink_(shard, timed->packet, timed->timing);
-        const std::int64_t done = wall_clock_us();
-        process_latency_->record(
-            static_cast<std::uint64_t>(std::max<std::int64_t>(done - popped, 0)));
-        const std::int64_t origin = timed->timing.send_wall_us >= 0
-                                        ? timed->timing.send_wall_us
-                                        : timed->timing.recv_wall_us;
-        e2e_latency_->record(
-            static_cast<std::uint64_t>(std::max<std::int64_t>(done - origin, 0)));
+        // Sampled path: two extra clock reads bracket the sink call. All
+        // four stages are differences of the same stamps, clamped to be
+        // non-decreasing against clock steps, so wire + ring + process
+        // == e2e for every sampled datagram.
+        const auto& timing = timed->timing;
+        const bool stamped = timing.send_wall_us >= 0;
+        const std::int64_t origin =
+            stamped ? timing.send_wall_us : timing.recv_wall_us;
+        const std::int64_t arrived = std::max(timing.recv_wall_us, origin);
+        const std::int64_t popped = std::max(wall_clock_us(), arrived);
+        if (sink_) sink_(shard, timed->packet, timing);
+        const std::int64_t done = std::max(wall_clock_us(), popped);
+        if (stamped) {
+          wire_latency_->record(static_cast<std::uint64_t>(arrived - origin));
+        }
+        ring_latency_->record(static_cast<std::uint64_t>(popped - arrived));
+        process_latency_->record(static_cast<std::uint64_t>(done - popped));
+        e2e_latency_->record(static_cast<std::uint64_t>(done - origin));
       } else if (sink_) {
         sink_(shard, timed->packet, timed->timing);
       }

@@ -1,12 +1,12 @@
 // Live UDP ingestion front-end: the telescope sensor's capture loop.
 //
 // One receiver thread drains the socket with batched recvmmsg, parses
-// the QSL1 frame (or stamps arrival time), shards each datagram by the
-// IPv4 source address — the same per-source partitioning the parallel
-// pipeline uses, so per-shard sessionization stays exact — and hands it
-// to that shard's bounded drop-oldest Ring. One worker thread per shard
-// pops packets and invokes the caller's sink (classifier + online
-// detector in `monitor --live`). Per-shard packet order is the socket
+// the QSL1/QSL2 frame (or stamps arrival time), shards each datagram by
+// the IPv4 source address with util::shard_of — the partition the
+// parallel pipeline uses, so per-shard sessionization stays exact — and
+// hands it to that shard's bounded drop-oldest Ring. One worker thread
+// per shard pops packets and invokes the caller's sink (classifier +
+// detector shard in `monitor --live`). Per-shard packet order is the socket
 // arrival order, so each shard sees non-decreasing timestamps whenever
 // the sender emits in time order.
 //

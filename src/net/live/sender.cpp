@@ -158,50 +158,6 @@ void stamp_and_send(UdpSocket& socket, bool encapsulate,
 
 }  // namespace
 
-SendStats LiveSender::send_stream(const Source& next,
-                                  const std::atomic<bool>* stop) {
-  SendStats stats;
-  if (!socket_.connect(config_.host, config_.port)) {
-    error_ = socket_.last_error();
-    return stats;
-  }
-  const auto counters = make_send_counters(config_.obs.metrics);
-  Pacer pacer(controller_);
-
-  std::vector<std::vector<std::uint8_t>> batch;
-  batch.reserve(ReceiveBatch::kMax);
-  bool exhausted = false;
-  while (!exhausted && (stop == nullptr ||
-                        !stop->load(std::memory_order_relaxed))) {
-    batch.clear();
-    while (batch.size() < ReceiveBatch::kMax) {
-      auto packet = next();
-      if (!packet) {
-        exhausted = true;
-        break;
-      }
-      if (config_.encapsulate) {
-        batch.push_back(
-            encode_live_frame_v2(packet->timestamp, 0, packet->data));
-      } else {
-        batch.push_back(std::move(packet->data));
-      }
-    }
-    if (batch.empty()) break;
-
-    pacer.acquire(batch.size(), stop);
-    stamp_and_send(socket_, config_.encapsulate,
-                   {batch.data(), batch.size()}, counters, stats, error_);
-  }
-
-  stats.elapsed_s = pacer.elapsed_s();
-  stats.achieved_pps =
-      stats.elapsed_s > 0 ? static_cast<double>(stats.sent) / stats.elapsed_s
-                          : 0.0;
-  socket_.close();
-  return stats;
-}
-
 SendStats LiveSender::send_batches(const BatchSource& fill,
                                    const std::atomic<bool>* stop) {
   SendStats stats;
@@ -228,20 +184,21 @@ SendStats LiveSender::send_batches(const BatchSource& fill,
       continue;
     }
     if (frames.size() < n) frames.resize(n);
+    const std::size_t header = config_.encapsulate ? kFrameHeaderSizeV2 : 0;
     for (std::size_t i = 0; i < n; ++i) {
       const auto view = records.view(i);
       auto& buf = frames[i];
-      buf.clear();
+      buf.resize(header + view.data.size());
       if (config_.encapsulate) {
-        buf.insert(buf.end(), std::begin(kFrameMagicV2),
-                   std::end(kFrameMagicV2));
+        std::copy(std::begin(kFrameMagicV2), std::end(kFrameMagicV2),
+                  buf.begin());
         const auto ts = static_cast<std::uint64_t>(view.timestamp.count());
         for (std::size_t b = 0; b < 8; ++b) {
-          buf.push_back(static_cast<std::uint8_t>(ts >> (8 * (7 - b))));
+          buf[4 + b] = static_cast<std::uint8_t>(ts >> (8 * (7 - b)));
+          buf[kSendStampOffset + b] = 0;  // patched at send time
         }
-        buf.insert(buf.end(), 8, 0);  // send stamp, patched at send time
       }
-      buf.insert(buf.end(), view.data.begin(), view.data.end());
+      std::copy(view.data.begin(), view.data.end(), buf.data() + header);
     }
 
     for (std::size_t offset = 0; offset < n;) {

@@ -25,7 +25,6 @@
 #include <string_view>
 
 #include "net/live/socket.hpp"
-#include "net/packet.hpp"
 #include "net/record_batch.hpp"
 #include "obs/hooks.hpp"
 #include "util/time.hpp"
@@ -83,13 +82,9 @@ struct SendStats {
 
 class LiveSender {
  public:
-  /// Produces the next datagram, nullopt when the stream ends.
-  using Source = std::function<std::optional<net::RawPacket>()>;
   /// Refills a cleared RecordBatch with the next run of records; returns
   /// false once the stream is exhausted (records appended on that final
-  /// call are still sent). The batched path skips the per-record
-  /// std::function call and RawPacket copy of Source, so loopback send
-  /// rates stop bounding the latency benchmark.
+  /// call are still sent).
   using BatchSource = std::function<bool(net::RecordBatch&)>;
 
   explicit LiveSender(LiveSenderConfig config);
@@ -97,16 +92,12 @@ class LiveSender {
   LiveSender(const LiveSender&) = delete;
   LiveSender& operator=(const LiveSender&) = delete;
 
-  /// Connect, then drain `next` through the paced socket until it
-  /// returns nullopt or `*stop` turns true. Blocking; returns the
-  /// achieved totals. On connect failure returns zeroed stats with
-  /// last_error() set.
-  SendStats send_stream(const Source& next,
-                        const std::atomic<bool>* stop = nullptr);
-
-  /// Same contract, fed whole RecordBatches: frame buffers are reused
-  /// across batches and the socket still sees <= ReceiveBatch::kMax
-  /// payloads per sendmmsg.
+  /// Connect, then drain `fill` through the paced socket until it
+  /// reports the end of the stream or `*stop` turns true. Blocking;
+  /// returns the achieved totals. On connect failure returns zeroed
+  /// stats with last_error() set. Frame buffers are reused across
+  /// batches, so steady-state sending allocates nothing per packet, and
+  /// the socket sees <= ReceiveBatch::kMax payloads per sendmmsg.
   SendStats send_batches(const BatchSource& fill,
                          const std::atomic<bool>* stop = nullptr);
 

@@ -17,7 +17,6 @@ class LatencyHistogram;
 class Tracer;
 class EventLog;
 class Health;
-class TimeSeriesStore;
 
 struct Hooks {
   MetricsRegistry* metrics = nullptr;
@@ -26,11 +25,6 @@ struct Hooks {
   /// Liveness registry: long-running stages register a component and
   /// heartbeat it so /healthz can flag a stalled stage (see health.hpp).
   Health* health = nullptr;
-  /// Retained metrics history (see tsdb.hpp). Stages normally don't
-  /// write here directly — the Sampler bridges the registry on a
-  /// cadence — but a stage can annotate() incident marks on the shared
-  /// timeline.
-  TimeSeriesStore* tsdb = nullptr;
 };
 
 }  // namespace quicsand::obs

@@ -17,7 +17,7 @@ namespace {
 /// quoted strings without embedded commas/braces.
 std::optional<std::string_view> raw_value(std::string_view line,
                                           std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
+  const std::string needle = std::string(1, '"').append(key).append("\":");
   const auto at = line.find(needle);
   if (at == std::string_view::npos) return std::nullopt;
   auto begin = at + needle.size();

@@ -80,7 +80,7 @@ namespace quicsand::util {
 ///
 /// Chains (a lower lock is held while the higher one is acquired):
 ///   kOnlineAlert -> kEventLog -> kEventSubscription
-///     (ShardedOnlineDetector serializes alert callbacks; the callback
+///     (ShardedOnlineDetector serializes its callbacks; a callback
 ///      emits into the EventLog; emit pushes to each subscriber ring)
 ///   kSamplerLifecycle -> kSamplerState
 ///     (Sampler::start/stop serialize on the lifecycle lock, then touch

@@ -48,7 +48,7 @@ std::string format_utc(Timestamp t) {
 }
 
 std::string format_duration(Duration d) {
-  if (d < Duration{}) return "-" + format_duration(-d);
+  if (d < Duration{}) return std::string(1, '-').append(format_duration(-d));
   const std::int64_t secs = d / kSecond;
   std::array<char, 48> buf{};
   if (secs >= 48 * 3600) {

@@ -1,4 +1,4 @@
-// OnlineDetector edge cases: eviction-strategy equivalence, finish()
+// Online detector edge cases: eviction-strategy equivalence, finish()
 // idempotence, and timestamp-tie / timeout-boundary behavior. These pin
 // the semantics the differential oracle relies on (strict `gap >
 // timeout` splits, alert at the exact threshold-crossing record).
@@ -8,7 +8,7 @@
 #include <tuple>
 #include <vector>
 
-#include "core/online.hpp"
+#include "core/online_shards.hpp"
 
 namespace quicsand::core {
 namespace {
@@ -33,7 +33,7 @@ struct Capture {
   std::vector<DetectedAttack> alerts;
   std::vector<DetectedAttack> attacks;
 
-  void attach(OnlineDetector& detector) {
+  void attach(ShardedOnlineDetector& detector) {
     detector.set_on_alert(
         [this](const DetectedAttack& a) { alerts.push_back(a); });
     detector.set_on_attack(
@@ -63,18 +63,18 @@ std::vector<PacketRecord> churn_stream() {
 TEST(OnlineEdge, LazyEvictionMatchesPeriodicSweep) {
   // Eviction timing (every record vs almost never) must not change what
   // is detected, only when sessions leave the table.
-  OnlineDetectorConfig eager;
-  eager.sweep_interval = util::kSecond;
-  OnlineDetectorConfig lazy;
-  lazy.sweep_interval = 365 * util::kDay;
+  ShardedOnlineDetectorConfig eager;
+  eager.detector.sweep_interval = util::kSecond;
+  ShardedOnlineDetectorConfig lazy;
+  lazy.detector.sweep_interval = 365 * util::kDay;
 
-  OnlineDetector a(eager), b(lazy);
+  ShardedOnlineDetector a(eager), b(lazy);
   Capture ca, cb;
   ca.attach(a);
   cb.attach(b);
   for (const auto& record : churn_stream()) {
-    a.consume(record);
-    b.consume(record);
+    a.consume(0, record);
+    b.consume(0, record);
   }
   a.finish();
   b.finish();
@@ -98,11 +98,11 @@ TEST(OnlineEdge, LazyEvictionMatchesPeriodicSweep) {
 }
 
 TEST(OnlineEdge, FinishIsIdempotent) {
-  OnlineDetector detector({});
+  ShardedOnlineDetector detector({});
   Capture capture;
   capture.attach(detector);
   for (int i = 0; i < 200; ++i) {
-    detector.consume(response_record(kT0 + i * util::kSecond, 0xcc000001));
+    detector.consume(0, response_record(kT0 + i * util::kSecond, 0xcc000001));
   }
   detector.finish();
   const auto attacks_after_first = capture.attacks;
@@ -121,18 +121,18 @@ TEST(OnlineEdge, GapEqualToTimeoutStaysInSession) {
   // exactly `timeout` after the previous one continues the session; one
   // microsecond later starts a new one.
   for (const util::Duration extra : {util::Duration{0}, util::Duration{1}}) {
-    OnlineDetectorConfig config;
-    config.session_timeout = kTimeout;
-    OnlineDetector detector(config);
+    ShardedOnlineDetectorConfig config;
+    config.detector.session_timeout = kTimeout;
+    ShardedOnlineDetector detector(config);
     Capture capture;
     capture.attach(detector);
 
     // 100 packets over 99 s (above every threshold), then the gap.
     for (int i = 0; i < 100; ++i) {
-      detector.consume(response_record(kT0 + i * util::kSecond, 0xdd000001));
+      detector.consume(0, response_record(kT0 + i * util::kSecond, 0xdd000001));
     }
     const auto last = kT0 + 99 * util::kSecond;
-    detector.consume(response_record(last + kTimeout + extra, 0xdd000001));
+    detector.consume(0, response_record(last + kTimeout + extra, 0xdd000001));
     detector.finish();
 
     ASSERT_EQ(capture.attacks.size(), 1u) << "extra " << extra.count();
@@ -155,22 +155,22 @@ TEST(OnlineEdge, EqualTimestampRunsDoNotAlertUntilDurationExceeded) {
   // A burst of records sharing one timestamp has zero duration no matter
   // its size: the alert must wait for the duration threshold, then fire
   // at the exact record that crosses it.
-  OnlineDetector detector({});
+  ShardedOnlineDetector detector({});
   Capture capture;
   capture.attach(detector);
 
   for (int i = 0; i < 100; ++i) {
-    detector.consume(response_record(kT0, 0xee000001));
+    detector.consume(0, response_record(kT0, 0xee000001));
   }
   EXPECT_EQ(detector.alerts_fired(), 0u);
 
   // Still at 60 s sharp: duration not strictly exceeded.
-  detector.consume(response_record(kT0 + 60 * util::kSecond, 0xee000001));
+  detector.consume(0, response_record(kT0 + 60 * util::kSecond, 0xee000001));
   EXPECT_EQ(detector.alerts_fired(), 0u);
 
   detector.consume(
-      response_record(kT0 + (60 * util::kSecond) + (util::kMicrosecond),
-                      0xee000001));
+      0, response_record(kT0 + (60 * util::kSecond) + (util::kMicrosecond),
+                         0xee000001));
   ASSERT_EQ(capture.alerts.size(), 1u);
   EXPECT_EQ(capture.alerts[0].end,
             kT0 + (60 * util::kSecond) + (util::kMicrosecond));
@@ -185,22 +185,22 @@ TEST(OnlineEdge, SweepAtExactTimeoutBoundaryKeepsSession) {
   // sweep() evicts on `now - end > timeout`, mirroring the split rule: a
   // session whose last record is exactly `timeout` old survives a sweep
   // triggered by other traffic and can still be extended.
-  OnlineDetectorConfig config;
-  config.session_timeout = kTimeout;
-  config.sweep_interval = util::kSecond;
-  OnlineDetector detector(config);
+  ShardedOnlineDetectorConfig config;
+  config.detector.session_timeout = kTimeout;
+  config.detector.sweep_interval = util::kSecond;
+  ShardedOnlineDetector detector(config);
   Capture capture;
   capture.attach(detector);
 
   for (int i = 0; i < 100; ++i) {
-    detector.consume(response_record(kT0 + i * util::kSecond, 0xaa000001));
+    detector.consume(0, response_record(kT0 + i * util::kSecond, 0xaa000001));
   }
   const auto last = kT0 + 99 * util::kSecond;
   // Unrelated source triggers a sweep exactly at the boundary.
-  detector.consume(response_record(last + kTimeout, 0xbb000002));
+  detector.consume(0, response_record(last + kTimeout, 0xbb000002));
   EXPECT_EQ(detector.open_sessions(), 2u);
   // The original session is still extendable at the boundary.
-  detector.consume(response_record(last + kTimeout, 0xaa000001));
+  detector.consume(0, response_record(last + kTimeout, 0xaa000001));
   detector.finish();
   ASSERT_EQ(capture.attacks.size(), 1u);
   EXPECT_EQ(capture.attacks[0].packets.count(), 101u);
@@ -209,9 +209,9 @@ TEST(OnlineEdge, SweepAtExactTimeoutBoundaryKeepsSession) {
 
 TEST(OnlineEdge, LateTimestampJoinsOpenSession) {
   // Two minutes older than the session start must not throw.
-  OnlineDetector detector({});
-  detector.consume(response_record(kT0 + 2 * util::kMinute, 0xee000001));
-  EXPECT_NO_THROW(detector.consume(response_record(kT0, 0xee000001)));
+  ShardedOnlineDetector detector({});
+  detector.consume(0, response_record(kT0 + 2 * util::kMinute, 0xee000001));
+  EXPECT_NO_THROW(detector.consume(0, response_record(kT0, 0xee000001)));
   EXPECT_EQ(detector.open_sessions(), 1u);
   detector.finish();
   EXPECT_EQ(detector.sessions_evicted(), 1u);

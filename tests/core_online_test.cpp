@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <thread>
 
-#include "core/online.hpp"
+#include "core/online_shards.hpp"
 #include "core/parallel_pipeline.hpp"
+#include "obs/metrics.hpp"
 #include "scanner/deployment.hpp"
 #include "telescope/generator.hpp"
 
@@ -28,7 +30,7 @@ PacketRecord response_record(util::Timestamp t, std::uint32_t src) {
 }
 
 TEST(OnlineDetector, AlertsBeforeSessionEnds) {
-  OnlineDetector detector({});
+  ShardedOnlineDetector detector({});
   std::vector<DetectedAttack> alerts, attacks;
   detector.set_on_alert([&](const DetectedAttack& a) { alerts.push_back(a); });
   detector.set_on_attack(
@@ -38,7 +40,7 @@ TEST(OnlineDetector, AlertsBeforeSessionEnds) {
   // mark (26 packets, >60 s); keeps going long after.
   for (int i = 0; i < 1200; ++i) {
     detector.consume(
-        response_record(kT0 + i * util::kSecond / 2, 0xaaaa0001));
+        0, response_record(kT0 + i * util::kSecond / 2, 0xaaaa0001));
   }
   ASSERT_EQ(alerts.size(), 1u);
   EXPECT_EQ(detector.alerts_fired(), 1u);
@@ -54,13 +56,13 @@ TEST(OnlineDetector, AlertsBeforeSessionEnds) {
 }
 
 TEST(OnlineDetector, BelowThresholdSessionsNeverAlert) {
-  OnlineDetector detector({});
+  ShardedOnlineDetector detector({});
   std::uint64_t alerts = 0;
   detector.set_on_alert([&](const DetectedAttack&) { ++alerts; });
   // 20 packets over 5 seconds: too few, too short.
   for (int i = 0; i < 20; ++i) {
     detector.consume(
-        response_record(kT0 + i * 250 * util::kMillisecond, 0xbbbb0001));
+        0, response_record(kT0 + i * 250 * util::kMillisecond, 0xbbbb0001));
   }
   detector.finish();
   EXPECT_EQ(alerts, 0u);
@@ -68,7 +70,7 @@ TEST(OnlineDetector, BelowThresholdSessionsNeverAlert) {
 }
 
 TEST(OnlineDetector, TimeoutSplitsSessions) {
-  OnlineDetector detector({});
+  ShardedOnlineDetector detector({});
   std::vector<DetectedAttack> attacks;
   detector.set_on_attack(
       [&](const DetectedAttack& a) { attacks.push_back(a); });
@@ -78,7 +80,7 @@ TEST(OnlineDetector, TimeoutSplitsSessions) {
     const auto base = kT0 + burst * util::kHour;
     for (int i = 0; i < 200; ++i) {
       detector.consume(
-          response_record(base + i * util::kSecond, 0xcccc0001));
+          0, response_record(base + i * util::kSecond, 0xcccc0001));
     }
   }
   detector.finish();
@@ -88,17 +90,49 @@ TEST(OnlineDetector, TimeoutSplitsSessions) {
 }
 
 TEST(OnlineDetector, SweepBoundsOpenSessions) {
-  OnlineDetector detector({});
+  ShardedOnlineDetector detector({});
   // 10k sources, one packet each, spread over hours: the sweep must keep
   // the open-session table near the per-window population.
   for (int i = 0; i < 10000; ++i) {
-    detector.consume(response_record(kT0 + i * util::kSecond,
-                                     0xdd000000 + static_cast<std::uint32_t>(i)));
+    detector.consume(
+        0, response_record(kT0 + i * util::kSecond,
+                           0xdd000000 + static_cast<std::uint32_t>(i)));
   }
   // Only sources within the last timeout window can still be open.
   EXPECT_LE(detector.open_sessions(), 400u);
   detector.finish();
   EXPECT_EQ(detector.open_sessions(), 0u);
+}
+
+TEST(OnlineDetector, OpenSessionsGaugeCountsEveryShard) {
+  // One thread per shard, as the live receiver runs them: the shared
+  // online.open_sessions gauge must count every shard's open sessions,
+  // not whichever shard wrote last.
+  constexpr std::size_t kShards = 4;
+  obs::MetricsRegistry metrics;
+  ShardedOnlineDetectorConfig config;
+  config.shards = kShards;
+  config.detector.obs.metrics = &metrics;
+  ShardedOnlineDetector detector(config);
+  std::vector<std::thread> threads;
+  for (std::size_t shard = 0; shard < kShards; ++shard) {
+    threads.emplace_back([&detector, shard] {
+      // Sixteen of the 64 sources per shard, ten seconds of packets
+      // each: every session stays open.
+      for (int i = 0; i < 10; ++i) {
+        for (std::size_t src = shard; src < 64; src += kShards) {
+          const auto ip = 0xee000000 + static_cast<std::uint32_t>(src);
+          detector.consume(shard,
+                           response_record(kT0 + i * util::kSecond, ip));
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  ASSERT_EQ(detector.open_sessions(), 64u);
+  EXPECT_EQ(metrics.gauge("online.open_sessions").value(), 64);
+  detector.finish();
+  EXPECT_EQ(metrics.gauge("online.open_sessions").value(), 0);
 }
 
 TEST(OnlineDetector, MatchesBatchDetectorOnScenario) {
@@ -119,7 +153,7 @@ TEST(OnlineDetector, MatchesBatchDetectorOnScenario) {
   options.days = scenario.days;
   ParallelPipeline pipeline(options, 2);
 
-  OnlineDetector online({});
+  ShardedOnlineDetector online({});
   std::vector<DetectedAttack> online_attacks;
   online.set_on_attack(
       [&](const DetectedAttack& a) { online_attacks.push_back(a); });
@@ -128,7 +162,7 @@ TEST(OnlineDetector, MatchesBatchDetectorOnScenario) {
   generator.generate([&](const net::RawPacket& packet) {
     pipeline.consume(packet);
     if (const auto record = classifier.classify(packet)) {
-      online.consume(*record);
+      online.consume(0, *record);
     }
   });
   online.finish();

@@ -1,4 +1,4 @@
-// Differential oracle: the streaming OnlineDetector and the offline
+// Differential oracle: the streaming ShardedOnlineDetector and the offline
 // ParallelPipeline must agree bit-for-bit on the detected attack set —
 // same victims, same boundaries, same packet counts and peak rates —
 // across generator seeds, and the online path must be invariant to
@@ -11,11 +11,12 @@
 #include <vector>
 
 #include "core/classifier.hpp"
-#include "core/online.hpp"
+#include "core/online_shards.hpp"
 #include "core/parallel_pipeline.hpp"
 #include "scanner/deployment.hpp"
 #include "telescope/generator.hpp"
 #include "telescope/scoring.hpp"
+#include "util/sharded_counter.hpp"
 
 namespace quicsand::core {
 namespace {
@@ -63,7 +64,7 @@ ScenarioRun run_scenario(std::uint64_t seed) {
   options.days = scenario.days;
   ParallelPipeline pipeline(options, 4);
 
-  OnlineDetector online({});
+  ShardedOnlineDetector online({});
   ScenarioRun run;
   online.set_on_attack(
       [&](const DetectedAttack& a) { run.online.push_back(a); });
@@ -72,7 +73,7 @@ ScenarioRun run_scenario(std::uint64_t seed) {
   generator.generate([&](const net::RawPacket& packet) {
     pipeline.consume(packet);
     if (const auto record = classifier.classify(packet)) {
-      online.consume(*record);
+      online.consume(0, *record);
       if (keep_for_analysis(*record)) run.records.push_back(*record);
     }
   });
@@ -107,28 +108,22 @@ TEST(DiffOnlineOffline, AlertLatencyIsSane) {
 }
 
 TEST(DiffOnlineOffline, OnlinePartitionInvariance) {
-  // Partitioning the stream by source across k independent detectors
-  // must reproduce the single-detector attack set exactly: sessions are
-  // keyed per source, so cross-source interleaving carries no state.
+  // Partitioning the stream by source across k detector shards must
+  // reproduce the single-shard attack set exactly: sessions are keyed
+  // per source, so cross-source interleaving carries no state.
   const auto run = run_scenario(37);
   const auto expected = normalized(run.online);
   ASSERT_FALSE(expected.empty());
 
-  for (const std::size_t partitions : {1u, 2u, 4u, 7u}) {
-    SCOPED_TRACE(partitions);
-    std::vector<OnlineDetector> detectors;
-    std::vector<DetectedAttack> combined;
-    detectors.reserve(partitions);
-    for (std::size_t i = 0; i < partitions; ++i) {
-      auto& detector = detectors.emplace_back(OnlineDetectorConfig{});
-      detector.set_on_attack(
-          [&](const DetectedAttack& a) { combined.push_back(a); });
-    }
+  for (const std::size_t shards : {1u, 2u, 4u, 7u}) {
+    SCOPED_TRACE(shards);
+    ShardedOnlineDetectorConfig config;
+    config.shards = shards;
+    ShardedOnlineDetector detector(config);
     for (const auto& record : run.records) {
-      detectors[record.src.value() % partitions].consume(record);
+      detector.consume(util::shard_of(record.src.value(), shards), record);
     }
-    for (auto& detector : detectors) detector.finish();
-    EXPECT_EQ(normalized(std::move(combined)), expected);
+    EXPECT_EQ(normalized(detector.finish()), expected);
   }
 }
 

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "core/correlate.hpp"
-#include "core/online.hpp"
+#include "core/online_shards.hpp"
 #include "core/parallel_pipeline.hpp"
 #include "core/victims.hpp"
 #include "net/record_batch.hpp"
@@ -56,7 +56,7 @@ class GoldenFigures : public ::testing::Test {
     options.window_start = scenario.start;
     options.days = scenario.days;
     pipeline_ = new ParallelPipeline(options, 4);
-    online_ = new OnlineDetector({});
+    online_ = new ShardedOnlineDetector({});
     online_attacks_ = new std::vector<DetectedAttack>();
     online_->set_on_attack([](const DetectedAttack& a) {
       online_attacks_->push_back(a);
@@ -73,7 +73,7 @@ class GoldenFigures : public ::testing::Test {
         const auto view = batch.view(i);
         if (const auto record =
                 classifier.classify(view.timestamp, view.data)) {
-          online_->consume(*record);
+          online_->consume(0, *record);
         }
       }
       pipeline_->consume_batch(std::move(batch));
@@ -95,7 +95,7 @@ class GoldenFigures : public ::testing::Test {
   static asdb::AsRegistry* registry_;
   static scanner::Deployment* deployment_;
   static ParallelPipeline* pipeline_;
-  static OnlineDetector* online_;
+  static ShardedOnlineDetector* online_;
   static std::vector<DetectedAttack>* online_attacks_;
   static AttackAnalysis* analysis_;
 };
@@ -103,7 +103,7 @@ class GoldenFigures : public ::testing::Test {
 asdb::AsRegistry* GoldenFigures::registry_ = nullptr;
 scanner::Deployment* GoldenFigures::deployment_ = nullptr;
 ParallelPipeline* GoldenFigures::pipeline_ = nullptr;
-OnlineDetector* GoldenFigures::online_ = nullptr;
+ShardedOnlineDetector* GoldenFigures::online_ = nullptr;
 std::vector<DetectedAttack>* GoldenFigures::online_attacks_ = nullptr;
 AttackAnalysis* GoldenFigures::analysis_ = nullptr;
 

@@ -5,14 +5,15 @@
 //
 // The pipeline under test is exactly `monitor --live`:
 //
-//   flood_lab-style sender (sendmmsg, QSL1 frames)
+//   flood_lab-style sender (sendmmsg, QSL2 frames)
 //     -> LiveReceiver (recvmmsg, shard-by-source, drop-oldest rings)
 //     -> per-shard Classifier -> ShardedOnlineDetector
 //
 // Assertions: sender throughput (the harness must be able to stress the
 // receiver, not trickle at it, and must not outrun its pacing target),
 // exact packet accounting (sent == delivered + ring drops + kernel
-// drops), metric export of the drop counters, and precision/recall
+// drops), the source -> shard partition, per-stage latency histograms
+// that add up, metric export of the drop counters, and precision/recall
 // floors against ground truth.
 #include <gtest/gtest.h>
 
@@ -20,7 +21,6 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -33,6 +33,7 @@
 #include "scanner/deployment.hpp"
 #include "telescope/generator.hpp"
 #include "telescope/scoring.hpp"
+#include "util/sharded_counter.hpp"
 
 // Sanitizer instrumentation costs an order of magnitude of throughput;
 // keep the correctness assertions at full strength but relax the rate
@@ -67,6 +68,21 @@ telescope::ScenarioConfig mixed_scenario(std::uint64_t seed) {
   scenario.botnet.sessions_per_day = 200;
   scenario.misconfig.sessions_per_day = 150;
   return scenario;
+}
+
+/// Sends `count` copies of a minimal IPv4 header (enough for the
+/// receiver's source-sharding peek) at scenario time 0.
+net::live::SendStats send_minimal_datagrams(net::live::LiveSender& sender,
+                                            std::size_t count) {
+  std::vector<std::uint8_t> datagram(28, 0);
+  datagram[0] = 0x45;
+  datagram[12] = 192;
+  return sender.send_batches([&](net::RecordBatch& batch) {
+    while (count > 0 && batch.try_append(util::Timestamp{0}, datagram)) {
+      --count;
+    }
+    return count > 0;
+  });
 }
 
 TEST(LiveE2E, MixedScanAndFloodOverLoopback) {
@@ -109,8 +125,13 @@ TEST(LiveE2E, MixedScanAndFloodOverLoopback) {
   receiver_config.rcvbuf_bytes = std::size_t{1} << 22;
   receiver_config.obs.metrics = &metrics;
   net::live::LiveReceiver receiver(receiver_config);
+  std::atomic<std::uint64_t> misrouted{0};
   if (!receiver.start([&](std::size_t shard, const net::RawPacket& packet,
                           const net::live::DatagramTiming& timing) {
+        // Shards partition sources with util::shard_of, the partition
+        // ParallelPipeline uses.
+        const auto src = net::live::quick_ipv4_source(packet.data);
+        if (src && util::shard_of(*src, kShards) != shard) ++misrouted;
         if (const auto record = classifiers[shard]->classify(packet)) {
           const core::IngestTiming ingest{timing.send_wall_us,
                                           timing.recv_wall_us};
@@ -127,11 +148,13 @@ TEST(LiveE2E, MixedScanAndFloodOverLoopback) {
   sender_config.mode = net::live::RateMode::kConstant;
   net::live::LiveSender sender(sender_config);
   std::size_t cursor = 0;
-  const auto stats = sender.send_stream(
-      [&]() -> std::optional<net::RawPacket> {
-        if (cursor >= packets.size()) return std::nullopt;
-        return packets[cursor++];
-      });
+  const auto stats = sender.send_batches([&](net::RecordBatch& batch) {
+    while (cursor < packets.size() &&
+           batch.try_append(packets[cursor].timestamp, packets[cursor].data)) {
+      ++cursor;
+    }
+    return cursor < packets.size();
+  });
 
   ASSERT_TRUE(sender.last_error().empty()) << sender.last_error();
   ASSERT_EQ(stats.send_failures, 0u);
@@ -165,6 +188,7 @@ TEST(LiveE2E, MixedScanAndFloodOverLoopback) {
       << " dropped_kernel=" << receiver.dropped_kernel();
   EXPECT_EQ(receiver.undecodable(), 0u)
       << "synthetic scenario datagrams must all decode";
+  EXPECT_EQ(misrouted.load(), 0u) << "datagrams on the wrong source shard";
 
   // The drop counters must be exported through the metrics registry.
   EXPECT_EQ(metrics.counter("live.received_packets").value(),
@@ -189,6 +213,13 @@ TEST(LiveE2E, MixedScanAndFloodOverLoopback) {
   EXPECT_GT(ring.count, 100u);
   EXPECT_GT(process.count, 100u);
   EXPECT_GT(e2e.count, 100u);
+  // All four stages are recorded at pop for the same sampled datagrams
+  // (every one QSL2-stamped), each a difference of the same integer
+  // stamps, so the stage sums add up to the e2e sum exactly.
+  EXPECT_EQ(wire.count, e2e.count);
+  EXPECT_EQ(ring.count, e2e.count);
+  EXPECT_EQ(process.count, e2e.count);
+  EXPECT_EQ(wire.sum + ring.sum + process.sum, e2e.sum);
   EXPECT_LT(wire.p99, 60'000'000u);
   EXPECT_LT(e2e.p99, 60'000'000u);
   // Pointwise e2e >= ring wait implies quantile domination; the 7%
@@ -238,7 +269,7 @@ TEST(LiveE2E, MixedScanAndFloodOverLoopback) {
 }
 
 TEST(LiveE2E, BareDatagramsFallBackToArrivalClock) {
-  // Without QSL1 encapsulation the receiver stamps arrival time; the
+  // Without QSL2 encapsulation the receiver stamps arrival time; the
   // datagrams must still flow through to the sinks with sane timestamps.
   net::live::LiveReceiverConfig receiver_config;
   receiver_config.port = 0;
@@ -264,16 +295,7 @@ TEST(LiveE2E, BareDatagramsFallBackToArrivalClock) {
   sender_config.pps = 1000;
   sender_config.encapsulate = false;
   net::live::LiveSender sender(sender_config);
-  // A minimal IPv4 header so the source-sharding peek succeeds.
-  std::vector<std::uint8_t> datagram(28, 0);
-  datagram[0] = 0x45;
-  datagram[12] = 192;
-  int remaining = 32;
-  const auto stats = sender.send_stream(
-      [&]() -> std::optional<net::RawPacket> {
-        if (remaining-- <= 0) return std::nullopt;
-        return net::RawPacket(util::Timestamp{0}, datagram);
-      });
+  const auto stats = send_minimal_datagrams(sender, 32);
   ASSERT_EQ(stats.sent, 32u);
   EXPECT_LE(stats.achieved_pps, 1.05 * sender_config.pps);
 
@@ -287,6 +309,57 @@ TEST(LiveE2E, BareDatagramsFallBackToArrivalClock) {
   EXPECT_GT(first_seen, util::Timestamp{1577836800LL * 1000000LL});
   EXPECT_EQ(receiver.undecodable(), 0u);
   EXPECT_EQ(max_send_stamp.load(), -1);
+}
+
+TEST(LiveE2E, RingDropsKeepStageHistogramsConsistent) {
+  // A 256-slot ring behind a sink that stalls until the sender is done:
+  // the ring keeps only the newest datagrams and drop-oldest evicts the
+  // rest, sampled ones included. An evicted datagram must leave no stage
+  // sample behind: the four stage histograms describe the same sampled
+  // datagrams and still add up.
+  obs::MetricsRegistry metrics;
+  net::live::LiveReceiverConfig receiver_config;
+  receiver_config.port = 0;
+  receiver_config.shards = 1;
+  receiver_config.ring_capacity = 256;
+  receiver_config.obs.metrics = &metrics;
+  net::live::LiveReceiver receiver(receiver_config);
+  std::atomic<bool> release{false};
+  if (!receiver.start([&](std::size_t, const net::RawPacket&,
+                          const net::live::DatagramTiming&) {
+        while (!release.load()) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      })) {
+    GTEST_SKIP() << "loopback sockets unavailable: " << receiver.last_error();
+  }
+
+  net::live::LiveSenderConfig sender_config;
+  sender_config.port = receiver.port();
+  sender_config.pps = 50000;
+  net::live::LiveSender sender(sender_config);
+  const auto stats = send_minimal_datagrams(sender, 5000);
+  for (int i = 0; i < 2000; ++i) {
+    if (receiver.received() + receiver.dropped_kernel() >= stats.sent) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  release.store(true);
+  receiver.stop();
+
+  ASSERT_EQ(stats.sent, 5000u);
+  ASSERT_GT(receiver.dropped_ring(), 0u) << "the sink kept up: no evictions";
+  EXPECT_EQ(receiver.delivered() + receiver.dropped_ring() +
+                receiver.dropped_kernel(),
+            stats.sent);
+  const auto wire = metrics.latency("live.latency.wire_us").snapshot();
+  const auto ring = metrics.latency("live.latency.ring_us").snapshot();
+  const auto process = metrics.latency("live.latency.process_us").snapshot();
+  const auto e2e = metrics.latency("live.latency.e2e_us").snapshot();
+  EXPECT_GT(e2e.count, 0u);
+  EXPECT_EQ(wire.count, e2e.count);
+  EXPECT_EQ(ring.count, e2e.count);
+  EXPECT_EQ(process.count, e2e.count);
+  EXPECT_EQ(wire.sum + ring.sum + process.sum, e2e.sum);
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "core/classifier.hpp"
-#include "core/online.hpp"
+#include "core/online_shards.hpp"
 #include "core/parallel_pipeline.hpp"
 #include "scanner/deployment.hpp"
 #include "telescope/generator.hpp"
@@ -115,11 +115,11 @@ TEST(Metamorphic, EqualTimestampCrossSourcePermutation) {
   }
 
   const auto run_online = [](const std::vector<PacketRecord>& records) {
-    OnlineDetector detector({});
+    ShardedOnlineDetector detector({});
     std::vector<DetectedAttack> attacks;
     detector.set_on_attack(
         [&](const DetectedAttack& a) { attacks.push_back(a); });
-    for (const auto& record : records) detector.consume(record);
+    for (const auto& record : records) detector.consume(0, record);
     detector.finish();
     return sorted_attacks(std::move(attacks));
   };
@@ -142,13 +142,13 @@ TEST(Metamorphic, OnlineTimeShiftShiftsAttacksByDelta) {
   // stream shifts alerts and attacks, and nothing else changes.
   constexpr util::Duration kDelta = (37 * util::kHour) + (123 * util::kSecond);
   const auto run = [](util::Duration delta) {
-    OnlineDetector detector({});
+    ShardedOnlineDetector detector({});
     std::vector<DetectedAttack> attacks;
     detector.set_on_attack(
         [&](const DetectedAttack& a) { attacks.push_back(a); });
     for (int burst = 0; burst < 3; ++burst) {
       for (int i = 0; i < 150; ++i) {
-        detector.consume(response_record(
+        detector.consume(0, response_record(
             kT0 + delta + (burst * util::kHour) + (i * util::kSecond),
             0xdd000000 + static_cast<std::uint32_t>(burst)));
       }

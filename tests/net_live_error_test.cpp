@@ -130,8 +130,8 @@ TEST(NetLiveError, SenderConnectFailureReportsError) {
   config.host = "name-that-does-not-resolve.invalid";
   config.port = 4433;
   LiveSender sender(config);
-  const auto stats = sender.send_stream(
-      []() -> std::optional<net::RawPacket> { return std::nullopt; });
+  const auto stats =
+      sender.send_batches([](net::RecordBatch&) { return false; });
   EXPECT_EQ(stats.sent, 0u);
   EXPECT_FALSE(sender.last_error().empty());
 }

@@ -1,4 +1,4 @@
-// Detector event log: the OnlineDetector emits a structured stream in
+// Detector event log: the online detector emits a structured stream in
 // causal order (alert_fired before attack_closed before the session's
 // eviction), the online.* metrics agree with the detector's own
 // accounting, and the NDJSON serialization is pinned.
@@ -6,7 +6,7 @@
 
 #include <sstream>
 
-#include "core/online.hpp"
+#include "core/online_shards.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
 
@@ -31,18 +31,18 @@ PacketRecord response_record(util::Timestamp t, std::uint32_t src) {
 TEST(ObsEvents, DetectorEmitsAlertThenCloseThenEviction) {
   obs::EventLog log;
   obs::MetricsRegistry metrics;
-  OnlineDetectorConfig config;
-  config.obs.events = &log;
-  config.obs.metrics = &metrics;
-  OnlineDetector detector(config);
+  ShardedOnlineDetectorConfig config;
+  config.detector.obs.events = &log;
+  config.detector.obs.metrics = &metrics;
+  ShardedOnlineDetector detector(config);
 
   // One attacking source (2 pps, 10 min: alerts around the 1-min mark)
   // and one two-packet source that never alerts (evicted by the sweep
   // once it has been idle past the session timeout).
   for (int i = 0; i < 1200; ++i) {
     const auto t = kT0 + i * util::kSecond / 2;
-    detector.consume(response_record(t, 0xaaaa0001));
-    if (i < 2) detector.consume(response_record(t, 0xbbbb0001));
+    detector.consume(0, response_record(t, 0xaaaa0001));
+    if (i < 2) detector.consume(0, response_record(t, 0xbbbb0001));
   }
   detector.finish();
 
