@@ -2,7 +2,8 @@
 # Tier-1 gate, runnable locally and in CI:
 #   1. configure + build the default preset with -DQUICSAND_WERROR=ON
 #      (warnings are errors, as in CI)
-#   2. run the tier-1 ctest label (every registered gtest suite)
+#   2. run the tier-1 ctest label (every registered gtest suite), then
+#      the golden label (the exact fig02-fig13 and online-counter pins)
 #   3. build the tsan preset and run the concurrency-sensitive suites
 #      (the QUICSAND_TSAN_SUITES list in tests/CMakeLists.txt) under
 #      ThreadSanitizer
@@ -47,6 +48,9 @@ cmake --build --preset default -j "$jobs"
 
 echo "==> ctest tier1"
 ctest --preset tier1 -j "$jobs"
+
+echo "==> ctest golden (fig02-fig13 and online-counter pins)"
+ctest --preset golden -j "$jobs"
 
 echo "==> live-endpoint smoke (monitor --listen)"
 scripts/smoke_monitor.sh

@@ -19,6 +19,9 @@
 //
 // Memory is bounded by the number of sources active within one timeout
 // window; expired sessions are evicted lazily and by periodic sweeps.
+// An open session's state grows with its minutes, not its packets: it
+// keeps counts and one counter per minute slot, never the distinct
+// SCID, peer or port sets (see Session), which nothing here reads.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,7 @@
 // Compact per-packet record produced by the classifier.
 //
 // The telescope sees tens of millions of packets; everything downstream
-// (sessionization, DoS detection, correlation) operates on these ~64-byte
+// (sessionization, DoS detection, correlation) operates on these 48-byte
 // records instead of raw datagrams.
 #pragma once
 

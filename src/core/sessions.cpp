@@ -6,6 +6,19 @@ namespace quicsand::core {
 
 namespace {
 
+// The distinct counts and the version mix Figure 9 reads.
+void absorb_distinct(Session& session, const PacketRecord& record) {
+  if (record.has_scid) session.scids.insert(record.scid_hash);
+  // The "peer" is the other endpoint: the telescope-side destination.
+  session.peers.insert(record.dst.value());
+  session.peer_ports.insert(
+      (static_cast<std::uint64_t>(record.dst.value()) << 16) |
+      record.dst_port);
+  if (record.quic_version != 0) {
+    ++session.version_counts[record.quic_version];
+  }
+}
+
 Session open_session(const PacketRecord& record) {
   Session session;
   session.source = record.src;
@@ -35,18 +48,8 @@ void absorb_record(Session& session, const PacketRecord& record) {
     session.minute_counts.resize(minute + 1, 0);
   }
   ++session.minute_counts[minute];
-  if (record.has_scid) session.scids.insert(record.scid_hash);
-  // The "peer" is the other endpoint: destination for responses and
-  // requests alike (the telescope side).
-  session.peers.insert(record.dst.value());
-  session.peer_ports.insert(
-      (static_cast<std::uint64_t>(record.dst.value()) << 16) |
-      record.dst_port);
   for (std::size_t k = 0; k < kQuicKindCount; ++k) {
     session.kind_counts[k] += record.kind_counts[k];
-  }
-  if (record.quic_version != 0) {
-    ++session.version_counts[record.quic_version];
   }
 }
 
@@ -69,22 +72,22 @@ std::uint32_t Session::dominant_version() const {
 std::vector<Session> build_sessions(std::span<const PacketRecord> records,
                                     util::Duration timeout,
                                     RecordFilter filter) {
+  const bool distinct = filter == RecordFilter::kQuicResponses;
   std::vector<Session> closed;
   std::unordered_map<std::uint32_t, Session> open;
   for (const auto& record : records) {
     if (!accepts(filter, record)) continue;
     auto [it, inserted] = open.try_emplace(record.src.value());
-    if (inserted) {
-      it->second = open_session(record);
-      continue;
-    }
     Session& session = it->second;
-    if (record.timestamp - session.end > timeout) {
+    if (inserted) {
+      session = open_session(record);
+    } else if (record.timestamp - session.end > timeout) {
       closed.push_back(std::move(session));
-      it->second = open_session(record);
+      session = open_session(record);
     } else {
       absorb_record(session, record);
     }
+    if (distinct) absorb_distinct(session, record);
   }
   closed.reserve(closed.size() + open.size());
   for (auto& [source, session] : open) closed.push_back(std::move(session));

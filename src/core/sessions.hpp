@@ -25,6 +25,11 @@ struct Session {
   /// Packet count per 1-minute slot since `start` (max-pps computation).
   std::vector<std::uint32_t> minute_counts;
   /// Distinct counter hashes: SCIDs, peer addresses, (addr, port) pairs.
+  /// These three sets and `version_counts` feed Figure 9, and
+  /// profile_providers is their only reader. So only build_sessions
+  /// fills them, and only for the kQuicResponses group. Every other
+  /// session, and every session of the streaming detector, leaves them
+  /// empty.
   std::unordered_set<std::uint64_t> scids;
   std::unordered_set<std::uint32_t> peers;
   std::unordered_set<std::uint64_t> peer_ports;
@@ -41,17 +46,22 @@ struct Session {
     return per_minute_rate(best);
   }
 
-  /// Dominant QUIC version (most packets); 0 when none seen.
+  /// Dominant QUIC version (most packets); 0 when none seen, and always
+  /// 0 outside the response group, which alone fills `version_counts`.
   [[nodiscard]] std::uint32_t dominant_version() const;
 
   friend bool operator==(const Session&, const Session&) = default;
 };
 
 /// Fold one record into an open session (shared by build_sessions and
-/// the online detector). Minute slots are (i·60s, (i+1)·60s] relative to
-/// the session start, with the start packet in slot 0: a packet exactly
-/// 60 s after the start has one minute of elapsed activity and belongs
-/// to the closing minute rather than opening a phantom trailing slot.
+/// the online detector). It updates only what every reader needs:
+/// `end`, packets, bytes, minute slots and kind counts. It leaves the
+/// distinct sets and `version_counts` alone; build_sessions fills those
+/// itself for the response group. Minute slots are (i·60s, (i+1)·60s]
+/// relative to the session start, with the start packet in slot 0: a
+/// packet exactly 60 s after the start has one minute of elapsed
+/// activity and belongs to the closing minute rather than opening a
+/// phantom trailing slot.
 /// A late record (older than the session start) counts in slot 0, and
 /// `end` never moves backwards.
 void absorb_record(Session& session, const PacketRecord& record);
@@ -103,6 +113,8 @@ constexpr RecordFilter sanitized_quic_filter() {
 /// Group the filtered records into per-source sessions with the given
 /// inactivity timeout. Records must be in non-decreasing time order
 /// (pcap / generator order). Sessions are returned sorted by start time.
+/// Only kQuicResponses sessions get their distinct sets and version map
+/// filled (see Session); the other groups' stay empty.
 std::vector<Session> build_sessions(std::span<const PacketRecord> records,
                                     util::Duration timeout,
                                     RecordFilter filter);

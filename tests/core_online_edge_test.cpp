@@ -1,17 +1,49 @@
 // Online detector edge cases: eviction-strategy equivalence, finish()
 // idempotence, and timestamp-tie / timeout-boundary behavior. These pin
 // the semantics the differential oracle relies on (strict `gap >
-// timeout` splits, alert at the exact threshold-crossing record).
+// timeout` splits, alert at the exact threshold-crossing record), and
+// that an open session's memory grows with its minutes, not its packets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <tuple>
 #include <vector>
 
 #include "core/online_shards.hpp"
 
+// --- Counting allocator hook ------------------------------------------
+// Every heap allocation in this binary bumps the counter; a test
+// snapshots it around the region under measurement.
+
+namespace {
+// Global by necessity: operator new replacements cannot take state.
+// lint:allow(unguarded-mutable-static)
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted_alloc(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
 namespace quicsand::core {
 namespace {
+
+std::uint64_t allocations() {
+  return g_allocations.load(std::memory_order_relaxed);
+}
 
 constexpr util::Timestamp kT0 = util::kApril2021Start;
 constexpr util::Duration kTimeout = 5 * util::kMinute;
@@ -215,6 +247,38 @@ TEST(OnlineEdge, LateTimestampJoinsOpenSession) {
   EXPECT_EQ(detector.open_sessions(), 1u);
   detector.finish();
   EXPECT_EQ(detector.sessions_evicted(), 1u);
+}
+
+TEST(OnlineEdge, OpenSessionGrowsWithMinutesNotPackets) {
+  // A flood with a fresh SCID, peer and port on every packet: the
+  // detector reads none of them, so after the session opens the only
+  // allocations are minute-slot growth, at most one per new minute.
+  ShardedOnlineDetector detector({});
+  constexpr int kMinutes = 10;
+  constexpr int kPerSecond = 10;
+  constexpr int kPackets = kMinutes * 60 * kPerSecond;
+  std::vector<PacketRecord> records;
+  records.reserve(kPackets);
+  for (int i = 0; i < kPackets; ++i) {
+    auto record = response_record(
+        kT0 + i * (util::kSecond / kPerSecond), 0xcc000001);
+    record.dst = net::Ipv4Address(0x2c000000 + static_cast<std::uint32_t>(i));
+    record.dst_port = static_cast<std::uint16_t>(1024 + i);
+    record.has_scid = true;
+    record.scid_hash = 0x5c1d000000000000ULL + static_cast<std::uint64_t>(i);
+    records.push_back(record);
+  }
+  detector.consume(0, records.front());
+  ASSERT_EQ(detector.open_sessions(), 1u);
+  const auto before = allocations();
+  for (int i = 1; i < kPackets; ++i) detector.consume(0, records[i]);
+  const auto allocated = allocations() - before;
+  EXPECT_EQ(detector.open_sessions(), 1u);
+  EXPECT_EQ(detector.alerts_fired(), 1u);
+  // The last packet, at 599.9 s, falls in minute slot 9: nine new slots
+  // after the one the first packet opened.
+  EXPECT_LE(allocated, static_cast<std::uint64_t>(kMinutes - 1))
+      << allocated << " allocations over " << kPackets - 1 << " packets";
 }
 
 }  // namespace

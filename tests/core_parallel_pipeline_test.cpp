@@ -12,6 +12,8 @@
 #include <atomic>
 #include <limits>
 #include <numeric>
+#include <unordered_map>
+#include <vector>
 
 #include "asdb/registry.hpp"
 #include "core/parallel_pipeline.hpp"
@@ -277,6 +279,63 @@ TEST(ParallelPipelineDifferentialTest, AttackAnalysisMatchesSerial) {
     EXPECT_EQ(analysis.common_attacks, expected.common_attacks);
     EXPECT_EQ(parallel->analyze_attacks(strict).quic_attacks,
               expected_strict.quic_attacks);
+  }
+}
+
+TEST(ParallelPipelineDifferentialTest, OnlyResponseSessionsCarryDistinctState) {
+  // Figure 9 reads the SCID, peer and peer-port sets and the version map
+  // of response sessions only. A response session holds exactly its
+  // source's response records in [start, end] (a source's sessions never
+  // overlap in time); request and common sessions hold none of it.
+  std::unordered_map<std::uint32_t, std::vector<PacketRecord>> responses;
+  for (const auto& record : reference().records) {
+    if (accepts(quic_response_filter(), record)) {
+      responses[record.src.value()].push_back(record);
+    }
+  }
+  const auto timeout = scenario().options.session_timeout;
+  for (const std::size_t shards : {1u, 4u}) {
+    SCOPED_TRACE(shards);
+    auto parallel = parallel_pipeline(shards);
+    const auto analysis = parallel->analyze_attacks();
+    ASSERT_FALSE(analysis.response_sessions.empty());
+    std::size_t scids = 0;
+    for (const auto& session : analysis.response_sessions) {
+      Session expected;
+      for (const auto& record : responses.at(session.source.value())) {
+        if (record.timestamp < session.start ||
+            record.timestamp > session.end) {
+          continue;
+        }
+        if (record.has_scid) expected.scids.insert(record.scid_hash);
+        expected.peers.insert(record.dst.value());
+        expected.peer_ports.insert(
+            (std::uint64_t{record.dst.value()} << 16) | record.dst_port);
+        if (record.quic_version != 0) {
+          ++expected.version_counts[record.quic_version];
+        }
+      }
+      EXPECT_TRUE(session.scids == expected.scids &&
+                  session.peers == expected.peers &&
+                  session.peer_ports == expected.peer_ports &&
+                  session.version_counts == expected.version_counts)
+          << session.source.to_string();
+      scids += session.scids.size();
+    }
+    EXPECT_GT(scids, 0u);
+
+    const auto carrying = [](const std::vector<Session>& sessions) {
+      return std::count_if(
+          sessions.begin(), sessions.end(), [](const Session& s) {
+            return !s.scids.empty() || !s.peers.empty() ||
+                   !s.peer_ports.empty() || !s.version_counts.empty();
+          });
+    };
+    const auto requests = parallel->request_sessions(timeout);
+    ASSERT_FALSE(requests.empty());
+    ASSERT_FALSE(analysis.common_sessions.empty());
+    EXPECT_EQ(carrying(requests), 0);
+    EXPECT_EQ(carrying(analysis.common_sessions), 0);
   }
 }
 

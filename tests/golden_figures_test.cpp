@@ -11,7 +11,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "core/correlate.hpp"
@@ -177,6 +179,58 @@ TEST_F(GoldenFigures, Fig08Fig12Fig13MultiVector) {
   EXPECT_EQ(report.sequential, 27u);
   EXPECT_EQ(report.isolated, 3u);
   EXPECT_EQ(analysis_->common_attacks.size(), 284u);
+}
+
+TEST_F(GoldenFigures, Fig09ProviderProfiles) {
+  // The per-attack distinct counts come from the response sessions'
+  // SCID, peer and peer-port sets and version map; nothing else pins
+  // them.
+  const asdb::Asn providers[] = {asdb::AsRegistry::kGoogle,
+                                 asdb::AsRegistry::kFacebook};
+  const auto profiles =
+      profile_providers(analysis_->quic_attacks, analysis_->response_sessions,
+                        *registry_, providers);
+  ASSERT_EQ(profiles.size(), 2u);
+  const char* names[] = {"google", "facebook"};
+  for (std::size_t p = 0; p < profiles.size(); ++p) {
+    const auto& profile = profiles[p];
+    const std::string name = names[p];
+    print_golden((name + "_attacks").c_str(), profile.attacks);
+    if (profile.attacks == 0) continue;
+    print_golden((name + "_median_packets").c_str(),
+                 profile.packets_per_attack.median());
+    print_golden((name + "_median_client_ips").c_str(),
+                 profile.client_ips_per_attack.median());
+    print_golden((name + "_median_client_ports").c_str(),
+                 profile.client_ports_per_attack.median());
+    print_golden((name + "_median_scids").c_str(),
+                 profile.scids_per_attack.median());
+    for (const auto& [version, count] : profile.version_counts) {
+      char key[64];
+      std::snprintf(key, sizeof key, "%s_version_%08x", name.c_str(),
+                    version);
+      print_golden(key, count);
+    }
+  }
+  const auto& google = profiles[0];
+  EXPECT_EQ(google.attacks, 32u);
+  ASSERT_FALSE(google.packets_per_attack.empty());
+  EXPECT_DOUBLE_EQ(google.packets_per_attack.median(), 274.5);
+  EXPECT_DOUBLE_EQ(google.client_ips_per_attack.median(), 8.0);
+  EXPECT_DOUBLE_EQ(google.client_ports_per_attack.median(), 70.5);
+  EXPECT_DOUBLE_EQ(google.scids_per_attack.median(), 70.5);
+  EXPECT_EQ(google.version_counts,
+            (std::map<std::uint32_t, std::uint64_t>{{0x00000001u, 1565u},
+                                                    {0xff00001du, 8034u}}));
+  const auto& facebook = profiles[1];
+  EXPECT_EQ(facebook.attacks, 13u);
+  ASSERT_FALSE(facebook.packets_per_attack.empty());
+  EXPECT_DOUBLE_EQ(facebook.packets_per_attack.median(), 475.0);
+  EXPECT_DOUBLE_EQ(facebook.client_ips_per_attack.median(), 7.0);
+  EXPECT_DOUBLE_EQ(facebook.client_ports_per_attack.median(), 74.0);
+  EXPECT_DOUBLE_EQ(facebook.scids_per_attack.median(), 74.0);
+  EXPECT_EQ(facebook.version_counts,
+            (std::map<std::uint32_t, std::uint64_t>{{0xfaceb002u, 16322u}}));
 }
 
 TEST_F(GoldenFigures, Fig10ThresholdSweep) {
