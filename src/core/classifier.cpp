@@ -1,10 +1,48 @@
 #include "core/classifier.hpp"
 
+#include <limits>
+
 namespace quicsand::core {
 
 namespace {
 
 constexpr std::uint16_t kQuicPort = 443;
+
+/// Folds a walked datagram into a record's QUIC fields. The per-datagram
+/// counts saturate at 255, the most their 8-bit fields hold.
+class QuicFold final : public quic::PacketSink {
+ public:
+  void on_packet(const quic::DissectedPacket& packet) override {
+    saturating_increment(packet_count_);
+    saturating_increment(kind_counts_[static_cast<std::size_t>(packet.kind)]);
+    if (version_ == 0 && packet.kind != quic::QuicPacketKind::kShort) {
+      version_ = packet.version;
+    }
+    if (!has_scid_ && !packet.scid.empty()) {
+      has_scid_ = true;
+      scid_hash_ = packet.scid.hash();
+    }
+  }
+
+  void commit_to(PacketRecord& record) const {
+    record.quic_packet_count = packet_count_;
+    record.kind_counts = kind_counts_;
+    record.quic_version = version_;
+    record.has_scid = has_scid_;
+    record.scid_hash = scid_hash_;
+  }
+
+ private:
+  static void saturating_increment(std::uint8_t& count) {
+    if (count < std::numeric_limits<std::uint8_t>::max()) ++count;
+  }
+
+  std::uint8_t packet_count_ = 0;
+  std::array<std::uint8_t, kQuicKindCount> kind_counts_{};
+  std::uint32_t version_ = 0;
+  bool has_scid_ = false;
+  std::uint64_t scid_hash_ = 0;
+};
 
 bool is_backscatter_icmp(std::uint8_t type) {
   // Echo reply, destination unreachable, source quench, time exceeded:
@@ -64,34 +102,24 @@ std::optional<PacketRecord> Classifier::classify(
   record.timestamp = timestamp;
   record.src = decoded->ip.src;
   record.dst = decoded->ip.dst;
-  record.wire_size = static_cast<std::uint16_t>(data.size());
+  // The IPv4 total length, which decode_ipv4 has checked against the
+  // capture: a capture can be longer than its datagram (and than 65,535).
+  record.wire_size = decoded->ip.total_length;
 
   if (decoded->is_udp()) {
     const auto& udp = decoded->udp();
     record.src_port = udp.src_port;
     record.dst_port = udp.dst_port;
     if (udp.src_port == kQuicPort || udp.dst_port == kQuicPort) {
-      const auto dissected = quic::dissect_udp_payload(udp.payload);
-      if (dissected.is_quic) {
+      QuicFold fold;
+      if (quic::walk_udp_payload(udp.payload, fold) == nullptr) {
         // Source port 443 -> response (backscatter); destination port
         // 443 -> request (scan). The two sets are disjoint by
         // construction: src==dst==443 is treated as a response.
         record.cls = udp.src_port == kQuicPort
                          ? TrafficClass::kQuicResponse
                          : TrafficClass::kQuicRequest;
-        record.quic_packet_count =
-            static_cast<std::uint8_t>(dissected.packets.size());
-        for (const auto& quic_packet : dissected.packets) {
-          ++record.kind_counts[static_cast<std::size_t>(quic_packet.kind)];
-          if (record.quic_version == 0 &&
-              quic_packet.kind != quic::QuicPacketKind::kShort) {
-            record.quic_version = quic_packet.version;
-          }
-          if (!record.has_scid && !quic_packet.scid.empty()) {
-            record.has_scid = true;
-            record.scid_hash = quic_packet.scid.hash();
-          }
-        }
+        fold.commit_to(record);
       } else {
         ++stats_.quic_port_rejects;
         record.cls = TrafficClass::kOther;

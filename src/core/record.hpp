@@ -37,13 +37,15 @@ struct PacketRecord {
   net::Ipv4Address dst;
   std::uint16_t src_port = 0;
   std::uint16_t dst_port = 0;
-  std::uint16_t wire_size = 0;
+  std::uint16_t wire_size = 0;  ///< IPv4 total length
   TrafficClass cls = TrafficClass::kOther;
   bool is_research = false;  ///< source matches a research scanner prefix
   std::uint32_t quic_version = 0;  ///< first long-header version, 0 if none
-  std::uint8_t quic_packet_count = 0;  ///< QUIC packets in the datagram
+  /// QUIC packets in the datagram, saturating at 255.
+  std::uint8_t quic_packet_count = 0;
   /// Per-kind QUIC message counts within the datagram, indexed by
-  /// QuicPacketKind; drives the §6 composition analysis.
+  /// QuicPacketKind and saturating at 255; drives the §6 composition
+  /// analysis.
   std::array<std::uint8_t, kQuicKindCount> kind_counts{};
   bool has_scid = false;
   /// FNV hash of the first long-header SCID; distinct-SCID counting only

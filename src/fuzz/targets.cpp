@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "net/headers.hpp"
 #include "net/live/frame.hpp"
@@ -34,9 +35,40 @@ namespace quicsand::fuzz {
 
 namespace {
 
+/// Records every packet the walk hands over.
+struct VisitLog final : quic::PacketSink {
+  void on_packet(const quic::DissectedPacket& packet) override {
+    packets.push_back(packet);
+  }
+  std::vector<quic::DissectedPacket> packets;
+};
+
+bool same_packet(const quic::DissectedPacket& a,
+                 const quic::DissectedPacket& b) {
+  return a.kind == b.kind && a.version == b.version && a.dcid == b.dcid &&
+         a.scid == b.scid && a.token_length == b.token_length &&
+         a.size == b.size && a.direction == b.direction;
+}
+
 void fuzz_quic_dissect(std::span<const std::uint8_t> data) {
   // Shallow pass: what the bulk classifier runs on every UDP payload.
   const auto shallow = quic::dissect_udp_payload(data);
+  // The walk the classifier folds must make the same decision and, on
+  // an accepted payload, visit exactly the packets the collector lists.
+  VisitLog walked;
+  const char* reason = quic::walk_udp_payload(data, walked);
+  QUICSAND_FUZZ_CHECK((reason == nullptr) == shallow.is_quic, "quic_dissect",
+                      "walk and dissect_udp_payload disagree on is_quic");
+  if (reason == nullptr) {
+    QUICSAND_FUZZ_CHECK(
+        std::equal(walked.packets.begin(), walked.packets.end(),
+                   shallow.packets.begin(), shallow.packets.end(),
+                   same_packet),
+        "quic_dissect", "walk visited other packets than dissect lists");
+  } else {
+    QUICSAND_FUZZ_CHECK(shallow.reject_reason == reason, "quic_dissect",
+                        "walk and dissect_udp_payload disagree on reason");
+  }
   if (!shallow.is_quic) {
     QUICSAND_FUZZ_CHECK(shallow.packets.empty(), "quic_dissect",
                         "rejected payload still lists packets");

@@ -211,74 +211,55 @@ std::optional<IcmpQuote> parse_icmp_quote(
 }
 
 std::optional<DecodedPacket> decode_ipv4(std::span<const std::uint8_t> data) {
-  try {
-    ByteReader r(data);
-    const std::uint8_t version_ihl = r.read_u8();
-    if ((version_ihl >> 4) != 4) return std::nullopt;
-    const std::size_t ihl = (version_ihl & 0x0f) * std::size_t{4};
-    if (ihl < kIpv4HeaderSize || data.size() < ihl) return std::nullopt;
-    r.skip(1);  // DSCP/ECN
-    const std::uint16_t total_length = r.read_u16().to_host();
-    if (total_length < ihl || total_length > data.size()) return std::nullopt;
-    const std::uint16_t identification = r.read_u16().to_host();
-    r.skip(2);  // flags/fragment
-    const std::uint8_t ttl = r.read_u8();
-    const std::uint8_t protocol = r.read_u8();
-    r.skip(2);  // checksum
-    const Ipv4Address src(r.read_u32().to_host());
-    const Ipv4Address dst(r.read_u32().to_host());
-    // Skip IPv4 options if present.
-    r.skip(ihl - kIpv4HeaderSize);
-
-    DecodedPacket out;
-    out.ip = {src, dst, static_cast<IpProtocol>(protocol), ttl,
-              identification, total_length};
-    const std::size_t l4_len = total_length - ihl;
-    ByteReader l4(data.subspan(ihl, l4_len));
-
-    switch (static_cast<IpProtocol>(protocol)) {
-      case IpProtocol::kUdp: {
-        UdpInfo udp;
-        udp.src_port = l4.read_u16().to_host();
-        udp.dst_port = l4.read_u16().to_host();
-        const std::uint16_t udp_len = l4.read_u16().to_host();
-        l4.skip(2);  // checksum
-        if (udp_len < kUdpHeaderSize || udp_len > l4_len) return std::nullopt;
-        udp.payload = data.subspan(ihl + kUdpHeaderSize,
-                                   udp_len - kUdpHeaderSize);
-        out.l4 = udp;
-        return out;
-      }
-      case IpProtocol::kTcp: {
-        TcpInfo tcp;
-        tcp.src_port = l4.read_u16().to_host();
-        tcp.dst_port = l4.read_u16().to_host();
-        tcp.seq = l4.read_u32().to_host();
-        tcp.ack = l4.read_u32().to_host();
-        const std::size_t data_offset = (l4.read_u8() >> 4) * std::size_t{4};
-        tcp.flags = l4.read_u8();
-        if (data_offset < kTcpHeaderSize || data_offset > l4_len) {
-          return std::nullopt;
-        }
-        tcp.payload = data.subspan(ihl + data_offset, l4_len - data_offset);
-        out.l4 = tcp;
-        return out;
-      }
-      case IpProtocol::kIcmp: {
-        IcmpInfo icmp;
-        icmp.type = l4.read_u8();
-        icmp.code = l4.read_u8();
-        l4.skip(2);  // checksum
-        icmp.payload = data.subspan(ihl + kIcmpHeaderSize,
-                                    l4_len - kIcmpHeaderSize);
-        out.l4 = icmp;
-        return out;
-      }
-      default:
-        return std::nullopt;
-    }
-  } catch (const util::BufferUnderflow&) {
+  // One length check covers every fixed-offset load of the base header.
+  if (data.size() < kIpv4HeaderSize || (data[0] >> 4) != 4) {
     return std::nullopt;
+  }
+  const std::size_t ihl = (data[0] & 0x0f) * std::size_t{4};
+  const std::uint16_t total_length = util::load_be16(data, 2);
+  if (ihl < kIpv4HeaderSize || total_length < ihl ||
+      total_length > data.size()) {
+    return std::nullopt;
+  }
+  const auto protocol = static_cast<IpProtocol>(data[9]);
+  DecodedPacket out;
+  out.ip = {Ipv4Address(util::load_be32(data, 12)),
+            Ipv4Address(util::load_be32(data, 16)),
+            protocol,
+            data[8],
+            util::load_be16(data, 4),
+            total_length};
+  // Options (IHL > 5) are skipped; the L4 header starts at `ihl`.
+  const auto l4 = data.subspan(ihl, total_length - ihl);
+
+  switch (protocol) {
+    case IpProtocol::kUdp: {
+      if (l4.size() < kUdpHeaderSize) return std::nullopt;
+      const std::uint16_t udp_len = util::load_be16(l4, 4);
+      if (udp_len < kUdpHeaderSize || udp_len > l4.size()) return std::nullopt;
+      out.l4 = UdpInfo{util::load_be16(l4, 0), util::load_be16(l4, 2),
+                       l4.subspan(kUdpHeaderSize, udp_len - kUdpHeaderSize)};
+      return out;
+    }
+    case IpProtocol::kTcp: {
+      // Data offset 5..15 words, and the header it names must fit.
+      if (l4.size() < kTcpHeaderSize) return std::nullopt;
+      const std::size_t data_offset = (l4[12] >> 4) * std::size_t{4};
+      if (data_offset < kTcpHeaderSize || data_offset > l4.size()) {
+        return std::nullopt;
+      }
+      out.l4 = TcpInfo{util::load_be16(l4, 0), util::load_be16(l4, 2),
+                       util::load_be32(l4, 4), util::load_be32(l4, 8),
+                       l4[13], l4.subspan(data_offset)};
+      return out;
+    }
+    case IpProtocol::kIcmp: {
+      if (l4.size() < kIcmpHeaderSize) return std::nullopt;
+      out.l4 = IcmpInfo{l4[0], l4[1], l4.subspan(kIcmpHeaderSize)};
+      return out;
+    }
+    default:
+      return std::nullopt;
   }
 }
 

@@ -14,6 +14,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/bytes.hpp"
+
 namespace quicsand::quic {
 
 class ConnectionId {
@@ -27,10 +29,8 @@ class ConnectionId {
       throw std::invalid_argument("ConnectionId: longer than 20 bytes");
     }
     length_ = static_cast<std::uint8_t>(bytes.size());
-    // Zero-length CIDs are valid and may carry bytes.data() == nullptr,
-    // which memcpy forbids even for size 0.
-    // lint:allow(raw-memcpy): bounded copy into the inline buffer
-    if (length_ > 0) std::memcpy(data_.data(), bytes.data(), bytes.size());
+    // Inlined: the dissector builds two CIDs per long-header packet.
+    util::copy_short(data_, bytes);
   }
 
   [[nodiscard]] std::size_t size() const { return length_; }

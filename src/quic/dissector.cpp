@@ -1,5 +1,7 @@
 #include "quic/dissector.hpp"
 
+#include <algorithm>
+
 #include "quic/frames.hpp"
 #include "quic/gquic.hpp"
 #include "quic/initial_aead.hpp"
@@ -80,13 +82,9 @@ const char* quic_packet_kind_name(QuicPacketKind kind) {
   return "?";
 }
 
-DissectResult dissect_udp_payload(std::span<const std::uint8_t> payload,
-                                  const DissectOptions& options) {
-  DissectResult result;
-  if (payload.empty()) {
-    result.reject_reason = "empty";
-    return result;
-  }
+const char* walk_udp_payload(std::span<const std::uint8_t> payload,
+                             PacketSink& sink, const DissectOptions& options) {
+  if (payload.empty()) return "empty";
 
   const std::uint8_t first = payload[0];
   if (!is_long_header_byte(first)) {
@@ -97,9 +95,8 @@ DissectResult dissect_udp_payload(std::span<const std::uint8_t> payload,
       DissectedPacket pkt;
       pkt.kind = QuicPacketKind::kShort;
       pkt.size = payload.size();
-      result.is_quic = true;
-      result.packets.push_back(pkt);
-      return result;
+      sink.on_packet(pkt);
+      return nullptr;
     }
     // Legacy gQUIC (Q043-style public header): no fixed bit; the flags
     // byte selects connection id / version / packet number length. This
@@ -110,72 +107,57 @@ DissectResult dissect_udp_payload(std::span<const std::uint8_t> payload,
       pkt.version = gquic->version;
       pkt.dcid = gquic->connection_id;
       pkt.size = payload.size();
-      result.is_quic = true;
-      result.packets.push_back(pkt);
-      return result;
+      sink.on_packet(pkt);
+      return nullptr;
     }
-    result.reject_reason = has_fixed_bit(first)
-                               ? "short-header-too-small"
-                               : "short-header-without-fixed-bit";
-    return result;
+    return has_fixed_bit(first) ? "short-header-too-small"
+                                : "short-header-without-fixed-bit";
   }
 
   // Long header form. gQUIC uses the same top bit in some versions;
   // check the version field family first.
   if (payload.size() >= 5) {
-    const std::uint32_t version =
-        (std::uint32_t{payload[1]} << 24) | (std::uint32_t{payload[2]} << 16) |
-        (std::uint32_t{payload[3]} << 8) | std::uint32_t{payload[4]};
+    const std::uint32_t version = util::load_be32(payload, 1);
     if (version_family(version) == VersionFamily::kGquic) {
       DissectedPacket pkt;
       pkt.kind = QuicPacketKind::kGquic;
       pkt.version = version;
       pkt.size = payload.size();
-      result.is_quic = true;
-      result.packets.push_back(pkt);
-      return result;
+      sink.on_packet(pkt);
+      return nullptr;
     }
     if (version_family(version) == VersionFamily::kUnknown &&
         !is_grease_version(version)) {
-      result.reject_reason = "unknown-version";
-      return result;
+      return "unknown-version";
     }
   }
 
   // Walk coalesced long-header packets.
   std::size_t offset = 0;
+  std::size_t walked = 0;
   while (offset < payload.size()) {
     // Trailing zero padding after a coalesced packet is allowed.
-    if (payload[offset] == 0x00) {
-      bool all_zero = true;
-      for (std::size_t i = offset; i < payload.size(); ++i) {
-        if (payload[i] != 0) {
-          all_zero = false;
-          break;
-        }
-      }
-      if (all_zero && !result.packets.empty()) break;
+    const auto rest = payload.subspan(offset);
+    if (walked > 0 &&
+        std::all_of(rest.begin(), rest.end(),
+                    [](std::uint8_t b) { return b == 0; })) {
+      break;
     }
     if (!is_long_header_byte(payload[offset])) {
       // A short-header packet may terminate a coalesced datagram.
-      if (!result.packets.empty() && has_fixed_bit(payload[offset])) {
+      if (walked > 0 && has_fixed_bit(payload[offset])) {
         DissectedPacket pkt;
         pkt.kind = QuicPacketKind::kShort;
-        pkt.size = payload.size() - offset;
-        result.packets.push_back(pkt);
+        pkt.size = rest.size();
+        sink.on_packet(pkt);
+        ++walked;
         break;
       }
-      result.reject_reason = "bad-coalesced-packet";
-      result.packets.clear();
-      return result;
+      return "bad-coalesced-packet";
     }
     ParseError error{};
     const auto view = parse_long_header(payload, offset, &error);
-    if (!view) {
-      result.reject_reason = parse_error_name(error);
-      result.packets.clear();
-      return result;
-    }
+    if (!view) return parse_error_name(error);
     DissectedPacket pkt;
     pkt.kind = view->is_version_negotiation()
                    ? QuicPacketKind::kVersionNegotiation
@@ -188,13 +170,29 @@ DissectResult dissect_udp_payload(std::span<const std::uint8_t> payload,
     if (pkt.kind == QuicPacketKind::kInitial && options.decrypt_initials) {
       pkt.direction = classify_initial(payload, *view);
     }
-    result.packets.push_back(pkt);
+    sink.on_packet(pkt);
+    ++walked;
     offset = view->packet_end;
   }
+  return walked > 0 ? nullptr : "no-packets";
+}
 
-  result.is_quic = !result.packets.empty();
-  if (!result.is_quic && result.reject_reason.empty()) {
-    result.reject_reason = "no-packets";
+DissectResult dissect_udp_payload(std::span<const std::uint8_t> payload,
+                                  const DissectOptions& options) {
+  struct Collector final : PacketSink {
+    explicit Collector(std::vector<DissectedPacket>& out) : packets(out) {}
+    void on_packet(const DissectedPacket& packet) override {
+      packets.push_back(packet);
+    }
+    std::vector<DissectedPacket>& packets;
+  };
+  DissectResult result;
+  Collector collector(result.packets);
+  if (const char* reason = walk_udp_payload(payload, collector, options)) {
+    result.packets.clear();
+    result.reject_reason = reason;
+  } else {
+    result.is_quic = true;
   }
   return result;
 }

@@ -8,6 +8,11 @@
 // ("deep" mode) to classify the direction of an Initial — this is how the
 // analysis implements the paper's §6 check that backscatter Initials do
 // not contain an unencrypted TLS Client Hello.
+//
+// One walk, walk_udp_payload(), does the work and hands each packet to a
+// caller-supplied sink. The classifier folds it straight into a record
+// without touching the heap; dissect_udp_payload() collects it into a
+// DissectResult for callers that want the packet list.
 #pragma once
 
 #include <cstdint>
@@ -63,6 +68,28 @@ struct DissectOptions {
   bool decrypt_initials = false;
 };
 
+/// Receives the packets of one datagram from walk_udp_payload(), in wire
+/// order.
+class PacketSink {
+ public:
+  virtual void on_packet(const DissectedPacket& packet) = 0;
+
+ protected:
+  ~PacketSink() = default;
+};
+
+/// Walk the (possibly coalesced) packets of one UDP payload, handing each
+/// to `sink`. Returns nullptr when the payload is QUIC, else the reason it
+/// is not (a static string). A payload can be rejected after the sink has
+/// seen some of its packets (a later coalesced packet is malformed); the
+/// caller then discards them. Allocates nothing unless
+/// `options.decrypt_initials` is set.
+const char* walk_udp_payload(std::span<const std::uint8_t> payload,
+                             PacketSink& sink,
+                             const DissectOptions& options = {});
+
+/// The walk, collected: every packet of an accepted payload, or none and
+/// the reject reason.
 DissectResult dissect_udp_payload(std::span<const std::uint8_t> payload,
                                   const DissectOptions& options = {});
 

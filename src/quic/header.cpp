@@ -6,7 +6,6 @@
 
 namespace quicsand::quic {
 
-using util::ByteReader;
 using util::ByteWriter;
 
 const char* packet_type_name(PacketType type) {
@@ -100,79 +99,76 @@ std::optional<LongHeaderView> parse_long_header(
     return std::nullopt;
   };
   if (offset >= data.size()) return fail(ParseError::kTruncated);
+  const auto p = data.subspan(offset);
+  const std::uint8_t first = p[0];
+  if (!is_long_header_byte(first)) return fail(ParseError::kNotLongHeader);
+  if (p.size() < 5) return fail(ParseError::kTruncated);
 
-  try {
-    ByteReader r(data.subspan(offset));
-    const std::uint8_t first = r.read_u8();
-    if (!is_long_header_byte(first)) return fail(ParseError::kNotLongHeader);
+  LongHeaderView view;
+  view.packet_start = offset;
+  view.version = util::load_be32(p, 1);
+  // Version Negotiation: version == 0, fixed bit may be anything.
+  if (view.version != 0 && !has_fixed_bit(first)) {
+    return fail(ParseError::kFixedBitClear);
+  }
 
-    LongHeaderView view;
-    view.packet_start = offset;
-    view.version = r.read_u32().to_host();
-
-    // Version Negotiation: version == 0, fixed bit may be anything.
-    if (view.version == 0) {
-      const std::size_t dcid_len = r.read_u8();
-      if (dcid_len > ConnectionId::kMaxSize) {
-        return fail(ParseError::kBadConnectionIdLength);
-      }
-      view.dcid = ConnectionId(r.read_bytes(dcid_len));
-      const std::size_t scid_len = r.read_u8();
-      if (scid_len > ConnectionId::kMaxSize) {
-        return fail(ParseError::kBadConnectionIdLength);
-      }
-      view.scid = ConnectionId(r.read_bytes(scid_len));
-      if (r.remaining() % 4 != 0 || r.remaining() == 0) {
-        return fail(ParseError::kBadLength);
-      }
-      while (!r.empty()) view.supported_versions.push_back(r.read_u32().to_host());
-      view.packet_end = data.size();
-      return view;
-    }
-
-    if (!has_fixed_bit(first)) return fail(ParseError::kFixedBitClear);
-    view.type = static_cast<PacketType>((first >> 4) & 0x03);
-
-    const std::size_t dcid_len = r.read_u8();
-    if (dcid_len > ConnectionId::kMaxSize) {
+  // DCID and SCID, each a length byte then up to 20 bytes. `pos` is the
+  // offset in `p` of the next unread byte.
+  std::size_t pos = 5;
+  for (ConnectionId* cid : {&view.dcid, &view.scid}) {
+    if (pos >= p.size()) return fail(ParseError::kTruncated);
+    const std::size_t cid_len = p[pos];
+    if (cid_len > ConnectionId::kMaxSize) {
       return fail(ParseError::kBadConnectionIdLength);
     }
-    view.dcid = ConnectionId(r.read_bytes(dcid_len));
-    const std::size_t scid_len = r.read_u8();
-    if (scid_len > ConnectionId::kMaxSize) {
-      return fail(ParseError::kBadConnectionIdLength);
-    }
-    view.scid = ConnectionId(r.read_bytes(scid_len));
+    if (p.size() - pos - 1 < cid_len) return fail(ParseError::kTruncated);
+    *cid = ConnectionId(p.subspan(pos + 1, cid_len));
+    pos += 1 + cid_len;
+  }
 
-    if (view.type == PacketType::kRetry) {
-      // Token is everything up to the 16-byte integrity tag.
-      if (r.remaining() < 16) return fail(ParseError::kTruncated);
-      view.retry_token = r.read_bytes(r.remaining() - 16);
-      view.token_length = view.retry_token.size();
-      view.packet_end = data.size();
-      return view;
-    }
-
-    if (view.type == PacketType::kInitial) {
-      const std::uint64_t token_len = read_varint(r);
-      if (token_len > r.remaining()) return fail(ParseError::kTruncated);
-      view.token = r.read_bytes(static_cast<std::size_t>(token_len));
-      view.token_length = static_cast<std::size_t>(token_len);
-    }
-
-    view.length = read_varint(r);
-    view.pn_offset = offset + r.position();
-    // Length counts PN + payload; a protected packet needs at least a
-    // 1-byte PN plus a 16-byte AEAD tag, and a PN sample of 16 bytes
-    // starting 4 bytes in (RFC 9001 §5.4.2).
-    if (view.length < 20 || view.length > r.remaining()) {
+  if (view.is_version_negotiation()) {
+    const std::size_t list_bytes = p.size() - pos;
+    if (list_bytes % 4 != 0 || list_bytes == 0) {
       return fail(ParseError::kBadLength);
     }
-    view.packet_end = view.pn_offset + static_cast<std::size_t>(view.length);
+    view.supported_versions = VersionListView(p.subspan(pos));
+    view.packet_end = data.size();
     return view;
-  } catch (const util::BufferUnderflow&) {
-    return fail(ParseError::kTruncated);
   }
+
+  view.type = static_cast<PacketType>((first >> 4) & 0x03);
+  if (view.type == PacketType::kRetry) {
+    // Token is everything up to the 16-byte integrity tag.
+    if (p.size() - pos < 16) return fail(ParseError::kTruncated);
+    view.retry_token = p.subspan(pos, p.size() - pos - 16);
+    view.token_length = view.retry_token.size();
+    view.packet_end = data.size();
+    return view;
+  }
+
+  if (view.type == PacketType::kInitial) {
+    std::uint64_t token_len = 0;
+    const std::size_t varint_len = decode_varint(p.subspan(pos), token_len);
+    if (varint_len == 0) return fail(ParseError::kTruncated);
+    pos += varint_len;
+    if (token_len > p.size() - pos) return fail(ParseError::kTruncated);
+    view.token_length = static_cast<std::size_t>(token_len);
+    view.token = p.subspan(pos, view.token_length);
+    pos += view.token_length;
+  }
+
+  const std::size_t varint_len = decode_varint(p.subspan(pos), view.length);
+  if (varint_len == 0) return fail(ParseError::kTruncated);
+  pos += varint_len;
+  view.pn_offset = offset + pos;
+  // Length counts PN + payload; a protected packet needs at least a
+  // 1-byte PN plus a 16-byte AEAD tag, and a PN sample of 16 bytes
+  // starting 4 bytes in (RFC 9001 §5.4.2).
+  if (view.length < 20 || view.length > p.size() - pos) {
+    return fail(ParseError::kBadLength);
+  }
+  view.packet_end = view.pn_offset + static_cast<std::size_t>(view.length);
+  return view;
 }
 
 }  // namespace quicsand::quic

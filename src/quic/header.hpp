@@ -70,6 +70,23 @@ HeaderOffsets encode_long_header_into(util::ByteWriter& w,
 /// without serializing (for padding calculations on the hot path).
 std::size_t encoded_long_header_size(const LongHeader& hdr);
 
+/// The version list of a Version Negotiation packet, read in place:
+/// 32-bit big-endian entries over the bytes after the SCID.
+class VersionListView {
+ public:
+  VersionListView() = default;
+  explicit VersionListView(std::span<const std::uint8_t> bytes)
+      : bytes_(bytes) {}
+
+  [[nodiscard]] std::size_t size() const { return bytes_.size() / 4; }
+  [[nodiscard]] std::uint32_t operator[](std::size_t i) const {
+    return util::load_be32(bytes_, 4 * i);
+  }
+
+ private:
+  std::span<const std::uint8_t> bytes_;
+};
+
 /// Header fields readable without removing header protection.
 struct LongHeaderView {
   PacketType type = PacketType::kInitial;
@@ -83,7 +100,7 @@ struct LongHeaderView {
   std::size_t packet_end = 0;     ///< one past this packet (coalescing)
   std::span<const std::uint8_t> token;        ///< Initial only
   std::span<const std::uint8_t> retry_token;  ///< Retry only (sans tag)
-  std::vector<std::uint32_t> supported_versions;  ///< VN only
+  VersionListView supported_versions;         ///< VN only
 
   [[nodiscard]] bool is_version_negotiation() const { return version == 0; }
 };
@@ -100,7 +117,8 @@ const char* parse_error_name(ParseError error);
 
 /// Parse one protected long-header packet starting at `data[offset]`.
 /// Handles Initial / 0-RTT / Handshake / Retry and Version Negotiation.
-/// On success the view's spans point into `data`.
+/// On success the view's spans point into `data`. Reads at fixed offsets
+/// after explicit length checks: never throws, never allocates.
 std::optional<LongHeaderView> parse_long_header(
     std::span<const std::uint8_t> data, std::size_t offset,
     ParseError* error = nullptr);

@@ -40,13 +40,10 @@ void write_varint_with_size(util::ByteWriter& w, std::uint64_t value,
 }
 
 std::uint64_t read_varint(util::ByteReader& r) {
-  const std::uint8_t first = r.read_u8();
-  const int prefix = first >> 6;
-  std::uint64_t value = first & 0x3f;
-  const int extra = (1 << prefix) - 1;
-  for (int i = 0; i < extra; ++i) {
-    value = (value << 8) | r.read_u8();
-  }
+  std::uint64_t value = 0;
+  const std::size_t size = decode_varint(r.rest(), value);
+  if (size == 0) throw util::BufferUnderflow{};
+  r.skip(size);
   return value;
 }
 

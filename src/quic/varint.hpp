@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 
 #include "util/bytes.hpp"
 
@@ -25,6 +26,18 @@ void write_varint(util::ByteWriter& w, std::uint64_t value);
 /// builders use a fixed 2-byte length field so it can be patched later.
 void write_varint_with_size(util::ByteWriter& w, std::uint64_t value,
                             std::size_t size);
+
+/// Decode the varint at the front of `data` into `value`. Returns the
+/// bytes it occupies (1, 2, 4 or 8), or 0 when `data` is too short.
+inline std::size_t decode_varint(std::span<const std::uint8_t> data,
+                                 std::uint64_t& value) {
+  if (data.empty()) return 0;
+  const std::size_t size = std::size_t{1} << (data[0] >> 6);
+  if (data.size() < size) return 0;
+  value = data[0] & 0x3f;
+  for (std::size_t i = 1; i < size; ++i) value = (value << 8) | data[i];
+  return size;
+}
 
 /// Decode the next varint; throws util::BufferUnderflow when truncated.
 std::uint64_t read_varint(util::ByteReader& r);

@@ -2,7 +2,10 @@
 //
 // All wire formats in this project (IPv4, UDP, TCP, ICMP, QUIC, TLS, pcap)
 // are encoded and decoded through these two small classes so that bounds
-// checking lives in exactly one place.
+// checking lives in exactly one place. The per-datagram header parsers
+// (IPv4, QUIC long header) are the exception: they check a header's
+// length once, explicitly, then read it with the fixed-offset loads
+// below, so the classify path never throws.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +51,46 @@ class NetU32 {
  private:
   std::uint32_t host_ = 0;
 };
+
+/// Big-endian loads at a fixed offset. The caller has already checked
+/// that `at + 2` (`at + 4` for load_be32) is at most `data.size()`.
+constexpr std::uint16_t load_be16(std::span<const std::uint8_t> data,
+                                  std::size_t at) {
+  return static_cast<std::uint16_t>((data[at] << 8) | data[at + 1]);
+}
+
+constexpr std::uint32_t load_be32(std::span<const std::uint8_t> data,
+                                  std::size_t at) {
+  return (std::uint32_t{data[at]} << 24) | (std::uint32_t{data[at + 1]} << 16) |
+         (std::uint32_t{data[at + 2]} << 8) | std::uint32_t{data[at + 3]};
+}
+
+/// Copy `src`, at most 32 bytes, to the front of `dst` (which must be at
+/// least as long) in fixed-size, possibly overlapping pieces that the
+/// compiler inlines. For short fields copied once per packet, such as
+/// connection IDs, a variable-length libc memcpy call costs more than
+/// the copy itself.
+inline void copy_short(std::span<std::uint8_t> dst,
+                       std::span<const std::uint8_t> src) {
+  const std::size_t n = src.size();
+  if (n > 32 || n > dst.size()) throw std::out_of_range("copy_short");
+  std::uint8_t* d = dst.data();
+  const std::uint8_t* s = src.data();
+  if (n >= 16) {
+    std::memcpy(d, s, 16);
+    std::memcpy(d + n - 16, s + n - 16, 16);
+  } else if (n >= 8) {
+    std::memcpy(d, s, 8);
+    std::memcpy(d + n - 8, s + n - 8, 8);
+  } else if (n >= 4) {
+    std::memcpy(d, s, 4);
+    std::memcpy(d + n - 4, s + n - 4, 4);
+  } else if (n > 0) {
+    d[0] = s[0];
+    d[n / 2] = s[n / 2];
+    d[n - 1] = s[n - 1];
+  }
+}
 
 /// Sequential big-endian reader over a non-owning byte span.
 class ByteReader {

@@ -164,6 +164,66 @@ TEST(ClassifierTest, UndecodableCounted) {
   EXPECT_EQ(classifier.stats().total, 1u);
 }
 
+// 300 coalesced 28-byte Handshake packets (empty CIDs, Length 20): more
+// QUIC packets than the record's 8-bit counts hold. They used to wrap to
+// 300 mod 256 = 44.
+TEST(ClassifierTest, QuicCountsSaturateAt255) {
+  util::ByteWriter payload;
+  for (int i = 0; i < 300; ++i) {
+    payload.write_u8(0xe0);  // long header, fixed bit, Handshake
+    payload.write_u32(1);
+    payload.write_u8(0);     // DCID length
+    payload.write_u8(0);     // SCID length
+    payload.write_u8(20);    // Length: PN + payload
+    payload.write_repeated(0xab, 20);
+  }
+  ASSERT_EQ(payload.size(), 8400u);
+  net::Ipv4Header ip;
+  ip.src = kOutside;
+  ip.dst = kTelescopeAddr;
+  Classifier classifier({});
+  const auto record =
+      classifier.classify({kT0, net::build_udp(ip, 443, 40000, payload.view())});
+  ASSERT_TRUE(record.has_value());
+  EXPECT_EQ(record->cls, TrafficClass::kQuicResponse);
+  EXPECT_EQ(record->quic_packet_count, 255);
+  EXPECT_EQ(record->kind_counts[static_cast<std::size_t>(
+                quic::QuicPacketKind::kHandshake)],
+            255);
+  EXPECT_EQ(record->quic_version, 1u);
+
+  // The session built from it counts 255 Handshakes, not 44.
+  const std::vector<PacketRecord> records = {*record};
+  const auto sessions =
+      build_sessions(records, 5 * util::kMinute, RecordFilter::kQuicResponses);
+  ASSERT_EQ(sessions.size(), 1u);
+  EXPECT_EQ(sessions[0].kind_counts[static_cast<std::size_t>(
+                quic::QuicPacketKind::kHandshake)],
+            255u);
+}
+
+// A capture longer than 65,535 bytes whose IPv4 header declares a
+// 1,000-byte datagram: the record's size is the datagram's, not the
+// capture's (which used to wrap to 70,000 mod 65,536 = 4,464).
+TEST(ClassifierTest, WireSizeIsIpv4TotalLength) {
+  net::Ipv4Header ip;
+  ip.src = kOutside;
+  ip.dst = kTelescopeAddr;
+  auto datagram =
+      net::build_udp(ip, 443, 40000, std::vector<std::uint8_t>(972, 0x5a));
+  ASSERT_EQ(datagram.size(), 1000u);
+  datagram.resize(70000, 0x00);
+  Classifier classifier({});
+  const auto record = classifier.classify({kT0, datagram});
+  ASSERT_TRUE(record.has_value());
+  EXPECT_EQ(record->wire_size, 1000u);
+
+  // Ethernet-style trailer padding after a short datagram is not counted.
+  auto padded = net::build_udp(ip, 5000, 6000, std::vector<std::uint8_t>(4));
+  padded.resize(padded.size() + 14, 0x00);
+  EXPECT_EQ(classifier.classify({kT0, padded})->wire_size, 32u);
+}
+
 std::vector<PacketRecord> classify_all(std::vector<net::RawPacket> packets) {
   Classifier classifier({});
   std::vector<PacketRecord> records;

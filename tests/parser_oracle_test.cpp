@@ -1,0 +1,400 @@
+// Differential oracles for the allocation-free classify path.
+//
+//  * ReferenceParsers: net::decode_ipv4 and quic::parse_long_header,
+//    which read at fixed offsets after explicit length checks, against
+//    the ByteReader-based parsers they replaced (reference_parsers.*),
+//    field by field and ParseError included. Each runs on over 100k
+//    random, mutated, truncated and generator-built inputs, plus the
+//    committed fuzz corpus.
+//  * ClassifierOracle: Classifier::classify's QUIC fields against a fold
+//    over dissect_udp_payload(...).packets, on the DissectorFuzz inputs.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "core/classifier.hpp"
+#include "dissector_fuzz_inputs.hpp"
+#include "fuzz/corpus.hpp"
+#include "fuzz/mutator.hpp"
+#include "net/headers.hpp"
+#include "quic/dissector.hpp"
+#include "quic/header.hpp"
+#include "quic/retry.hpp"
+#include "reference_parsers.hpp"
+#include "scanner/deployment.hpp"
+#include "telescope/generator.hpp"
+#include "util/bytes.hpp"
+#include "util/rng.hpp"
+
+namespace quicsand {
+namespace {
+
+using Bytes = std::vector<std::uint8_t>;
+
+bool same_span(std::span<const std::uint8_t> a,
+               std::span<const std::uint8_t> b) {
+  return a.size() == b.size() && (a.empty() || a.data() == b.data());
+}
+
+// --- Inputs -------------------------------------------------------------
+
+/// Every other datagram of a small generated day (about 47,000):
+/// research passes, botnet scans, QUIC, TCP and ICMP floods,
+/// misconfigured hosts.
+const std::vector<Bytes>& generated_datagrams() {
+  static const std::vector<Bytes> datagrams = [] {
+    auto config = telescope::ScenarioConfig::april2021(1, 7117);
+    config.telescope = {net::Ipv4Address::from_octets(44, 0, 0, 0), 20};
+    config.tum.passes_per_day = 2;
+    config.rwth.passes_per_day = 2;
+    config.attacks.quic_attacks_per_day = 60;
+    config.attacks.common_attacks_per_day = 1;
+    config.botnet.sessions_per_day = 200;
+    config.misconfig.sessions_per_day = 200;
+    const auto registry = asdb::AsRegistry::synthetic({}, 2021);
+    const auto deployment =
+        scanner::Deployment::synthetic(registry, {}, 2021);
+    telescope::TelescopeGenerator generator(config, registry, deployment);
+    std::vector<Bytes> out;
+    std::size_t index = 0;
+    generator.generate([&](const net::RawPacket& packet) {
+      if (index++ % 2 == 0) out.push_back(packet.data);
+    });
+    return out;
+  }();
+  return datagrams;
+}
+
+/// The committed fuzz corpus of one target.
+std::vector<Bytes> corpus(const std::string& target) {
+  std::vector<Bytes> out;
+  for (auto& entry :
+       fuzz::load_corpus_dir(std::string(QUICSAND_CORPUS_DIR) + "/" + target)) {
+    out.push_back(std::move(entry.data));
+  }
+  return out;
+}
+
+/// Calls `check` on each seed and on four inputs derived from it: a
+/// fuzz-mutator mutation, a few bytes of its first 64 overwritten, a
+/// random-length prefix, and the seed with junk appended (a capture
+/// longer than its datagram).
+template <typename Check>
+void for_each_derived(const std::vector<Bytes>& seeds, std::uint64_t seed,
+                      Check&& check) {
+  util::Rng rng(seed);
+  fuzz::Mutator mutator(rng.fork(1), {.max_size = 2048, .max_stacked = 4});
+  Bytes input;
+  for (const auto& base : seeds) {
+    check(base);
+
+    input = base;
+    mutator.mutate(input);
+    check(input);
+
+    input = base;
+    if (!input.empty()) {
+      const int hits = 1 + static_cast<int>(rng.uniform(3));
+      for (int i = 0; i < hits; ++i) {
+        const auto at = rng.uniform(std::min<std::size_t>(input.size(), 64));
+        input[at] = static_cast<std::uint8_t>(rng.next());
+      }
+    }
+    check(input);
+
+    check(std::span<const std::uint8_t>(base).first(
+        rng.uniform(base.size() + 1)));
+
+    input = base;
+    const auto junk = rng.bytes(1 + rng.uniform(64));
+    input.insert(input.end(), junk.begin(), junk.end());
+    check(input);
+  }
+}
+
+/// Random strings whose first byte is drawn from `firsts` half the time.
+std::vector<Bytes> random_inputs(std::size_t count, std::size_t max_size,
+                                 std::span<const std::uint8_t> firsts,
+                                 std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<Bytes> out;
+  out.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    auto bytes = rng.bytes(rng.uniform(max_size + 1));
+    if (!bytes.empty() && rng.bernoulli(0.5)) {
+      bytes[0] = firsts[rng.uniform(firsts.size())];
+    }
+    out.push_back(std::move(bytes));
+  }
+  return out;
+}
+
+// --- decode_ipv4 vs the reference ---------------------------------------
+
+/// Name of the first field where the two decoders differ, "" if none.
+std::string ipv4_mismatch(std::span<const std::uint8_t> data) {
+  const auto got = net::decode_ipv4(data);
+  const auto want = reference::decode_ipv4(data);
+  if (got.has_value() != want.has_value()) return "accepted";
+  if (!got) return "";
+  if (got->ip.src != want->ip.src) return "ip.src";
+  if (got->ip.dst != want->ip.dst) return "ip.dst";
+  if (got->ip.protocol != want->ip.protocol) return "ip.protocol";
+  if (got->ip.ttl != want->ip.ttl) return "ip.ttl";
+  if (got->ip.identification != want->ip.identification) {
+    return "ip.identification";
+  }
+  if (got->ip.total_length != want->ip.total_length) return "ip.total_length";
+  if (got->l4.index() != want->l4.index()) return "l4 kind";
+  if (got->is_udp()) {
+    const auto &a = got->udp(), &b = want->udp();
+    if (a.src_port != b.src_port || a.dst_port != b.dst_port) {
+      return "udp ports";
+    }
+    if (!same_span(a.payload, b.payload)) return "udp payload";
+  } else if (got->is_tcp()) {
+    const auto &a = got->tcp(), &b = want->tcp();
+    if (a.src_port != b.src_port || a.dst_port != b.dst_port) {
+      return "tcp ports";
+    }
+    if (a.seq != b.seq || a.ack != b.ack) return "tcp seq/ack";
+    if (a.flags != b.flags) return "tcp flags";
+    if (!same_span(a.payload, b.payload)) return "tcp payload";
+  } else {
+    const auto &a = got->icmp(), &b = want->icmp();
+    if (a.type != b.type || a.code != b.code) return "icmp type/code";
+    if (!same_span(a.payload, b.payload)) return "icmp payload";
+  }
+  return "";
+}
+
+TEST(ReferenceParsers, DecodeIpv4MatchesReference) {
+  std::size_t checked = 0;
+  std::size_t accepted = 0;
+  std::size_t mismatches = 0;
+  auto check = [&](std::span<const std::uint8_t> input) {
+    ++checked;
+    if (net::decode_ipv4(input)) ++accepted;
+    const auto field = ipv4_mismatch(input);
+    if (!field.empty() && mismatches++ == 0) {
+      ADD_FAILURE() << "first mismatch, " << field << ", for "
+                    << util::to_hex(input);
+    }
+  };
+  for_each_derived(generated_datagrams(), 101, check);
+  for (const auto& seed : corpus("net_headers")) check(seed);
+  // Every IHL and version nibble, around the 20-byte minimum and up.
+  std::vector<std::uint8_t> firsts;
+  for (int ihl = 0; ihl < 16; ++ihl) {
+    firsts.push_back(static_cast<std::uint8_t>(0x40 | ihl));
+  }
+  firsts.push_back(0x65);
+  for (const auto& input : random_inputs(20000, 96, firsts, 103)) {
+    check(input);
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_GE(checked, 100000u);
+  // Both verdicts are well represented.
+  EXPECT_GT(accepted, checked / 5);
+  EXPECT_LT(accepted, checked * 4 / 5);
+}
+
+// --- parse_long_header vs the reference ---------------------------------
+
+/// Name of the first field where the two parsers differ at `offset`,
+/// "" if none. `next` receives the end of the packet both parsed (0 if
+/// they rejected it).
+std::string long_header_mismatch(std::span<const std::uint8_t> data,
+                                 std::size_t offset, std::size_t* next) {
+  // An out-of-range sentinel: a failed parse must set the error.
+  constexpr auto kUnset = static_cast<quic::ParseError>(-1);
+  quic::ParseError got_error = kUnset;
+  quic::ParseError want_error = kUnset;
+  const auto got = quic::parse_long_header(data, offset, &got_error);
+  const auto want = reference::parse_long_header(data, offset, &want_error);
+  *next = 0;
+  if (got.has_value() != want.has_value()) return "accepted";
+  if (!got) {
+    if (got_error == kUnset) return "error not set";
+    return got_error == want_error ? "" : "error";
+  }
+  if (got->type != want->type) return "type";
+  if (got->version != want->version) return "version";
+  if (got->dcid != want->dcid) return "dcid";
+  if (got->scid != want->scid) return "scid";
+  if (got->token_length != want->token_length) return "token_length";
+  if (got->length != want->length) return "length";
+  if (got->packet_start != want->packet_start) return "packet_start";
+  if (got->pn_offset != want->pn_offset) return "pn_offset";
+  if (got->packet_end != want->packet_end) return "packet_end";
+  if (!same_span(got->token, want->token)) return "token";
+  if (!same_span(got->retry_token, want->retry_token)) return "retry_token";
+  if (got->supported_versions.size() != want->supported_versions.size()) {
+    return "supported_versions.size";
+  }
+  for (std::size_t i = 0; i < want->supported_versions.size(); ++i) {
+    if (got->supported_versions[i] != want->supported_versions[i]) {
+      return "supported_versions[" + std::to_string(i) + "]";
+    }
+  }
+  *next = want->packet_end;
+  return "";
+}
+
+/// Handcrafted long headers the generator never emits: Version
+/// Negotiation lists of 1..64 entries, Retry packets, both with CIDs
+/// from empty to 20 bytes.
+std::vector<Bytes> crafted_long_headers() {
+  util::Rng rng(107);
+  std::vector<Bytes> out;
+  for (std::size_t cid = 0; cid <= quic::ConnectionId::kMaxSize; ++cid) {
+    const quic::ConnectionId dcid(rng.bytes(cid));
+    const quic::ConnectionId scid(rng.bytes(quic::ConnectionId::kMaxSize - cid));
+    util::ByteWriter vn;
+    vn.write_u8(0x80 | static_cast<std::uint8_t>(rng.uniform(128)));
+    vn.write_u32(0);
+    vn.write_u8(static_cast<std::uint8_t>(dcid.size()));
+    vn.write_bytes(dcid.bytes());
+    vn.write_u8(static_cast<std::uint8_t>(scid.size()));
+    vn.write_bytes(scid.bytes());
+    for (std::size_t v = 0; v < 1 + cid * 3; ++v) {
+      vn.write_u32(static_cast<std::uint32_t>(rng.next()));
+    }
+    out.push_back(vn.take());
+    const auto token = rng.bytes(1 + rng.uniform(40));
+    const quic::ConnectionId odcid(rng.bytes(8));
+    out.push_back(quic::build_retry_packet(1, dcid, scid, token, odcid));
+  }
+  return out;
+}
+
+TEST(ReferenceParsers, ParseLongHeaderMatchesReference) {
+  util::Rng rng(127);
+  std::size_t checked = 0;
+  std::size_t accepted = 0;
+  std::size_t mismatches = 0;
+  auto compare_at = [&](std::span<const std::uint8_t> input,
+                        std::size_t offset) {
+    std::size_t next = 0;
+    const auto field = long_header_mismatch(input, offset, &next);
+    if (!field.empty() && mismatches++ == 0) {
+      ADD_FAILURE() << "first mismatch, " << field << ", at offset " << offset
+                    << " of " << util::to_hex(input);
+    }
+    return next;
+  };
+  auto check = [&](std::span<const std::uint8_t> input) {
+    ++checked;
+    // Follow the coalesced packets from offset 0 the way the dissector
+    // does, then try one arbitrary offset (past the end included).
+    std::size_t offset = 0;
+    for (int packets = 0; packets < 300; ++packets) {
+      const std::size_t next = compare_at(input, offset);
+      if (next == 0) break;
+      ++accepted;
+      if (next >= input.size()) break;
+      offset = next;
+    }
+    compare_at(input, rng.uniform(input.size() + 2));
+  };
+
+  // Seeds: every generated UDP payload and the crafted packets.
+  std::vector<Bytes> seeds;
+  for (const auto& datagram : generated_datagrams()) {
+    const auto decoded = net::decode_ipv4(datagram);
+    if (decoded && decoded->is_udp()) {
+      const auto payload = decoded->udp().payload;
+      seeds.emplace_back(payload.begin(), payload.end());
+    }
+  }
+  for (auto& packet : crafted_long_headers()) seeds.push_back(std::move(packet));
+  for_each_derived(seeds, 109, check);
+  for (const auto* target : {"quic_header", "quic_dissect"}) {
+    for (const auto& seed : corpus(target)) check(seed);
+  }
+  // Long-header first bytes of every type, fixed bit set and clear.
+  std::vector<std::uint8_t> firsts;
+  for (int type = 0; type < 4; ++type) {
+    firsts.push_back(static_cast<std::uint8_t>(0xc0 | (type << 4)));
+    firsts.push_back(static_cast<std::uint8_t>(0x80 | (type << 4)));
+  }
+  for (const auto& input : random_inputs(50000, 80, firsts, 113)) {
+    check(input);
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_GE(checked, 100000u);
+  EXPECT_GT(accepted, checked / 10);
+}
+
+// --- Classifier fold vs dissect_udp_payload ---------------------------
+
+/// The classifier's QUIC fields, recomputed from the collected packet
+/// list: counts saturate at 255, the first non-short version, the hash
+/// of the first non-empty SCID.
+core::PacketRecord fold_dissection(std::span<const std::uint8_t> payload) {
+  core::PacketRecord fold;
+  for (const auto& packet : quic::dissect_udp_payload(payload).packets) {
+    auto& kind = fold.kind_counts[static_cast<std::size_t>(packet.kind)];
+    if (kind < 255) ++kind;
+    if (fold.quic_packet_count < 255) ++fold.quic_packet_count;
+    if (fold.quic_version == 0 && packet.kind != quic::QuicPacketKind::kShort) {
+      fold.quic_version = packet.version;
+    }
+    if (!fold.has_scid && !packet.scid.empty()) {
+      fold.has_scid = true;
+      fold.scid_hash = packet.scid.hash();
+    }
+  }
+  return fold;
+}
+
+/// Classify each payload as a response (from port 443) and as a request
+/// (to port 443) and compare the QUIC fields with the fold.
+void expect_classifier_folds_dissection(const std::vector<Bytes>& payloads) {
+  core::Classifier classifier({});
+  net::Ipv4Header ip;
+  ip.src = net::Ipv4Address::from_octets(142, 250, 1, 1);
+  ip.dst = net::Ipv4Address::from_octets(44, 1, 2, 3);
+  std::uint64_t rejected = 0;
+  for (const auto& payload : payloads) {
+    const auto want = fold_dissection(payload);
+    const bool is_quic = quic::dissect_udp_payload(payload).is_quic;
+    if (!is_quic) rejected += 2;
+    for (const bool response : {true, false}) {
+      const auto datagram = response ? net::build_udp(ip, 443, 40000, payload)
+                                     : net::build_udp(ip, 55555, 443, payload);
+      const auto got = classifier.classify(util::Timestamp{}, datagram);
+      ASSERT_TRUE(got.has_value());
+      const auto cls = !is_quic   ? core::TrafficClass::kOther
+                       : response ? core::TrafficClass::kQuicResponse
+                                  : core::TrafficClass::kQuicRequest;
+      ASSERT_EQ(got->cls, cls) << util::to_hex(payload);
+      ASSERT_EQ(got->quic_packet_count, want.quic_packet_count)
+          << util::to_hex(payload);
+      ASSERT_EQ(got->kind_counts, want.kind_counts) << util::to_hex(payload);
+      ASSERT_EQ(got->quic_version, want.quic_version) << util::to_hex(payload);
+      ASSERT_EQ(got->has_scid, want.has_scid) << util::to_hex(payload);
+      ASSERT_EQ(got->scid_hash, want.scid_hash) << util::to_hex(payload);
+    }
+  }
+  EXPECT_EQ(classifier.stats().quic_port_rejects, rejected);
+}
+
+TEST(ClassifierOracle, FoldMatchesDissectionOnRandomBytes) {
+  expect_classifier_folds_dissection(quic::fuzz_inputs::random_payloads());
+}
+
+TEST(ClassifierOracle, FoldMatchesDissectionOnMutatedInitials) {
+  expect_classifier_folds_dissection(quic::fuzz_inputs::mutated_initials());
+}
+
+TEST(ClassifierOracle, FoldMatchesDissectionOnTruncationSweep) {
+  expect_classifier_folds_dissection(quic::fuzz_inputs::truncation_sweep());
+}
+
+}  // namespace
+}  // namespace quicsand

@@ -3,6 +3,7 @@
 // sweeps, and dissector robustness on random and mutated inputs.
 #include <gtest/gtest.h>
 
+#include "dissector_fuzz_inputs.hpp"
 #include "quic/dissector.hpp"
 #include "quic/initial_aead.hpp"
 #include "quic/packets.hpp"
@@ -102,9 +103,7 @@ TEST(VarintProperty, RandomNonMinimalEncodingsDecode) {
 }
 
 TEST(DissectorFuzz, RandomBytesNeverThrow) {
-  util::Rng rng(11);
-  for (int trial = 0; trial < 3000; ++trial) {
-    const auto payload = rng.bytes(rng.uniform(1500));
+  for (const auto& payload : fuzz_inputs::random_payloads()) {
     DissectResult result;
     ASSERT_NO_THROW(result = dissect_udp_payload(payload));
     // Whatever the verdict, it must be internally consistent.
@@ -120,30 +119,15 @@ TEST(DissectorFuzz, RandomBytesNeverThrow) {
 }
 
 TEST(DissectorFuzz, MutatedValidPacketsNeverThrow) {
-  util::Rng rng(13);
-  const auto ctx = HandshakeContext::random(1, rng);
-  const auto base =
-      build_client_initial(ctx, "fuzz.example", rng, CryptoFidelity::kFast);
   DissectOptions deep;
   deep.decrypt_initials = true;
-  for (int trial = 0; trial < 2000; ++trial) {
-    auto mutated = base;
-    const int flips = 1 + static_cast<int>(rng.uniform(8));
-    for (int f = 0; f < flips; ++f) {
-      const auto bit = rng.uniform(mutated.size() * 8);
-      mutated[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-    }
+  for (const auto& mutated : fuzz_inputs::mutated_initials()) {
     ASSERT_NO_THROW((void)dissect_udp_payload(mutated, deep));
   }
 }
 
 TEST(DissectorFuzz, TruncationSweepNeverThrows) {
-  util::Rng rng(17);
-  const auto ctx = HandshakeContext::random(0xff00001d, rng);
-  auto datagram = build_server_initial_handshake(ctx, rng,
-                                                 CryptoFidelity::kFast);
-  for (std::size_t len = 0; len <= datagram.size(); ++len) {
-    const std::span<const std::uint8_t> prefix(datagram.data(), len);
+  for (const auto& prefix : fuzz_inputs::truncation_sweep()) {
     ASSERT_NO_THROW((void)dissect_udp_payload(prefix));
   }
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "quic/varint.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
@@ -33,6 +35,21 @@ TEST(ConnectionIdTest, RejectsOversized) {
   EXPECT_THROW(ConnectionId id(too_long), std::invalid_argument);
   const std::vector<std::uint8_t> max(20, 0xab);
   EXPECT_NO_THROW(ConnectionId id(max));
+}
+
+TEST(ConnectionIdTest, HoldsEveryLengthExactly) {
+  std::vector<std::uint8_t> bytes;
+  for (std::size_t n = 0; n <= ConnectionId::kMaxSize; ++n) {
+    const ConnectionId id(bytes);
+    ASSERT_EQ(id.size(), n);
+    EXPECT_TRUE(std::equal(id.bytes().begin(), id.bytes().end(),
+                           bytes.begin(), bytes.end()));
+    // One byte more is a different ID, also when that byte is zero.
+    bytes.push_back(static_cast<std::uint8_t>(n == 10 ? 0 : 0xa0 + n));
+    if (n < ConnectionId::kMaxSize) {
+      EXPECT_NE(id, ConnectionId(bytes));
+    }
+  }
 }
 
 TEST(ConnectionIdTest, HashAndOrdering) {

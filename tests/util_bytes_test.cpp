@@ -89,6 +89,29 @@ TEST(ByteWriter, WriteRepeated) {
   EXPECT_EQ(w.view()[4], 0x00);
 }
 
+TEST(FixedOffsetLoads, ReadBigEndianAtOffset) {
+  const std::uint8_t data[] = {0xff, 0x01, 0x02, 0x03, 0x04, 0xee};
+  EXPECT_EQ(load_be16(data, 1), 0x0102);
+  EXPECT_EQ(load_be32(data, 1), 0x01020304u);
+  EXPECT_EQ(load_be32(data, 2), 0x020304eeu);
+}
+
+TEST(CopyShort, CopiesEveryLengthAndNothingPastIt) {
+  std::uint8_t src[32];
+  for (int i = 0; i < 32; ++i) src[i] = static_cast<std::uint8_t>(i + 1);
+  for (std::size_t n = 0; n <= 32; ++n) {
+    std::uint8_t dst[40] = {};
+    copy_short(dst, std::span<const std::uint8_t>(src, n));
+    for (std::size_t i = 0; i < 40; ++i) {
+      ASSERT_EQ(dst[i], i < n ? src[i] : 0) << "n=" << n << " i=" << i;
+    }
+  }
+  copy_short(std::span<std::uint8_t>{}, {});  // empty, null data
+  std::uint8_t small[4];
+  EXPECT_THROW(copy_short(small, std::span<const std::uint8_t>(src, 5)),
+               std::out_of_range);
+}
+
 TEST(Hex, EncodeDecodeRoundTrip) {
   const std::vector<std::uint8_t> data = {0x00, 0xff, 0x10, 0xab};
   EXPECT_EQ(to_hex(data), "00ff10ab");
