@@ -5,10 +5,8 @@
 //   ./analyze_pcap --emit capture.pcap [--days N] [--seed S]
 //       generate a synthetic telescope capture (LINKTYPE_RAW)
 //   ./analyze_pcap --in capture.pcap [--window-start EPOCH] [--days N]
-//       classify, sessionize and report on an existing capture
-//       (LINKTYPE_RAW or LINKTYPE_ETHERNET)
-#include <cstring>
-#include <fstream>
+//       classify, sessionize and report on an existing capture: classic
+//       pcap or pcapng, raw IPv4 or Ethernet (802.1Q/802.1ad tags too)
 #include <iostream>
 #include <string>
 
@@ -17,7 +15,6 @@
 #include "core/parallel_pipeline.hpp"
 #include "core/report.hpp"
 #include "net/pcap.hpp"
-#include "net/pcapng.hpp"
 #include "obs/metrics.hpp"
 #include "scanner/deployment.hpp"
 #include "telescope/generator.hpp"
@@ -141,26 +138,10 @@ int analyze(const Args& args) {
       *net::Ipv4Prefix::parse("137.226.0.0/16"));
   core::ParallelPipeline pipeline(options, /*shards=*/0);
 
-  // Auto-detect classic pcap vs pcapng by the first 4 bytes.
-  std::uint64_t n = 0;
-  {
-    std::ifstream probe(args.in, std::ios::binary);
-    std::uint8_t magic[4] = {0, 0, 0, 0};
-    probe.read(reinterpret_cast<char*>(magic), 4);
-    const bool pcapng = magic[0] == 0x0a && magic[1] == 0x0d &&
-                        magic[2] == 0x0d && magic[3] == 0x0a;
-    if (pcapng) {
-      net::PcapngReader reader(args.in);
-      reader.set_metrics(&metrics);
-      n = reader.for_each(
-          [&](const net::RawPacket& packet) { pipeline.consume(packet); });
-    } else {
-      net::PcapReader reader(args.in);
-      reader.set_metrics(&metrics);
-      n = reader.for_each(
-          [&](const net::RawPacket& packet) { pipeline.consume(packet); });
-    }
-  }
+  net::PcapReader reader(args.in);
+  reader.set_metrics(&metrics);
+  const std::uint64_t n = reader.for_each(
+      [&](const net::RawPacket& packet) { pipeline.consume(packet); });
   std::cout << "read " << n << " packets from " << args.in << "\n\n";
 
   const auto& stats = pipeline.stats();

@@ -11,7 +11,7 @@
 #include "net/headers.hpp"
 #include "net/live/frame.hpp"
 #include "net/pcap.hpp"
-#include "net/pcapng.hpp"
+#include "obs/metrics.hpp"
 #include "quic/dissector.hpp"
 #include "quic/header.hpp"
 #include "quic/transport_params.hpp"
@@ -256,35 +256,43 @@ void fuzz_net_headers(std::span<const std::uint8_t> data) {
   }
 }
 
-/// Shared by the pcap and pcapng targets: drain a reader, feeding every
-/// packet into the IPv4 decoder like analyze_pcap does. The readers'
-/// documented failure mode is std::runtime_error; anything else escapes
-/// and crashes the driver.
-template <typename Reader>
+/// Shared by the pcap and pcapng targets: drain the reader, feeding
+/// every packet into the IPv4 decoder like analyze_pcap does, then check
+/// that its counters saw exactly the packets next() returned. The
+/// reader's documented failure mode is std::runtime_error; anything else
+/// escapes and crashes the driver.
 void drain_capture_reader(std::span<const std::uint8_t> data,
                           const char* target) {
   std::istringstream stream(
       std::string(reinterpret_cast<const char*>(data.data()), data.size()));
+  obs::MetricsRegistry metrics;
+  std::uint64_t packets = 0;
+  std::uint64_t bytes = 0;
   try {
-    Reader reader(stream);
-    int packets = 0;
+    net::PcapReader reader(stream);
+    reader.set_metrics(&metrics);
     while (auto packet = reader.next()) {
       QUICSAND_FUZZ_CHECK(packet->data.size() <= data.size(), target,
                           "record larger than the whole capture");
       net::decode_ipv4(packet->data);
+      bytes += packet->data.size();
       if (++packets > 16384) break;
     }
   } catch (const std::runtime_error&) {
     // Malformed capture: the documented failure mode.
   }
+  QUICSAND_FUZZ_CHECK(metrics.counter("pcap.packets_read").value() == packets,
+                      target, "pcap.packets_read differs from next()");
+  QUICSAND_FUZZ_CHECK(metrics.counter("pcap.bytes_read").value() == bytes,
+                      target, "pcap.bytes_read differs from next()");
 }
 
 void fuzz_pcap(std::span<const std::uint8_t> data) {
-  drain_capture_reader<net::PcapReader>(data, "pcap");
+  drain_capture_reader(data, "pcap");
 }
 
 void fuzz_pcapng(std::span<const std::uint8_t> data) {
-  drain_capture_reader<net::PcapngReader>(data, "pcapng");
+  drain_capture_reader(data, "pcapng");
 }
 
 constexpr FuzzTarget kTargets[] = {
@@ -293,7 +301,7 @@ constexpr FuzzTarget kTargets[] = {
     {"net_headers", fuzz_net_headers,
      "net::decode_ipv4 + checksum verification + ICMP quote parsing"},
     {"pcap", fuzz_pcap, "net::PcapReader over an in-memory capture"},
-    {"pcapng", fuzz_pcapng, "net::PcapngReader over an in-memory capture"},
+    {"pcapng", fuzz_pcapng, "net::PcapReader over an in-memory pcapng capture"},
     {"quic_dissect", fuzz_quic_dissect,
      "quic::dissect_udp_payload, shallow and deep (Initial decryption)"},
     {"quic_header", fuzz_quic_header,

@@ -642,7 +642,7 @@ RuleSet default_rules() {
       {"core", {"asdb", "net", "obs", "quic", "scanner"}},
       {"telescope",
        {"asdb", "core", "net", "quic", "scanner", "threat"}},
-      {"fuzz", {"net", "net/live", "quic"}},
+      {"fuzz", {"net", "net/live", "obs", "quic"}},
   };
   // Signal-handler stop flags in the examples: a sig_atomic_t-style
   // global is the one legitimate namespace-scope mutable.

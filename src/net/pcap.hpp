@@ -1,18 +1,27 @@
-// Classic libpcap file format (.pcap) reader and writer.
+// Capture files: a classic pcap writer and one reader for classic pcap
+// and pcapng.
 //
-// Implemented from the format specification (the 24-byte global header
-// with magic 0xa1b2c3d4 followed by 16-byte per-record headers). We write
-// LINKTYPE_RAW (101): records are bare IPv4 datagrams, which is the
-// natural format for telescope data and avoids synthesizing Ethernet
-// headers. The reader also accepts LINKTYPE_ETHERNET (1) and strips the
-// 14-byte Ethernet header so real captures can be analyzed.
+// We write LINKTYPE_RAW (101) classic pcap: bare IPv4 datagrams, the
+// natural format for telescope data. The reader tells the formats apart
+// by the first four bytes, so analyze_pcap takes what an operator's
+// tooling wrote: classic pcap in either byte order with µs or ns stamps,
+// and pcapng Section Header (byte order per section), Interface
+// Description (link type, `if_tsresol`) and Enhanced Packet Blocks.
+// Simple Packet Blocks carry no timestamp, which sessionization needs, so
+// they are skipped and counted like other blocks. Classic pcap reads as a
+// capture with one interface (its link type, 10^6 or 10^9 ticks per
+// second), so both formats share the interface table, timestamp
+// conversion, link-layer step (Ethernet header and 802.1Q/802.1ad tags
+// stripped) and `pcap.*` counters.
 #pragma once
 
 #include <cstdint>
 #include <fstream>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "net/packet.hpp"
 #include "obs/hooks.hpp"
@@ -23,6 +32,12 @@ constexpr std::uint32_t kPcapMagicMicros = 0xa1b2c3d4;
 constexpr std::uint32_t kPcapMagicNanos = 0xa1b23c4d;
 constexpr std::uint32_t kLinktypeEthernet = 1;
 constexpr std::uint32_t kLinktypeRaw = 101;
+
+constexpr std::uint32_t kPcapngSectionHeader = 0x0a0d0d0a;
+constexpr std::uint32_t kPcapngInterfaceDescription = 0x00000001;
+constexpr std::uint32_t kPcapngSimplePacket = 0x00000003;
+constexpr std::uint32_t kPcapngEnhancedPacket = 0x00000006;
+constexpr std::uint32_t kPcapngByteOrderMagic = 0x1a2b3c4d;
 
 class PcapWriter {
  public:
@@ -42,43 +57,71 @@ class PcapWriter {
 
 class PcapReader {
  public:
-  /// Opens `path` and parses the global header.
-  /// Throws std::runtime_error on open failure or bad magic.
+  /// Opens `path` and reads the classic header or the first Section
+  /// Header Block. Throws std::runtime_error on open failure, bad magic
+  /// or a classic link type other than raw IPv4 and Ethernet.
   explicit PcapReader(const std::string& path);
 
-  /// Reads from a caller-owned stream (in-memory captures, sockets,
-  /// fuzz drivers). The stream must outlive the reader. Throws
-  /// std::runtime_error on bad magic, like the file constructor.
+  /// Reads from a caller-owned stream, which must outlive the reader
+  /// (in-memory captures, fuzz drivers). Throws like the file constructor.
   explicit PcapReader(std::istream& in);
 
-  /// Read the next record as a raw IPv4 datagram (Ethernet stripped when
-  /// the capture is LINKTYPE_ETHERNET). Returns nullopt at end of file.
-  /// Throws std::runtime_error on a truncated record.
+  /// Next packet as a raw IPv4 datagram, skipping non-packet blocks and
+  /// packets on interfaces of other link types. nullopt at a clean end of
+  /// file; throws std::runtime_error on truncated or malformed input.
   std::optional<RawPacket> next();
 
-  /// Convenience: invoke `fn` for each remaining packet; returns count.
+  /// Invoke `fn` for each remaining packet; returns the count.
   std::uint64_t for_each(const std::function<void(const RawPacket&)>& fn);
 
-  [[nodiscard]] std::uint32_t linktype() const { return linktype_; }
+  /// Interface 0's link type (0 before a pcapng capture describes one).
+  [[nodiscard]] std::uint32_t linktype() const {
+    return interfaces_.empty() ? 0 : interfaces_.front().linktype;
+  }
 
-  /// Attach a metrics registry: counts packets/bytes read, truncated
-  /// records (before the exception) and stripped Ethernet frames under
-  /// "pcap.*". Pass nullptr to detach.
+  /// Interfaces described so far in this section; 1 for classic pcap.
+  [[nodiscard]] std::size_t interface_count() const {
+    return interfaces_.size();
+  }
+
+  /// Attach a metrics registry (the "pcap.*" counters and read latency);
+  /// nullptr detaches.
   void set_metrics(obs::MetricsRegistry* metrics);
 
  private:
-  void read_global_header();
+  struct Interface {
+    std::uint32_t linktype;
+    std::uint64_t ticks_per_second;
+  };
+
+  void open();
+  std::size_t fill(std::size_t n);
+  bool at_end();
+  const std::uint8_t* take(std::size_t n);
+  [[noreturn]] void truncated(const char* what);
+  [[nodiscard]] std::uint16_t u16(const std::uint8_t* p) const;
+  [[nodiscard]] std::uint32_t u32(const std::uint8_t* p) const;
+  bool next_block(std::uint32_t& type, std::span<const std::uint8_t>& body);
+  void add_interface(std::span<const std::uint8_t> body);
+  std::optional<RawPacket> make_packet(const Interface& iface,
+                                       std::uint64_t ticks,
+                                       std::span<const std::uint8_t> frame);
 
   std::ifstream file_;
   std::istream* in_ = nullptr;  ///< &file_ or the caller's stream
-  std::uint32_t linktype_ = kLinktypeRaw;
-  bool nanos_ = false;
-  bool swapped_ = false;
+  std::vector<std::uint8_t> buf_;  ///< unread bytes are [pos_, end_)
+  std::size_t pos_ = 0;
+  std::size_t end_ = 0;
+  bool classic_ = false;
+  bool big_endian_ = false;
+  std::vector<Interface> interfaces_;
   obs::Counter* packets_counter_ = nullptr;
   obs::Counter* bytes_counter_ = nullptr;
   obs::Counter* truncated_counter_ = nullptr;
   obs::Counter* ethernet_counter_ = nullptr;
-  obs::LatencyHistogram* read_us_ = nullptr;  ///< per-record read latency
+  obs::Counter* skipped_blocks_counter_ = nullptr;
+  obs::Counter* linktype_drops_counter_ = nullptr;
+  obs::LatencyHistogram* read_us_ = nullptr;  ///< per-packet read latency
 };
 
 }  // namespace quicsand::net

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 
+#include "capture_writers.hpp"
 #include "core/report.hpp"
 #include "net/pcap.hpp"
 #include "scanner/deployment.hpp"
@@ -84,43 +86,82 @@ TEST(ReportTest, BuildAndPrint) {
 
 TEST(PcapEquivalence, PcapRoundTripMatchesDirectConsumption) {
   const auto config = small_scenario();
-  const auto path =
-      (std::filesystem::temp_directory_path() / "quicsand_equiv.pcap")
-          .string();
+  const auto temp = std::filesystem::temp_directory_path();
+  const auto path = (temp / "quicsand_equiv.pcap").string();
 
-  // Direct path.
+  // Direct path, writing every capture from the same generated stream:
+  // classic pcap, and pcapng little-endian in µs, big-endian in ns, and
+  // with an Ethernet interface (untagged, 802.1Q and 802.1ad+802.1Q).
+  struct Pcapng {
+    const char* name;
+    std::string path;
+    net::TestPcapngWriter writer;
+    std::ofstream out;
+  };
+  Pcapng pcapngs[] = {
+      {"pcapng, little-endian, us", temp / "quicsand_equiv_le.pcapng",
+       net::TestPcapngWriter(), {}},
+      {"pcapng, big-endian, ns", temp / "quicsand_equiv_be.pcapng",
+       net::TestPcapngWriter(/*big_endian=*/true), {}},
+      {"pcapng, Ethernet", temp / "quicsand_equiv_eth.pcapng",
+       net::TestPcapngWriter(), {}},
+  };
+  auto& [le_micros, be_nanos, ethernet] = pcapngs;
+  for (auto& pcapng : pcapngs) {
+    pcapng.out.open(pcapng.path, std::ios::binary | std::ios::trunc);
+    pcapng.writer.section_header();
+  }
+  le_micros.writer.interface_description(net::kLinktypeRaw);
+  be_nanos.writer.interface_description(net::kLinktypeRaw, std::uint8_t{9});
+  ethernet.writer.interface_description(net::kLinktypeEthernet);
+  const std::uint16_t tags[] = {0x88a8, 0x8100};
   core::ParallelPipeline direct(pipeline_options(config), 2);
   {
     telescope::TelescopeGenerator generator(config, registry(), deployment());
     net::PcapWriter writer(path);
+    std::size_t n = 0;
     generator.generate([&](const net::RawPacket& packet) {
       direct.consume(packet);
       writer.write(packet);
+      const auto us = static_cast<std::uint64_t>(packet.timestamp.count());
+      le_micros.writer.enhanced_packet(0, us, packet.data);
+      be_nanos.writer.enhanced_packet(0, us * 1000, packet.data);
+      const auto tagged = std::span<const std::uint16_t>(tags).last(n++ % 3);
+      ethernet.writer.enhanced_packet(
+          0, us, net::ethernet_frame(packet.data, tagged));
+      for (auto& pcapng : pcapngs) pcapng.writer.flush(pcapng.out);
     });
   }
-  // Through the pcap file.
-  core::ParallelPipeline via_pcap(pipeline_options(config), 3);
-  {
-    net::PcapReader reader(path);
-    reader.for_each(
-        [&](const net::RawPacket& packet) { via_pcap.consume(packet); });
-  }
-  std::filesystem::remove(path);
-
-  EXPECT_EQ(direct.stats().total, via_pcap.stats().total);
-  EXPECT_EQ(direct.stats().research, via_pcap.stats().research);
-  for (std::size_t c = 0; c < core::kTrafficClassCount; ++c) {
-    EXPECT_EQ(direct.stats().by_class[c], via_pcap.stats().by_class[c]);
-  }
+  for (auto& pcapng : pcapngs) pcapng.out.close();
   const auto a = direct.analyze_attacks();
-  const auto b = via_pcap.analyze_attacks();
-  ASSERT_EQ(a.quic_attacks.size(), b.quic_attacks.size());
-  ASSERT_EQ(a.common_attacks.size(), b.common_attacks.size());
-  for (std::size_t i = 0; i < a.quic_attacks.size(); ++i) {
-    EXPECT_EQ(a.quic_attacks[i].victim, b.quic_attacks[i].victim);
-    EXPECT_EQ(a.quic_attacks[i].start, b.quic_attacks[i].start);
-    EXPECT_EQ(a.quic_attacks[i].packets, b.quic_attacks[i].packets);
-  }
+
+  // Through each capture.
+  auto check = [&](const char* name, const std::string& capture) {
+    SCOPED_TRACE(name);
+    core::ParallelPipeline via_pcap(pipeline_options(config), 3);
+    {
+      net::PcapReader reader(capture);
+      reader.for_each(
+          [&](const net::RawPacket& packet) { via_pcap.consume(packet); });
+    }
+    std::filesystem::remove(capture);
+
+    EXPECT_EQ(direct.stats().total, via_pcap.stats().total);
+    EXPECT_EQ(direct.stats().research, via_pcap.stats().research);
+    for (std::size_t c = 0; c < core::kTrafficClassCount; ++c) {
+      EXPECT_EQ(direct.stats().by_class[c], via_pcap.stats().by_class[c]);
+    }
+    const auto b = via_pcap.analyze_attacks();
+    ASSERT_EQ(a.quic_attacks.size(), b.quic_attacks.size());
+    ASSERT_EQ(a.common_attacks.size(), b.common_attacks.size());
+    for (std::size_t i = 0; i < a.quic_attacks.size(); ++i) {
+      EXPECT_EQ(a.quic_attacks[i].victim, b.quic_attacks[i].victim);
+      EXPECT_EQ(a.quic_attacks[i].start, b.quic_attacks[i].start);
+      EXPECT_EQ(a.quic_attacks[i].packets, b.quic_attacks[i].packets);
+    }
+  };
+  check("classic pcap", path);
+  for (const auto& pcapng : pcapngs) check(pcapng.name, pcapng.path);
 }
 
 TEST(ReportTest, EmptyPipelineProducesEmptyReport) {

@@ -6,7 +6,9 @@
 #include <filesystem>
 #include <fstream>
 
+#include "capture_writers.hpp"
 #include "net/headers.hpp"
+#include "obs/metrics.hpp"
 
 namespace quicsand::net {
 namespace {
@@ -156,6 +158,66 @@ TEST_F(PcapTest, StripsEthernetHeader) {
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->data, ip_packet);
   EXPECT_EQ(p->timestamp, util::Timestamp{} + 42 * util::kSecond);
+}
+
+// 802.1Q and 802.1ad tags are stripped up to the inner EtherType, so a
+// tagged IPv4 frame decodes; a frame too short for its tags is an error.
+TEST_F(PcapTest, StripsVlanTags) {
+  const auto ip_packet = make_packet(util::Timestamp{}, 9).data;
+  const std::uint16_t dot1q[] = {0x8100};
+  const std::uint16_t qinq[] = {0x88a8, 0x8100};
+  auto short_frame = ethernet_frame({}, dot1q);
+  short_frame.resize(16);  // the tag, but no EtherType after it
+  {
+    PcapWriter writer(path_, kLinktypeEthernet);
+    writer.write({util::Timestamp{}, ethernet_frame(ip_packet, dot1q)});
+    writer.write({util::Timestamp{}, ethernet_frame(ip_packet, qinq)});
+    writer.write({util::Timestamp{}, ethernet_frame(ip_packet, {}, 0x86dd)});
+    writer.write({util::Timestamp{}, short_frame});
+  }
+  PcapReader reader(path_);
+  for (int i = 0; i < 2; ++i) {
+    auto packet = reader.next();
+    ASSERT_TRUE(packet.has_value());
+    EXPECT_EQ(packet->data, ip_packet);
+    EXPECT_TRUE(decode_ipv4(packet->data).has_value());
+  }
+  // Any other EtherType goes on to the classifier, header stripped.
+  auto other = reader.next();
+  ASSERT_TRUE(other.has_value());
+  EXPECT_EQ(other->data, ip_packet);
+  EXPECT_THROW((void)reader.next(), std::runtime_error);
+}
+
+// Every pcap.* counter, exactly, over an Ethernet capture with a
+// truncated tail.
+TEST_F(PcapTest, CountsEveryPcapCounter) {
+  const auto ip_packet = make_packet(util::Timestamp{}, 8).data;
+  {
+    PcapWriter writer(path_, kLinktypeEthernet);
+    for (int i = 0; i < 3; ++i) {
+      writer.write({util::Timestamp{} + i * util::kSecond,
+                    ethernet_frame(ip_packet)});
+    }
+  }
+  // Cut the last record short.
+  std::filesystem::resize_file(path_, std::filesystem::file_size(path_) - 5);
+
+  obs::MetricsRegistry metrics;
+  PcapReader reader(path_);
+  reader.set_metrics(&metrics);
+  EXPECT_TRUE(reader.next().has_value());
+  EXPECT_TRUE(reader.next().has_value());
+  EXPECT_THROW((void)reader.next(), std::runtime_error);
+  const std::vector<std::pair<std::string, std::uint64_t>> expected = {
+      {"pcap.blocks_skipped", 0},
+      {"pcap.bytes_read", 2 * ip_packet.size()},
+      {"pcap.ethernet_stripped", 2},
+      {"pcap.linktype_drops", 0},
+      {"pcap.packets_read", 2},
+      {"pcap.truncated", 1},
+  };
+  EXPECT_EQ(metrics.counter_snapshot(), expected);
 }
 
 }  // namespace

@@ -1,5 +1,3 @@
-#include "net/pcapng.hpp"
-
 #include "net/pcap.hpp"
 
 #include <gtest/gtest.h>
@@ -10,99 +8,12 @@
 #include <fstream>
 #include <sstream>
 
+#include "capture_writers.hpp"
 #include "net/headers.hpp"
+#include "obs/metrics.hpp"
 
 namespace quicsand::net {
 namespace {
-
-/// Minimal pcapng writer for tests (the library itself only reads).
-class TestPcapngWriter {
- public:
-  explicit TestPcapngWriter(bool big_endian = false)
-      : big_endian_(big_endian) {}
-
-  void section_header() {
-    std::vector<std::uint8_t> body;
-    put_u32(body, kPcapngByteOrderMagic);
-    put_u16(body, 1);  // major
-    put_u16(body, 0);  // minor
-    for (int i = 0; i < 8; ++i) body.push_back(0xff);  // section length -1
-    block(kPcapngSectionHeader, body);
-  }
-
-  void interface_description(std::uint16_t linktype,
-                             std::optional<std::uint8_t> tsresol = {}) {
-    std::vector<std::uint8_t> body;
-    put_u16(body, linktype);
-    put_u16(body, 0);  // reserved
-    put_u32(body, 65535);  // snaplen
-    if (tsresol) {
-      put_u16(body, 9);  // if_tsresol
-      put_u16(body, 1);
-      body.push_back(*tsresol);
-      body.push_back(0);  // padding to 4
-      body.push_back(0);
-      body.push_back(0);
-      put_u16(body, 0);  // opt_endofopt
-      put_u16(body, 0);
-    }
-    block(kPcapngInterfaceDescription, body);
-  }
-
-  void enhanced_packet(std::uint32_t interface_id, std::uint64_t ticks,
-                       std::span<const std::uint8_t> data) {
-    std::vector<std::uint8_t> body;
-    put_u32(body, interface_id);
-    put_u32(body, static_cast<std::uint32_t>(ticks >> 32));
-    put_u32(body, static_cast<std::uint32_t>(ticks));
-    put_u32(body, static_cast<std::uint32_t>(data.size()));
-    put_u32(body, static_cast<std::uint32_t>(data.size()));
-    body.insert(body.end(), data.begin(), data.end());
-    while (body.size() % 4 != 0) body.push_back(0);
-    block(kPcapngEnhancedPacket, body);
-  }
-
-  void unknown_block() { block(0x0bad, {0x01, 0x02, 0x03, 0x04}); }
-
-  void save(const std::string& path) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(bytes_.data()),
-              static_cast<std::streamsize>(bytes_.size()));
-  }
-
- private:
-  void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-    if (big_endian_) {
-      out.push_back(static_cast<std::uint8_t>(v >> 8));
-      out.push_back(static_cast<std::uint8_t>(v));
-    } else {
-      out.push_back(static_cast<std::uint8_t>(v));
-      out.push_back(static_cast<std::uint8_t>(v >> 8));
-    }
-  }
-  void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-    if (big_endian_) {
-      for (int i = 3; i >= 0; --i) {
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-      }
-    } else {
-      for (int i = 0; i < 4; ++i) {
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-      }
-    }
-  }
-  void block(std::uint32_t type, std::vector<std::uint8_t> body) {
-    const std::uint32_t total =
-        static_cast<std::uint32_t>(12 + body.size());
-    put_u32(bytes_, type);
-    put_u32(bytes_, total);
-    bytes_.insert(bytes_.end(), body.begin(), body.end());
-    put_u32(bytes_, total);
-  }
-
-  bool big_endian_;
-  std::vector<std::uint8_t> bytes_;
-};
 
 std::vector<std::uint8_t> sample_ip_packet(std::uint16_t sport) {
   Ipv4Header ip;
@@ -135,7 +46,7 @@ TEST_F(PcapngTest, ReadsRawPackets) {
   writer.enhanced_packet(0, 1617235200123456ULL, packet);
   writer.save(path_);
 
-  PcapngReader reader(path_);
+  PcapReader reader(path_);
   auto first = reader.next();
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->timestamp, util::Timestamp{1617235200000000LL});
@@ -160,7 +71,7 @@ TEST_F(PcapngTest, StripsEthernetAndSkipsUnknownBlocks) {
   writer.enhanced_packet(0, 42, frame);
   writer.save(path_);
 
-  PcapngReader reader(path_);
+  PcapReader reader(path_);
   auto packet = reader.next();
   ASSERT_TRUE(packet.has_value());
   EXPECT_EQ(packet->data, ip_packet);
@@ -174,7 +85,7 @@ TEST_F(PcapngTest, HonoursNanosecondTsresol) {
   writer.enhanced_packet(0, 5000000000ULL, packet);  // 5 s in ns
   writer.save(path_);
 
-  PcapngReader reader(path_);
+  PcapReader reader(path_);
   auto read = reader.next();
   ASSERT_TRUE(read.has_value());
   EXPECT_EQ(read->timestamp, util::Timestamp{5000000LL});  // 5 s in µs
@@ -188,7 +99,7 @@ TEST_F(PcapngTest, BigEndianSections) {
   writer.enhanced_packet(0, 77, packet);
   writer.save(path_);
 
-  PcapngReader reader(path_);
+  PcapReader reader(path_);
   auto read = reader.next();
   ASSERT_TRUE(read.has_value());
   EXPECT_EQ(read->data, packet);
@@ -204,7 +115,7 @@ TEST_F(PcapngTest, ForEachCounts) {
                            sample_ip_packet(static_cast<std::uint16_t>(i)));
   }
   writer.save(path_);
-  PcapngReader reader(path_);
+  PcapReader reader(path_);
   std::uint64_t seen = 0;
   EXPECT_EQ(reader.for_each([&](const RawPacket&) { ++seen; }), 7u);
   EXPECT_EQ(seen, 7u);
@@ -216,8 +127,8 @@ TEST_F(PcapngTest, RejectsGarbage) {
     const char junk[32] = {0x42};
     out.write(junk, sizeof(junk));
   }
-  EXPECT_THROW(PcapngReader reader(path_), std::runtime_error);
-  EXPECT_THROW(PcapngReader reader("/nonexistent.pcapng"),
+  EXPECT_THROW(PcapReader reader(path_), std::runtime_error);
+  EXPECT_THROW(PcapReader reader("/nonexistent.pcapng"),
                std::runtime_error);
 }
 
@@ -227,7 +138,7 @@ TEST_F(PcapngTest, RejectsPacketForUnknownInterface) {
   // No interface description at all.
   writer.enhanced_packet(3, 0, sample_ip_packet(1));
   writer.save(path_);
-  PcapngReader reader(path_);
+  PcapReader reader(path_);
   EXPECT_THROW((void)reader.next(), std::runtime_error);
 }
 
@@ -242,7 +153,7 @@ TEST_F(PcapngTest, ReadsFromCallerOwnedStream) {
   std::ostringstream buffer;
   buffer << file.rdbuf();
   std::istringstream in(buffer.str());
-  PcapngReader reader(in);
+  PcapReader reader(in);
   auto read = reader.next();
   ASSERT_TRUE(read.has_value());
   EXPECT_EQ(read->data, packet);
@@ -271,7 +182,7 @@ TEST_F(PcapngTest, RejectsCaplenOverflowingBoundsCheck) {
   const std::size_t caplen_offset = bytes.size() - total + 8 + 4 + 8;
   for (int i = 0; i < 4; ++i) bytes[caplen_offset + i] = '\xff';
   std::istringstream in(bytes);
-  PcapngReader reader(in);
+  PcapReader reader(in);
   EXPECT_THROW((void)reader.next(), std::runtime_error);
 }
 
@@ -284,7 +195,7 @@ TEST_F(PcapngTest, RejectsOverflowingTimestampResolution) {
     writer.interface_description(kLinktypeRaw, tsresol);
     writer.enhanced_packet(0, 1, sample_ip_packet(1));
     writer.save(path_);
-    PcapngReader reader(path_);
+    PcapReader reader(path_);
     EXPECT_THROW((void)reader.next(), std::runtime_error)
         << "tsresol " << int(tsresol);
   }
@@ -297,8 +208,75 @@ TEST_F(PcapngTest, RejectsTimestampBeyondMicrosecondRange) {
   writer.interface_description(kLinktypeRaw, std::uint8_t{0x80});
   writer.enhanced_packet(0, 0xffffffffffffffffULL, sample_ip_packet(1));
   writer.save(path_);
-  PcapngReader reader(path_);
+  PcapReader reader(path_);
   EXPECT_THROW((void)reader.next(), std::runtime_error);
+}
+
+// 802.1Q and 802.1ad tags are stripped up to the inner EtherType, so a
+// tagged IPv4 frame decodes; a frame too short for its tags is an error.
+TEST_F(PcapngTest, StripsVlanTags) {
+  const auto ip_packet = sample_ip_packet(5000);
+  const std::uint16_t dot1q[] = {0x8100};
+  const std::uint16_t qinq[] = {0x88a8, 0x8100};
+  auto short_frame = ethernet_frame({}, dot1q);
+  short_frame.resize(16);  // the tag, but no EtherType after it
+  TestPcapngWriter writer;
+  writer.section_header();
+  writer.interface_description(kLinktypeEthernet);
+  writer.enhanced_packet(0, 1, ethernet_frame(ip_packet, dot1q));
+  writer.enhanced_packet(0, 2, ethernet_frame(ip_packet, qinq));
+  writer.enhanced_packet(0, 3, ethernet_frame(ip_packet, {}, 0x86dd));
+  writer.enhanced_packet(0, 4, short_frame);
+  writer.save(path_);
+
+  PcapReader reader(path_);
+  for (int i = 0; i < 2; ++i) {
+    auto packet = reader.next();
+    ASSERT_TRUE(packet.has_value());
+    EXPECT_EQ(packet->data, ip_packet);
+    EXPECT_TRUE(decode_ipv4(packet->data).has_value());
+  }
+  // Any other EtherType goes on to the classifier, header stripped.
+  auto other = reader.next();
+  ASSERT_TRUE(other.has_value());
+  EXPECT_EQ(other->data, ip_packet);
+  EXPECT_THROW((void)reader.next(), std::runtime_error);
+}
+
+// Every pcap.* counter, exactly, over one capture with an Ethernet
+// interface, an interface of an unsupported link type, a Simple Packet
+// Block, an unknown block and a truncated tail.
+TEST_F(PcapngTest, CountsEveryPcapCounter) {
+  const auto ip_packet = sample_ip_packet(6000);
+  TestPcapngWriter writer;
+  writer.section_header();
+  writer.interface_description(kLinktypeEthernet);
+  writer.interface_description(147);  // LINKTYPE_USER0
+  writer.enhanced_packet(0, 1, ethernet_frame(ip_packet));
+  writer.simple_packet(ip_packet);
+  writer.unknown_block();
+  writer.enhanced_packet(1, 2, ip_packet);
+  writer.enhanced_packet(0, 3, ethernet_frame(ip_packet));
+  writer.enhanced_packet(0, 4, ethernet_frame(ip_packet));
+  auto bytes = writer.bytes();
+  bytes.resize(bytes.size() - 6);  // cut the last block short
+  std::istringstream in(std::string(bytes.begin(), bytes.end()));
+
+  obs::MetricsRegistry metrics;
+  PcapReader reader(in);
+  reader.set_metrics(&metrics);
+  EXPECT_TRUE(reader.next().has_value());
+  EXPECT_TRUE(reader.next().has_value());
+  EXPECT_THROW((void)reader.next(), std::runtime_error);
+  const std::vector<std::pair<std::string, std::uint64_t>> expected = {
+      {"pcap.blocks_skipped", 2},
+      {"pcap.bytes_read", 2 * ip_packet.size()},
+      {"pcap.ethernet_stripped", 2},
+      {"pcap.linktype_drops", 1},
+      {"pcap.packets_read", 2},
+      {"pcap.truncated", 1},
+  };
+  EXPECT_EQ(metrics.counter_snapshot(), expected);
 }
 
 }  // namespace
