@@ -25,7 +25,6 @@
 #include "obs/tsdb.hpp"
 #include "quic/dissector.hpp"
 #include "quic/packets.hpp"
-#include "quic/ack_tracker.hpp"
 #include "quic/gquic.hpp"
 #include "quic/transport_params.hpp"
 #include "quic/varint.hpp"
@@ -186,16 +185,6 @@ void BM_TransportParamsRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_TransportParamsRoundTrip);
 
-void BM_AckTracker_SparseInsert(benchmark::State& state) {
-  util::Rng rng(13);
-  for (auto _ : state) {
-    quic::AckTracker tracker;
-    for (int i = 0; i < 64; ++i) tracker.on_packet(rng.uniform(512));
-    benchmark::DoNotOptimize(tracker.build_ack(0));
-  }
-}
-BENCHMARK(BM_AckTracker_SparseInsert);
-
 void BM_ServerSim_Datagram(benchmark::State& state) {
   server::ServerConfig config;
   config.workers = 128;
@@ -292,9 +281,9 @@ BENCHMARK(BM_Pipeline_Fig06_Observed)
 // One obs::Sampler pass (the 1 s bridge into the /tsdb history) over the
 // registry `monitor --live` builds at Arg(0) shards: its LiveReceiver,
 // wall-clocked ShardedOnlineDetector and Sampler register the counters,
-// gauges, fixed-bucket histogram and latency histograms, each given a
-// value. Arg(1) copies of every metric scale the series count toward
-// the default store's 512-series cap; the store keeps default_tiers().
+// gauges and histograms, each given a value. Arg(1) copies of every
+// metric scale the series count toward the default store's 512-series
+// cap; the store keeps default_tiers().
 // Arg(2) is the idle time before each pass in ms: 0 runs the passes back
 // to back on a warm cache, 1000 is the sampler's cadence, after which
 // the caches are cold. `series` is the series one pass writes.
@@ -316,17 +305,12 @@ void BM_Sampler_Pass(benchmark::State& state) {
   const auto counters = metrics.counter_snapshot();
   const auto gauges = metrics.gauge_snapshot();
   const auto histograms = metrics.histogram_snapshot();
-  const auto latencies = metrics.latency_snapshot();
   for (std::int64_t copy = 0; copy < state.range(1); ++copy) {
     const auto suffix = copy == 0 ? "" : ".copy" + std::to_string(copy);
     for (const auto& c : counters) metrics.counter(c.first + suffix).add(9);
     for (const auto& g : gauges) metrics.gauge(g.first + suffix).set(9);
     for (const auto& totals : histograms) {
-      auto& h = metrics.histogram(totals.name + suffix, obs::size_bounds());
-      for (std::uint64_t v = 1; v <= 1000; ++v) h.observe(v);
-    }
-    for (const auto& totals : latencies) {
-      auto& h = metrics.latency(totals.name + suffix);
+      auto& h = metrics.histogram(totals.name + suffix);
       for (std::uint64_t v = 1; v <= 1000; ++v) h.record(v * 37);
     }
   }

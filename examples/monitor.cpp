@@ -26,8 +26,7 @@
 // Whenever an admin endpoint or live capture is active, a 1 s obs
 // sampler retains every registry metric in an in-process TSDB
 // (multi-resolution ring buffers, see DESIGN.md §11) served at
-// /tsdb/series, /tsdb/query and the /dash sparkline dashboard;
-// tools/quicsand_top is the terminal client for the same endpoints.
+// /tsdb/series, /tsdb/query and the /dash sparkline dashboard.
 //
 // Live capture mode replaces the built-in scenario with real datagrams
 // from a UDP socket (see DESIGN.md §10; flood_lab --send is the matching

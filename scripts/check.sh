@@ -7,9 +7,10 @@
 #   3. build the tsan preset and run the concurrency-sensitive suites
 #      (the QUICSAND_TSAN_SUITES list in tests/CMakeLists.txt) under
 #      ThreadSanitizer
-#   4. build the asan and ubsan presets' fuzz drivers and run a bounded
-#      smoke (FUZZ_SMOKE_ITERATIONS per target, default 500) from the
-#      committed corpus — replays every committed crasher, then fuzzes
+#   4. build the asan and ubsan presets' fuzz drivers (the fuzz_drivers
+#      target in tests/fuzz/CMakeLists.txt) and run a bounded smoke
+#      through ctest (FUZZ_SMOKE_ITERATIONS per target, default 500) from
+#      the committed corpus — replays every committed crasher, then fuzzes
 #   5. run quicsand_lint over every first-party tree (also the `lint`
 #      ctest label), writing the JSON report CI uploads as an artifact;
 #      when clang is installed, run the thread-safety gate
@@ -37,9 +38,6 @@ done
 
 jobs="$(nproc 2>/dev/null || echo 4)"
 
-fuzz_targets="fuzz_live_datagram fuzz_net_headers fuzz_pcap fuzz_pcapng \
-fuzz_quic_dissect fuzz_quic_header fuzz_quic_transport_params \
-fuzz_quic_varint"
 smoke_iters="${FUZZ_SMOKE_ITERATIONS:-500}"
 
 echo "==> configure+build (default preset, -Werror)"
@@ -69,15 +67,10 @@ fi
 if [ "$run_fuzz" = 1 ]; then
   for preset in asan ubsan; do
     echo "==> configure+build fuzz drivers ($preset preset)"
-    cmake --preset "$preset"
-    # shellcheck disable=SC2086
-    cmake --build --preset "$preset" -j "$jobs" --target $fuzz_targets
+    cmake --preset "$preset" -DQUICSAND_FUZZ_ITERATIONS="$smoke_iters"
+    cmake --build --preset "$preset" -j "$jobs" --target fuzz_drivers
     echo "==> fuzz smoke ($preset, $smoke_iters iterations per target)"
-    for target in $fuzz_targets; do
-      name="${target#fuzz_}"
-      "build-$preset/tests/fuzz/$target" \
-        --iterations "$smoke_iters" --corpus "tests/corpus/$name"
-    done
+    ctest --preset "fuzz-$preset" -j "$jobs"
   done
 fi
 

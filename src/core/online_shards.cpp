@@ -49,10 +49,10 @@ ShardedOnlineDetector::ShardedOnlineDetector(
         "online.sessions_evicted", "sessions removed by expiry or finish");
     open_gauge_ =
         &metrics->gauge("online.open_sessions", "sessions currently open");
-    alert_latency_us_ = &metrics->latency(
+    alert_latency_us_ = &metrics->histogram(
         "online.alert_latency_us", "session start to alert, simulation time");
     if (config_.wall_clock) {
-      detect_latency_us_ = &metrics->latency(
+      detect_latency_us_ = &metrics->histogram(
           "live.detect_latency_us",
           "first admitted packet on the wire to alert callback (us)");
     }

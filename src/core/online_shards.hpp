@@ -165,8 +165,8 @@ class ShardedOnlineDetector {
   obs::Counter* attacks_counter_ = nullptr;
   obs::Counter* evictions_counter_ = nullptr;
   obs::Gauge* open_gauge_ = nullptr;  ///< +1 per open, -1 per eviction
-  obs::LatencyHistogram* alert_latency_us_ = nullptr;
-  obs::LatencyHistogram* detect_latency_us_ = nullptr;
+  obs::Histogram* alert_latency_us_ = nullptr;
+  obs::Histogram* detect_latency_us_ = nullptr;
   // Liveness component; each shard heartbeats it every 256 records,
   // idle after finish.
   obs::Health::Component* health_ = nullptr;

@@ -62,22 +62,22 @@ ParallelPipeline::ParallelPipeline(PipelineOptions options,
         "pipeline.records", "sanitized records kept for analysis");
     batches_counter_ =
         &metrics->counter("parallel.batches", "classify batches dispatched");
-    backpressure_wait_us_ = &metrics->latency(
+    backpressure_wait_us_ = &metrics->histogram(
         "parallel.backpressure_wait_us",
         "time the capture loop blocked on in-flight batch backpressure");
-    queue_wait_us_ = &metrics->latency(
+    queue_wait_us_ = &metrics->histogram(
         "parallel.queue_wait_us",
         "time a classify batch waited in the pool queue");
     shard_records_hist_ = &metrics->histogram(
-        "parallel.shard_records", obs::size_bounds(),
+        "parallel.shard_records",
         "records per analysis shard (imbalance indicator)");
-    classify_batch_us_ = &metrics->latency(
+    classify_batch_us_ = &metrics->histogram(
         "parallel.classify_batch_us",
         "wall time a worker spent classifying one batch");
-    sessionize_shard_us_ = &metrics->latency(
+    sessionize_shard_us_ = &metrics->histogram(
         "parallel.sessionize_shard_us",
         "wall time one shard spent in sessionization");
-    analyze_shard_us_ = &metrics->latency(
+    analyze_shard_us_ = &metrics->histogram(
         "parallel.analyze_shard_us",
         "wall time one shard spent in session + attack analysis");
     inflight_gauge_ = &metrics->gauge(
@@ -255,7 +255,7 @@ void ParallelPipeline::lay_out_records() {
   }
   for (std::size_t s = 0; s < shards_; ++s) {
     if (shard_records_hist_ != nullptr) {
-      shard_records_hist_->observe(shard_begin_[s + 1]);
+      shard_records_hist_->record(shard_begin_[s + 1]);
     }
     shard_begin_[s + 1] += shard_begin_[s];
   }
@@ -371,8 +371,8 @@ AttackAnalysis ParallelPipeline::analyze_attacks(
     obs::Span span(options_.obs.tracer, "parallel.merge_analysis");
     const obs::ScopedLatency latency(
         metrics != nullptr
-            ? &metrics->latency("parallel.merge_analysis_us",
-                                "wall time of the final session/attack merge")
+            ? &metrics->histogram("parallel.merge_analysis_us",
+                                  "wall time of the final session/attack merge")
             : nullptr);
     auto response_merge = merge_sessions(std::move(response_parts));
     analysis.quic_attacks =

@@ -162,12 +162,12 @@ class ParallelPipeline {
   obs::Counter* packets_counter_ = nullptr;
   obs::Counter* records_counter_ = nullptr;
   obs::Counter* batches_counter_ = nullptr;
-  obs::LatencyHistogram* backpressure_wait_us_ = nullptr;
-  obs::LatencyHistogram* queue_wait_us_ = nullptr;
+  obs::Histogram* backpressure_wait_us_ = nullptr;
+  obs::Histogram* queue_wait_us_ = nullptr;
   obs::Histogram* shard_records_hist_ = nullptr;
-  obs::LatencyHistogram* classify_batch_us_ = nullptr;
-  obs::LatencyHistogram* sessionize_shard_us_ = nullptr;
-  obs::LatencyHistogram* analyze_shard_us_ = nullptr;
+  obs::Histogram* classify_batch_us_ = nullptr;
+  obs::Histogram* sessionize_shard_us_ = nullptr;
+  obs::Histogram* analyze_shard_us_ = nullptr;
   obs::Gauge* inflight_gauge_ = nullptr;
   obs::Gauge* pending_gauge_ = nullptr;
   // Liveness component; heartbeat per dispatched batch, idle once

@@ -51,20 +51,19 @@ LiveReceiver::LiveReceiver(LiveReceiverConfig config)
     undecodable_counter_ = &metrics->counter(
         "live.undecodable", "payloads without a plausible IPv4 header");
     batch_hist_ = &metrics->histogram("live.batch_packets",
-                                      obs::size_bounds(),
                                       "datagrams per recvmmsg batch");
     ring_depth_gauge_ = &metrics->gauge(
         "live.ring_depth", "occupancy of the fullest shard ring");
-    wire_latency_ = &metrics->latency(
+    wire_latency_ = &metrics->histogram(
         "live.latency.wire_us",
         "QSL2 send stamp -> socket arrival, sampled (us; loopback clock)");
-    ring_latency_ = &metrics->latency(
+    ring_latency_ = &metrics->histogram(
         "live.latency.ring_us",
         "socket arrival -> shard worker pop, sampled (us)");
-    process_latency_ = &metrics->latency(
+    process_latency_ = &metrics->histogram(
         "live.latency.process_us",
         "shard worker pop -> sink return, sampled (us)");
-    e2e_latency_ = &metrics->latency(
+    e2e_latency_ = &metrics->histogram(
         "live.latency.e2e_us",
         "wire send (or arrival) -> sink return, sampled (us)");
     shard_lag_gauges_.reserve(config_.shards);
@@ -149,7 +148,7 @@ void LiveReceiver::receive_loop() {
     if (n < 0) break;      // fatal socket error; stop() still joins cleanly
     if (n == 0) continue;  // timeout or wake
     if (batch_hist_ != nullptr) {
-      batch_hist_->observe(static_cast<std::uint64_t>(n));
+      batch_hist_->record(static_cast<std::uint64_t>(n));
     }
     // One wall-clock read stamps the whole recvmmsg batch: the spread
     // within a batch is microseconds, far below queueing latency.

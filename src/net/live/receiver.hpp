@@ -160,10 +160,10 @@ class LiveReceiver {
   obs::Histogram* batch_hist_ = nullptr;
   obs::Gauge* ring_depth_gauge_ = nullptr;
   // Per-stage latency histograms for sampled datagrams.
-  obs::LatencyHistogram* wire_latency_ = nullptr;     ///< send -> arrival
-  obs::LatencyHistogram* ring_latency_ = nullptr;     ///< arrival -> pop
-  obs::LatencyHistogram* process_latency_ = nullptr;  ///< pop -> sink done
-  obs::LatencyHistogram* e2e_latency_ = nullptr;      ///< send -> sink done
+  obs::Histogram* wire_latency_ = nullptr;     ///< send -> arrival
+  obs::Histogram* ring_latency_ = nullptr;     ///< arrival -> pop
+  obs::Histogram* process_latency_ = nullptr;  ///< pop -> sink done
+  obs::Histogram* e2e_latency_ = nullptr;      ///< send -> sink done
   // Per-shard watermark gauges, indexed by shard.
   std::vector<obs::Gauge*> shard_lag_gauges_;
   std::vector<obs::Gauge*> shard_high_water_gauges_;

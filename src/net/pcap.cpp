@@ -266,7 +266,7 @@ void PcapReader::set_metrics(obs::MetricsRegistry* metrics) {
                                     "packets on unsupported link types");
   read_us_ = metrics == nullptr
                  ? nullptr
-                 : &metrics->latency("pcap.read_us", "wall time per packet");
+                 : &metrics->histogram("pcap.read_us", "wall time per packet");
 }
 
 std::optional<RawPacket> PcapReader::next() {

@@ -121,7 +121,7 @@ class PcapReader {
   obs::Counter* ethernet_counter_ = nullptr;
   obs::Counter* skipped_blocks_counter_ = nullptr;
   obs::Counter* linktype_drops_counter_ = nullptr;
-  obs::LatencyHistogram* read_us_ = nullptr;  ///< per-packet read latency
+  obs::Histogram* read_us_ = nullptr;  ///< per-packet read latency
 };
 
 }  // namespace quicsand::net

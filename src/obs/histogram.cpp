@@ -1,4 +1,4 @@
-#include "obs/latency.hpp"
+#include "obs/histogram.hpp"
 
 #include <bit>
 #include <chrono>
@@ -8,7 +8,7 @@ namespace quicsand::obs {
 namespace {
 
 // Smallest octave with sub-bucketing; values below 2^kOctave0 are exact.
-constexpr unsigned kOctave0 = LatencyHistogram::kSubBucketBits;
+constexpr unsigned kOctave0 = Histogram::kSubBucketBits;
 
 }  // namespace
 
@@ -19,16 +19,16 @@ std::uint64_t steady_us() noexcept {
           .count());
 }
 
-LatencyHistogram::LatencyHistogram()
+Histogram::Histogram()
     : buckets_(new std::atomic<std::uint64_t>[kBuckets]) {
   for (std::size_t i = 0; i < kBuckets; ++i) {
     buckets_[i].store(0, std::memory_order_relaxed);
   }
 }
 
-std::size_t LatencyHistogram::bucket_count() noexcept { return kBuckets; }
+std::size_t Histogram::bucket_count() noexcept { return kBuckets; }
 
-std::size_t LatencyHistogram::index_of(std::uint64_t value) noexcept {
+std::size_t Histogram::index_of(std::uint64_t value) noexcept {
   if (value < kLinear) {
     return static_cast<std::size_t>(value);
   }
@@ -41,7 +41,7 @@ std::size_t LatencyHistogram::index_of(std::uint64_t value) noexcept {
          (static_cast<std::size_t>(sub) - kHalf);
 }
 
-std::uint64_t LatencyHistogram::bucket_lower(std::size_t index) noexcept {
+std::uint64_t Histogram::bucket_lower(std::size_t index) noexcept {
   if (index < kLinear) {
     return static_cast<std::uint64_t>(index);
   }
@@ -52,7 +52,7 @@ std::uint64_t LatencyHistogram::bucket_lower(std::size_t index) noexcept {
   return sub << (exponent - (kSubBucketBits - 1U));
 }
 
-std::uint64_t LatencyHistogram::bucket_upper(std::size_t index) noexcept {
+std::uint64_t Histogram::bucket_upper(std::size_t index) noexcept {
   if (index < kLinear) {
     return static_cast<std::uint64_t>(index);
   }
@@ -63,7 +63,7 @@ std::uint64_t LatencyHistogram::bucket_upper(std::size_t index) noexcept {
   return bucket_lower(index) + (width - 1);
 }
 
-std::uint64_t LatencyHistogram::bucket_representative(
+std::uint64_t Histogram::bucket_representative(
     std::size_t index) noexcept {
   if (index < kLinear) {
     return static_cast<std::uint64_t>(index);
@@ -77,7 +77,7 @@ std::uint64_t LatencyHistogram::bucket_representative(
   return bucket_lower(index) + width / 2;
 }
 
-void LatencyHistogram::record(std::uint64_t value) noexcept {
+void Histogram::record(std::uint64_t value) noexcept {
   buckets_[index_of(value)].fetch_add(1, std::memory_order_relaxed);
   count_.add(1);
   sum_.add(value);
@@ -87,7 +87,7 @@ void LatencyHistogram::record(std::uint64_t value) noexcept {
   }
 }
 
-void LatencyHistogram::merge_from(const LatencyHistogram& other) noexcept {
+void Histogram::merge_from(const Histogram& other) noexcept {
   for (std::size_t i = 0; i < kBuckets; ++i) {
     const std::uint64_t n = other.buckets_[i].load(std::memory_order_relaxed);
     if (n != 0) {
@@ -103,7 +103,7 @@ void LatencyHistogram::merge_from(const LatencyHistogram& other) noexcept {
   }
 }
 
-std::vector<std::uint64_t> LatencyHistogram::bucket_counts() const {
+std::vector<std::uint64_t> Histogram::bucket_counts() const {
   std::vector<std::uint64_t> out(kBuckets);
   for (std::size_t i = 0; i < kBuckets; ++i) {
     out[i] = buckets_[i].load(std::memory_order_relaxed);
@@ -133,15 +133,15 @@ std::uint64_t quantile_of(const std::vector<std::uint64_t>& buckets,
   for (std::size_t i = 0; i < buckets.size(); ++i) {
     seen += buckets[i];
     if (seen >= target) {
-      return LatencyHistogram::bucket_representative(i);
+      return Histogram::bucket_representative(i);
     }
   }
-  return LatencyHistogram::bucket_representative(buckets.size() - 1);
+  return Histogram::bucket_representative(buckets.size() - 1);
 }
 
 }  // namespace
 
-std::uint64_t LatencyHistogram::quantile(double q) const {
+std::uint64_t Histogram::quantile(double q) const {
   const std::vector<std::uint64_t> buckets = bucket_counts();
   std::uint64_t total = 0;
   for (const std::uint64_t n : buckets) {
@@ -150,7 +150,7 @@ std::uint64_t LatencyHistogram::quantile(double q) const {
   return quantile_of(buckets, total, q);
 }
 
-LatencyHistogram::Snapshot LatencyHistogram::snapshot() const {
+Histogram::Snapshot Histogram::snapshot() const {
   Snapshot snap;
   const std::vector<std::uint64_t> buckets = bucket_counts();
   std::uint64_t total = 0;

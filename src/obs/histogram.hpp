@@ -1,10 +1,10 @@
-// Lock-free log-linear latency histogram with a provable relative-error
-// bound — the duration-metric primitive behind every *_us histogram in
-// the repo (detection latency, pipeline stage times, sampler cost).
+// Lock-free log-linear histogram with a provable relative-error bound:
+// the one histogram type in the repo. It backs every duration metric
+// (*_us: detection latency, pipeline stage times, sampler cost) and the
+// size metrics (records per shard, datagrams per recvmmsg batch).
 //
-// Fixed-bucket histograms force a bounds choice per metric and lose all
-// resolution outside it; an HDR-style log-linear layout covers the full
-// u64 range with a uniform accuracy guarantee instead. With
+// An HDR-style log-linear layout covers the full u64 range with one
+// accuracy guarantee, so no metric has to choose bucket bounds. With
 // kSubBucketBits = 5 the layout is:
 //
 //   values  0 .. 31          one bucket per value (exact)
@@ -19,7 +19,7 @@
 //   |representative - v| / v  <=  (w/2) / (16*w)  =  1/32  =  2^-5
 //
 // i.e. every quantile query is within kMaxRelativeError (3.125%) of a
-// true recorded value — the bound tests/obs_latency_test.cpp pins
+// true recorded value — the bound tests/obs_histogram_test.cpp pins
 // across magnitudes. Values below 32 are exact.
 //
 // Concurrency: record() is two striped adds plus one relaxed fetch_add
@@ -46,26 +46,26 @@
 
 namespace quicsand::obs {
 
-class LatencyHistogram {
+class Histogram {
  public:
   /// Sub-buckets per octave = 2^kSubBucketBits; also the precision knob.
   static constexpr unsigned kSubBucketBits = 5;
   /// Quantile reconstruction error bound: 2^-kSubBucketBits.
   static constexpr double kMaxRelativeError = 1.0 / 32.0;
 
-  LatencyHistogram();
+  Histogram();
 
-  LatencyHistogram(const LatencyHistogram&) = delete;
-  LatencyHistogram& operator=(const LatencyHistogram&) = delete;
+  Histogram(const Histogram&) = delete;
+  Histogram& operator=(const Histogram&) = delete;
 
-  /// Record one non-negative sample (microseconds by convention).
+  /// Record one non-negative sample (a duration in µs or a size).
   /// Lock-free, wait-free except the max CAS loop.
   void record(std::uint64_t value) noexcept;
 
   /// Element-wise add of `other`'s buckets (and count/sum/max) into
   /// this histogram. Same geometry always, so the merged quantiles
   /// equal a single recorder's — associative and commutative.
-  void merge_from(const LatencyHistogram& other) noexcept;
+  void merge_from(const Histogram& other) noexcept;
 
   [[nodiscard]] std::uint64_t count() const noexcept {
     return count_.value();
@@ -130,7 +130,7 @@ class LatencyHistogram {
 /// clock only when a histogram is attached, so unobserved code stays free.
 class ScopedLatency {
  public:
-  explicit ScopedLatency(LatencyHistogram* hist) noexcept
+  explicit ScopedLatency(Histogram* hist) noexcept
       : hist_(hist), start_(hist != nullptr ? steady_us() : 0) {}
   ~ScopedLatency() {
     if (hist_ != nullptr) hist_->record(steady_us() - start_);
@@ -139,7 +139,7 @@ class ScopedLatency {
   ScopedLatency& operator=(const ScopedLatency&) = delete;
 
  private:
-  LatencyHistogram* hist_;
+  Histogram* hist_;
   std::uint64_t start_;
 };
 

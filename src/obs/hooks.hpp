@@ -13,7 +13,6 @@ class MetricsRegistry;
 class Counter;
 class Gauge;
 class Histogram;
-class LatencyHistogram;
 class Tracer;
 class EventLog;
 class Health;

@@ -40,7 +40,7 @@ constexpr std::string_view kDashHtml = R"DASH(<!DOCTYPE html>
   <span class="meta" id="meta">connecting&hellip;</span>
 </header>
 <div id="grid"></div>
-<div id="lathead" hidden>latency quantiles (&micro;s) &mdash;
+<div id="lathead" hidden>histogram quantiles &mdash;
   <span style="color:#7ee2a8">p50</span> ·
   <span style="color:#d8dee4">p90</span> ·
   <span style="color:#e2a87e">p99</span></div>
@@ -68,7 +68,7 @@ function card(name, gridId) {
 }
 
 // lines: [{values, color}] sharing one y-scale — a single series for
-// the rate cards, the p50/p90/p99 trio for a latency card.
+// the rate cards, the p50/p90/p99 trio for a histogram card.
 function spark(canvas, lines) {
   const w = canvas.clientWidth || 320, h = canvas.clientHeight || 48;
   canvas.width = w; canvas.height = h;
@@ -133,12 +133,12 @@ async function drawSeries(info) {
   return q;
 }
 
-// One latency card per histogram base: the sampler bridges each
-// LatencyHistogram to <base>.p50/.p90/.p99 gauge series; plot the trio
-// on one y-scale and headline the current p50/p99.
+// One card per histogram base: the sampler bridges each histogram to
+// <base>.p50/.p90/.p99 gauge series; plot the trio on one y-scale and
+// headline the current p50/p99.
 const LAT_COLORS = { p50: "#7ee2a8", p90: "#d8dee4", p99: "#e2a87e" };
 
-async function drawLatency(base, quantiles) {
+async function drawQuantiles(base, quantiles) {
   const lines = [], current = {};
   for (const q of ["p50", "p90", "p99"]) {
     if (!quantiles[q]) continue;
@@ -164,22 +164,22 @@ async function refresh() {
         return (t.step_us / 1e6) + "s×" + t.buckets;
       }).join(" → ") + " · " + new Date().toISOString();
     let annotations = [];
-    // Quantile gauges fold into per-base latency cards; everything
+    // Quantile gauges fold into per-base histogram cards; everything
     // else stays an individual rate/level card in the main grid.
-    const latencies = new Map();
+    const histograms = new Map();
     for (const info of catalog.series) {
       const m = info.name.match(/^(.*)\.(p50|p90|p99)$/);
       if (m) {
-        if (!latencies.has(m[1])) latencies.set(m[1], {});
-        latencies.get(m[1])[m[2]] = info;
+        if (!histograms.has(m[1])) histograms.set(m[1], {});
+        histograms.get(m[1])[m[2]] = info;
         continue;
       }
       const q = await drawSeries(info);
       if (q && q.annotations) annotations = q.annotations;
     }
-    document.getElementById("lathead").hidden = latencies.size === 0;
-    for (const [base, quantiles] of latencies) {
-      await drawLatency(base, quantiles);
+    document.getElementById("lathead").hidden = histograms.size === 0;
+    for (const [base, quantiles] of histograms) {
+      await drawQuantiles(base, quantiles);
     }
     const alerts = document.getElementById("alerts");
     if (annotations.length) {

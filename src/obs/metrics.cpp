@@ -1,6 +1,5 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <string_view>
@@ -67,46 +66,6 @@ void json_escape_to(std::ostringstream& out, const std::string& s) {
 
 }  // namespace
 
-Histogram::Histogram(std::vector<std::uint64_t> bounds)
-    : bounds_(std::move(bounds)) {
-  std::sort(bounds_.begin(), bounds_.end());
-  bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
-  buckets_.reserve(bounds_.size() + 1);
-  for (std::size_t i = 0; i < bounds_.size() + 1; ++i) {
-    buckets_.push_back(std::make_unique<std::atomic<std::uint64_t>>(0));
-  }
-}
-
-void Histogram::observe(std::uint64_t sample) noexcept {
-  const auto it =
-      std::lower_bound(bounds_.begin(), bounds_.end(), sample);
-  const auto bucket = static_cast<std::size_t>(it - bounds_.begin());
-  buckets_[bucket]->fetch_add(1, std::memory_order_relaxed);
-  count_.add(1);
-  sum_.add(sample);
-}
-
-std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::vector<std::uint64_t> out;
-  out.reserve(buckets_.size());
-  for (const auto& bucket : buckets_) {
-    out.push_back(bucket->load(std::memory_order_relaxed));
-  }
-  return out;
-}
-
-std::vector<std::uint64_t> latency_bounds_us() {
-  return {1000,    2000,    5000,     10000,    20000,    50000,   100000,
-          200000,  500000,  1000000,  2000000,  5000000,  10000000,
-          30000000};
-}
-
-std::vector<std::uint64_t> size_bounds() {
-  std::vector<std::uint64_t> bounds;
-  for (std::uint64_t b = 1; b <= (1ULL << 20); b *= 4) bounds.push_back(b);
-  return bounds;
-}
-
 Counter& MetricsRegistry::counter(const std::string& name,
                                   const std::string& help) {
   util::LockGuard lock(mutex_);
@@ -130,26 +89,14 @@ Gauge& MetricsRegistry::gauge(const std::string& name,
 }
 
 Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<std::uint64_t> bounds,
                                       const std::string& help) {
   util::LockGuard lock(mutex_);
   auto& entry = entries_[name];
   if (!entry.histogram) {
-    entry.histogram = std::make_unique<Histogram>(std::move(bounds));
+    entry.histogram = std::make_unique<Histogram>();
     entry.help = help;
   }
   return *entry.histogram;
-}
-
-LatencyHistogram& MetricsRegistry::latency(const std::string& name,
-                                           const std::string& help) {
-  util::LockGuard lock(mutex_);
-  auto& entry = entries_[name];
-  if (!entry.latency) {
-    entry.latency = std::make_unique<LatencyHistogram>();
-    entry.help = help;
-  }
-  return *entry.latency;
 }
 
 std::string MetricsRegistry::to_prometheus() const {
@@ -171,25 +118,10 @@ std::string MetricsRegistry::to_prometheus() const {
           << prom << " " << entry.gauge->value() << "\n";
     }
     if (entry.histogram) {
-      const auto& h = *entry.histogram;
-      out << "# TYPE " << prom << " histogram\n";
-      const auto counts = h.bucket_counts();
-      std::uint64_t cumulative = 0;
-      for (std::size_t i = 0; i < h.bounds().size(); ++i) {
-        cumulative += counts[i];
-        out << prom << "_bucket{le=\"" << h.bounds()[i] << "\"} "
-            << cumulative << "\n";
-      }
-      cumulative += counts.back();
-      out << prom << "_bucket{le=\"+Inf\"} " << cumulative << "\n";
-      out << prom << "_sum " << h.sum() << "\n";
-      out << prom << "_count " << h.count() << "\n";
-    }
-    if (entry.latency) {
-      // Quantile histograms export as summaries: the quantiles are
-      // computed server-side (within LatencyHistogram's error bound), so
-      // the exposition carries them directly instead of buckets.
-      const auto snap = entry.latency->snapshot();
+      // Histograms export as summaries: the quantiles are computed
+      // server-side (within Histogram's error bound), so the exposition
+      // carries them directly instead of buckets.
+      const auto snap = entry.histogram->snapshot();
       out << "# TYPE " << prom << " summary\n";
       out << prom << "{quantile=\"0.5\"} " << snap.p50 << "\n";
       out << prom << "{quantile=\"0.9\"} " << snap.p90 << "\n";
@@ -227,21 +159,7 @@ MetricsRegistry::histogram_snapshot() const {
   util::LockGuard lock(mutex_);
   std::vector<HistogramTotals> out;
   for (const auto& [name, entry] : entries_) {
-    if (entry.histogram) {
-      out.push_back({name, entry.histogram->count(), entry.histogram->sum()});
-    }
-  }
-  return out;
-}
-
-std::vector<MetricsRegistry::LatencyTotals>
-MetricsRegistry::latency_snapshot() const {
-  util::LockGuard lock(mutex_);
-  std::vector<LatencyTotals> out;
-  for (const auto& [name, entry] : entries_) {
-    if (entry.latency) {
-      out.push_back({name, entry.latency->snapshot()});
-    }
+    if (entry.histogram) out.push_back({name, entry.histogram->snapshot()});
   }
   return out;
 }
@@ -285,29 +203,7 @@ std::string MetricsRegistry::to_json() const {
   for (const auto& [name, entry] : entries_) {
     if (!entry.histogram) continue;
     key(name);
-    const auto& h = *entry.histogram;
-    out << "{\"count\": " << h.count() << ", \"sum\": " << h.sum()
-        << ", \"buckets\": [";
-    const auto counts = h.bucket_counts();
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-      if (i > 0) out << ", ";
-      out << "{\"le\": ";
-      if (i < h.bounds().size()) {
-        out << h.bounds()[i];
-      } else {
-        out << "null";
-      }
-      out << ", \"count\": " << counts[i] << "}";
-    }
-    out << "]}";
-  }
-  out << (first ? "" : "\n  ") << "},\n";
-
-  begin_section("latencies");
-  for (const auto& [name, entry] : entries_) {
-    if (!entry.latency) continue;
-    key(name);
-    const auto snap = entry.latency->snapshot();
+    const auto snap = entry.histogram->snapshot();
     out << "{\"count\": " << snap.count << ", \"sum\": " << snap.sum
         << ", \"max\": " << snap.max << ", \"p50\": " << snap.p50
         << ", \"p90\": " << snap.p90 << ", \"p99\": " << snap.p99

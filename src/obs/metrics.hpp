@@ -1,4 +1,4 @@
-// Metrics registry: named counters, gauges and fixed-bucket histograms.
+// Metrics registry: named counters, gauges and log-linear histograms.
 //
 // The pipeline, the pcap readers and the online detector are instrumented
 // unconditionally but observe nothing unless a registry is attached — each
@@ -25,7 +25,7 @@
 #include <utility>
 #include <vector>
 
-#include "obs/latency.hpp"
+#include "obs/histogram.hpp"
 #include "util/sharded_counter.hpp"
 #include "util/sync.hpp"
 
@@ -59,38 +59,6 @@ class Gauge {
   std::atomic<std::int64_t> value_{0};
 };
 
-/// Fixed-bucket histogram over non-negative integer samples (durations in
-/// microseconds, sizes in records). Bucket upper bounds are set at
-/// registration and never change; observe() is two relaxed fetch_adds
-/// plus a striped add for the sum.
-class Histogram {
- public:
-  explicit Histogram(std::vector<std::uint64_t> bounds);
-
-  void observe(std::uint64_t sample) noexcept;
-
-  [[nodiscard]] const std::vector<std::uint64_t>& bounds() const {
-    return bounds_;
-  }
-  /// Per-bucket counts; the last entry is the overflow (+Inf) bucket.
-  [[nodiscard]] std::vector<std::uint64_t> bucket_counts() const;
-  [[nodiscard]] std::uint64_t count() const noexcept {
-    return count_.value();
-  }
-  [[nodiscard]] std::uint64_t sum() const noexcept { return sum_.value(); }
-
- private:
-  std::vector<std::uint64_t> bounds_;  ///< ascending upper bounds
-  std::vector<std::unique_ptr<std::atomic<std::uint64_t>>> buckets_;
-  util::StripedAdder count_;
-  util::StripedAdder sum_;
-};
-
-/// Commonly useful bounds: 1ms..30s in roughly 1-2-5 steps, microseconds.
-[[nodiscard]] std::vector<std::uint64_t> latency_bounds_us();
-/// Powers of four from 1 to ~1M, for record/packet counts per unit.
-[[nodiscard]] std::vector<std::uint64_t> size_bounds();
-
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -102,16 +70,10 @@ class MetricsRegistry {
   /// sanitize them per format. `help` is kept from the first registration.
   Counter& counter(const std::string& name, const std::string& help = "");
   Gauge& gauge(const std::string& name, const std::string& help = "");
-  /// `bounds` must be ascending; it is fixed at first registration
-  /// (subsequent calls with the same name ignore `bounds`).
-  Histogram& histogram(const std::string& name,
-                       std::vector<std::uint64_t> bounds,
-                       const std::string& help = "");
-  /// Log-linear quantile histogram for duration metrics (no bounds
-  /// choice; see obs/latency.hpp for the error bound). Exported as a
-  /// Prometheus summary and a "latencies" JSON section.
-  LatencyHistogram& latency(const std::string& name,
-                            const std::string& help = "");
+  /// Log-linear quantile histogram (no bounds choice; see
+  /// obs/histogram.hpp for the error bound). Exported as a Prometheus
+  /// summary and in the JSON "histograms" section.
+  Histogram& histogram(const std::string& name, const std::string& help = "");
 
   /// Prometheus text exposition format (metric names sanitized to
   /// [a-zA-Z0-9_], dots become underscores; counters get the
@@ -125,24 +87,15 @@ class MetricsRegistry {
   counter_snapshot() const;
   [[nodiscard]] std::vector<std::pair<std::string, std::int64_t>>
   gauge_snapshot() const;
-  /// Histogram totals (count/sum per name, sorted); the TSDB sampler
-  /// records these as `<name>.count` / `<name>.sum` series.
+  /// Histogram snapshots (count/sum/max + quantiles, sorted by name);
+  /// the TSDB sampler records these as `<name>.count/.sum` plus
+  /// `<name>.p50/.p90/.p99` gauge series.
   struct HistogramTotals {
     std::string name;
-    std::uint64_t count = 0;
-    std::uint64_t sum = 0;
+    Histogram::Snapshot snap;
   };
   [[nodiscard]] std::vector<HistogramTotals> histogram_snapshot() const;
-  /// Latency-histogram snapshots (count/sum/max + quantiles, sorted by
-  /// name); the TSDB sampler records these as `<name>.count/.sum` plus
-  /// `<name>.p50/.p90/.p99` gauge series.
-  struct LatencyTotals {
-    std::string name;
-    LatencyHistogram::Snapshot snap;
-  };
-  [[nodiscard]] std::vector<LatencyTotals> latency_snapshot() const;
-  /// JSON object
-  /// {"counters":{...},"gauges":{...},"histograms":{...},"latencies":{...}}.
+  /// JSON object {"counters":{...},"gauges":{...},"histograms":{...}}.
   [[nodiscard]] std::string to_json() const;
   /// Write to_json() to `path`; returns false if the file cannot be
   /// written.
@@ -154,7 +107,6 @@ class MetricsRegistry {
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
-    std::unique_ptr<LatencyHistogram> latency;
   };
 
   mutable util::Mutex mutex_{util::LockRank::kMetrics, "metrics_registry"};

@@ -27,7 +27,7 @@ Sampler::Sampler(SamplerConfig config) : config_(std::move(config)) {
   if (config_.self_metrics && config_.metrics != nullptr) {
     samples_counter_ =
         &config_.metrics->counter("tsdb.samples", "TSDB sample passes taken");
-    sample_cost_us_ = &config_.metrics->latency(
+    sample_cost_us_ = &config_.metrics->histogram(
         "tsdb.sample_us", "cost of one TSDB sample pass (us)");
   }
 }
@@ -49,17 +49,11 @@ void Sampler::sample_once() {
   }
   for (const auto& totals : config_.metrics->histogram_snapshot()) {
     store.record(totals.name + ".count", SeriesKind::kHistogramCount, t_us,
-                 static_cast<std::int64_t>(totals.count));
-    store.record(totals.name + ".sum", SeriesKind::kHistogramSum, t_us,
-                 static_cast<std::int64_t>(totals.sum));
-  }
-  for (const auto& totals : config_.metrics->latency_snapshot()) {
-    store.record(totals.name + ".count", SeriesKind::kHistogramCount, t_us,
                  static_cast<std::int64_t>(totals.snap.count));
     store.record(totals.name + ".sum", SeriesKind::kHistogramSum, t_us,
                  static_cast<std::int64_t>(totals.snap.sum));
     // Quantiles are instantaneous values, not monotone accumulations, so
-    // they go in as gauges — /dash and quicsand_top read them as "last".
+    // they go in as gauges — /dash reads them as "last".
     store.record(totals.name + ".p50", SeriesKind::kGauge, t_us,
                  static_cast<std::int64_t>(totals.snap.p50));
     store.record(totals.name + ".p90", SeriesKind::kGauge, t_us,

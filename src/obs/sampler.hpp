@@ -1,13 +1,12 @@
 // Cadenced bridge from the MetricsRegistry (instantaneous values) to the
 // TimeSeriesStore (retained history).
 //
-// One sample pass snapshots every counter, gauge and histogram
-// (count+sum) in the registry — and every latency histogram as
-// `<name>.count/.sum` plus `<name>.p50/.p90/.p99` gauge series, so
-// quantile history reaches /tsdb, /dash and the flight recorder — and
-// records them into the store under the metric's dotted name, then
-// drains any new EventLog entries into annotations pinned to the same
-// sample clock. The pass runs on its own
+// One sample pass snapshots every counter and gauge in the registry, and
+// every histogram as `<name>.count/.sum` plus `<name>.p50/.p90/.p99`
+// gauge series, so quantile history reaches /tsdb, /dash and the flight
+// recorder. It records them into the store under the metric's dotted
+// name, then drains any new EventLog entries into annotations pinned to
+// the same sample clock. The pass runs on its own
 // thread every `cadence` (default 1 s) — never on the packet hot path —
 // and costs O(series) per tick; the BM_Sampler_Pass micro-benchmark
 // measures one pass against the series count (EXPERIMENTS.md).
@@ -36,7 +35,7 @@ class MetricsRegistry;
 class EventLog;
 class TimeSeriesStore;
 class Counter;
-class LatencyHistogram;
+class Histogram;
 
 struct SamplerConfig {
   MetricsRegistry* metrics = nullptr;  ///< source; required
@@ -83,7 +82,7 @@ class Sampler {
   SamplerConfig config_;
   std::size_t events_seen_ = 0;  ///< sampler thread / sample_once caller only
   Counter* samples_counter_ = nullptr;
-  LatencyHistogram* sample_cost_us_ = nullptr;
+  Histogram* sample_cost_us_ = nullptr;
 
   /// Serializes start()/stop() against each other. Two concurrent
   /// stop() calls used to both pass the lock-free running_ check and

@@ -80,49 +80,49 @@ void build_gquic_packet_into(
 
 std::optional<GquicPacketView> parse_gquic_packet(
     std::span<const std::uint8_t> data) {
-  try {
-    util::ByteReader r(data);
-    const std::uint8_t flags = r.read_u8();
-    // The long-header form bit is never set in a Q043 public header; the
-    // multipath bit was never deployed.
-    if (flags & 0x80) return std::nullopt;
-    if (flags & GquicPublicFlags::kMultipath) return std::nullopt;
+  if (data.empty()) return std::nullopt;
+  const std::uint8_t flags = data[0];
+  // The long-header form bit is never set in a Q043 public header; the
+  // multipath bit was never deployed.
+  if (flags & 0x80) return std::nullopt;
+  if (flags & GquicPublicFlags::kMultipath) return std::nullopt;
 
-    // Heuristic tightening: standalone server/reset packets without a
-    // connection id are indistinguishable from arbitrary bytes, so the
-    // dissector only accepts public headers that carry one (the
-    // overwhelmingly common configuration, and what Wireshark keys on).
-    if (!(flags & GquicPublicFlags::kConnectionId)) return std::nullopt;
+  // Heuristic tightening: standalone server/reset packets without a
+  // connection id are indistinguishable from arbitrary bytes, so the
+  // dissector only accepts public headers that carry one (the
+  // overwhelmingly common configuration, and what Wireshark keys on).
+  if (!(flags & GquicPublicFlags::kConnectionId)) return std::nullopt;
 
-    GquicPacketView view;
-    view.is_reset = (flags & GquicPublicFlags::kReset) != 0;
-    view.connection_id = ConnectionId(r.read_bytes(8));
-    if (flags & GquicPublicFlags::kVersion) {
-      view.has_version = true;
-      view.version = r.read_u32().to_host();
-      // gQUIC versions are ASCII 'Q' + digits.
-      if ((view.version >> 24) != 'Q') return std::nullopt;
-    }
-    if (view.is_reset) {
-      // Public reset: rest of the packet is a tagged message (opaque).
-      view.header_size = r.position();
-      view.payload_size = r.remaining();
-      return view;
-    }
-    view.packet_number_length = pn_length_from_flags(flags);
-    std::uint64_t pn = 0;
-    for (int i = 0; i < view.packet_number_length; ++i) {
-      pn = (pn << 8) | r.read_u8();
-    }
-    view.packet_number = pn;
-    view.header_size = r.position();
-    view.payload_size = r.remaining();
-    // A data packet always carries an authentication hash + frames.
-    if (view.payload_size < 12) return std::nullopt;
-    return view;
-  } catch (const util::BufferUnderflow&) {
-    return std::nullopt;
+  // Flags byte, 8-byte connection id, then the optional version. `pos`
+  // is the offset of the next unread byte.
+  std::size_t pos = 1 + 8;
+  if (data.size() < pos) return std::nullopt;
+  GquicPacketView view;
+  view.is_reset = (flags & GquicPublicFlags::kReset) != 0;
+  view.connection_id = ConnectionId(data.subspan(1, 8));
+  if (flags & GquicPublicFlags::kVersion) {
+    if (data.size() - pos < 4) return std::nullopt;
+    view.has_version = true;
+    view.version = util::load_be32(data, pos);
+    pos += 4;
+    // gQUIC versions are ASCII 'Q' + digits.
+    if ((view.version >> 24) != 'Q') return std::nullopt;
   }
+  // A public reset's rest is a tagged message (opaque); a data packet
+  // carries a packet number, then an authentication hash + frames.
+  if (!view.is_reset) {
+    view.packet_number_length = pn_length_from_flags(flags);
+    const auto pn_length = static_cast<std::size_t>(view.packet_number_length);
+    if (data.size() - pos < pn_length) return std::nullopt;
+    for (std::size_t i = 0; i < pn_length; ++i) {
+      view.packet_number = (view.packet_number << 8) | data[pos + i];
+    }
+    pos += pn_length;
+  }
+  view.header_size = pos;
+  view.payload_size = data.size() - pos;
+  if (!view.is_reset && view.payload_size < 12) return std::nullopt;
+  return view;
 }
 
 std::vector<std::uint8_t> build_gquic_server_response(

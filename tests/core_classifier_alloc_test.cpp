@@ -8,6 +8,7 @@
 
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -58,7 +59,7 @@ using Bytes = std::vector<std::uint8_t>;
 /// Handcrafted UDP/443 responses for what the generator never emits:
 /// Retry, 0-RTT, gQUIC long and public headers, a long Version
 /// Negotiation list, a 1-RTT short header and payloads the dissector
-/// rejects.
+/// rejects, truncated gQUIC public headers among them.
 std::vector<Bytes> crafted_datagrams() {
   util::Rng rng(77);
   net::Ipv4Header ip;
@@ -93,7 +94,14 @@ std::vector<Bytes> crafted_datagrams() {
     q046[4] = '6';
     response(q046);
     const quic::ConnectionId gquic_cid(rng.bytes(8));
-    response(quic::build_gquic_packet(gquic_cid, 0x51303433, 1, rng.bytes(40)));
+    const auto q043 =
+        quic::build_gquic_packet(gquic_cid, 0x51303433, 1, rng.bytes(40));
+    response(q043);
+    // Rejected: that public header with its connection ID, then its
+    // version, cut at every length.
+    for (std::ptrdiff_t n = 1; n < 1 + 8 + 4; ++n) {
+      response(Bytes(q043.begin(), q043.begin() + n));
+    }
     // A 0-RTT packet: 8-byte DCID, empty SCID, Length 32.
     util::ByteWriter zero_rtt;
     zero_rtt.write_u8(0xd0);

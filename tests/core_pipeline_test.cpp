@@ -178,10 +178,9 @@ TEST(PipelineTest, MetricsTrackBatchesAndShards) {
   EXPECT_EQ(metrics.counter("pipeline.packets").value(), 10u);
   EXPECT_EQ(metrics.counter("pipeline.records").value(), 10u);
   EXPECT_EQ(metrics.counter("parallel.batches").value(), 1u);
-  EXPECT_EQ(metrics.latency("parallel.classify_batch_us").count(), 1u);
+  EXPECT_EQ(metrics.histogram("parallel.classify_batch_us").count(), 1u);
   // finish() observes one record count per shard.
-  const auto& per_shard =
-      metrics.histogram("parallel.shard_records", obs::size_bounds());
+  const auto& per_shard = metrics.histogram("parallel.shard_records");
   EXPECT_EQ(per_shard.count(), 3u);
   EXPECT_EQ(per_shard.sum(), 10u);
 }

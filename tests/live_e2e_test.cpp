@@ -13,8 +13,8 @@
 // receiver, not trickle at it, and must not outrun its pacing target),
 // exact packet accounting (sent == delivered + ring drops + kernel
 // drops), the source -> shard partition, per-stage latency histograms
-// that add up, metric export of the drop counters, and precision/recall
-// floors against ground truth.
+// that add up, metric export of the drop counters and batch sizes, and
+// precision/recall floors against ground truth.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -29,6 +29,7 @@
 #include "net/live/frame.hpp"
 #include "net/live/receiver.hpp"
 #include "net/live/sender.hpp"
+#include "net/live/socket.hpp"
 #include "obs/metrics.hpp"
 #include "scanner/deployment.hpp"
 #include "telescope/generator.hpp"
@@ -193,6 +194,12 @@ TEST(LiveE2E, MixedScanAndFloodOverLoopback) {
   // The drop counters must be exported through the metrics registry.
   EXPECT_EQ(metrics.counter("live.received_packets").value(),
             receiver.received());
+  // One batch-size sample per non-empty recvmmsg: the sizes add up to
+  // what was received, and none exceeds the batch capacity.
+  const auto batches = metrics.histogram("live.batch_packets").snapshot();
+  EXPECT_EQ(batches.sum, receiver.received());
+  EXPECT_GE(batches.count, 1u);
+  EXPECT_LE(batches.max, net::live::ReceiveBatch::kMax);
   EXPECT_EQ(metrics.counter("live.dropped_packets").value(),
             receiver.dropped_ring() + receiver.dropped_kernel());
   EXPECT_EQ(metrics.counter("live.delivered_packets").value(),
@@ -205,10 +212,10 @@ TEST(LiveE2E, MixedScanAndFloodOverLoopback) {
   // have populated every stage, with QSL2 send stamps anchoring wire
   // and e2e. Quantiles are sane for a loopback hop (well under a
   // minute) and ordered: a packet's e2e covers its queue wait.
-  const auto wire = metrics.latency("live.latency.wire_us").snapshot();
-  const auto ring = metrics.latency("live.latency.ring_us").snapshot();
-  const auto process = metrics.latency("live.latency.process_us").snapshot();
-  const auto e2e = metrics.latency("live.latency.e2e_us").snapshot();
+  const auto wire = metrics.histogram("live.latency.wire_us").snapshot();
+  const auto ring = metrics.histogram("live.latency.ring_us").snapshot();
+  const auto process = metrics.histogram("live.latency.process_us").snapshot();
+  const auto e2e = metrics.histogram("live.latency.e2e_us").snapshot();
   EXPECT_GT(wire.count, 100u);
   EXPECT_GT(ring.count, 100u);
   EXPECT_GT(process.count, 100u);
@@ -230,7 +237,7 @@ TEST(LiveE2E, MixedScanAndFloodOverLoopback) {
 
   // Detection latency: the wall-clock source was wired, every consume
   // carried ingest stamps, so every alert recorded a detect latency.
-  const auto detect = metrics.latency("live.detect_latency_us").snapshot();
+  const auto detect = metrics.histogram("live.detect_latency_us").snapshot();
   EXPECT_GT(detect.count, 0u);
   EXPECT_LE(detect.count, detector.alerts_fired());
   EXPECT_LT(detect.p99, 120'000'000u);
@@ -351,10 +358,10 @@ TEST(LiveE2E, RingDropsKeepStageHistogramsConsistent) {
   EXPECT_EQ(receiver.delivered() + receiver.dropped_ring() +
                 receiver.dropped_kernel(),
             stats.sent);
-  const auto wire = metrics.latency("live.latency.wire_us").snapshot();
-  const auto ring = metrics.latency("live.latency.ring_us").snapshot();
-  const auto process = metrics.latency("live.latency.process_us").snapshot();
-  const auto e2e = metrics.latency("live.latency.e2e_us").snapshot();
+  const auto wire = metrics.histogram("live.latency.wire_us").snapshot();
+  const auto ring = metrics.histogram("live.latency.ring_us").snapshot();
+  const auto process = metrics.histogram("live.latency.process_us").snapshot();
+  const auto e2e = metrics.histogram("live.latency.e2e_us").snapshot();
   EXPECT_GT(e2e.count, 0u);
   EXPECT_EQ(wire.count, e2e.count);
   EXPECT_EQ(ring.count, e2e.count);

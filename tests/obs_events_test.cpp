@@ -87,7 +87,7 @@ TEST(ObsEvents, DetectorEmitsAlertThenCloseThenEviction) {
   EXPECT_EQ(metrics.counter("online.sessions_evicted").value(),
             detector.sessions_evicted());
   EXPECT_EQ(metrics.gauge("online.open_sessions").value(), 0);
-  EXPECT_EQ(metrics.latency("online.alert_latency_us").count(), 1u);
+  EXPECT_EQ(metrics.histogram("online.alert_latency_us").count(), 1u);
 }
 
 TEST(ObsEvents, NdjsonSerializationIsPinned) {

@@ -1,4 +1,4 @@
-// LatencyHistogram: the log-linear geometry's relative-error bound, the
+// obs::Histogram: the log-linear geometry's relative-error bound, the
 // merge-equals-single-recorder guarantee, and concurrent record/read
 // safety (the tsan preset runs this binary).
 #include <gtest/gtest.h>
@@ -11,20 +11,20 @@
 #include <thread>
 #include <vector>
 
-#include "obs/latency.hpp"
+#include "obs/histogram.hpp"
 #include "util/rng.hpp"
 
 namespace quicsand {
 namespace {
 
-using obs::LatencyHistogram;
+using obs::Histogram;
 
 TEST(LatencyGeometry, SmallValuesAreExact) {
   for (std::uint64_t v = 0; v < 32; ++v) {
-    const auto idx = LatencyHistogram::index_of(v);
-    EXPECT_EQ(LatencyHistogram::bucket_lower(idx), v);
-    EXPECT_EQ(LatencyHistogram::bucket_upper(idx), v);
-    EXPECT_EQ(LatencyHistogram::bucket_representative(idx), v);
+    const auto idx = Histogram::index_of(v);
+    EXPECT_EQ(Histogram::bucket_lower(idx), v);
+    EXPECT_EQ(Histogram::bucket_upper(idx), v);
+    EXPECT_EQ(Histogram::bucket_representative(idx), v);
   }
 }
 
@@ -32,27 +32,27 @@ TEST(LatencyGeometry, BucketsPartitionTheRange) {
   // Bucket edges tile u64 with no gap and no overlap: bucket i+1 starts
   // exactly one past bucket i's upper edge, and the last bucket ends at
   // the maximum value.
-  const auto n = LatencyHistogram::bucket_count();
-  EXPECT_EQ(LatencyHistogram::bucket_lower(0), 0u);
+  const auto n = Histogram::bucket_count();
+  EXPECT_EQ(Histogram::bucket_lower(0), 0u);
   for (std::size_t i = 0; i + 1 < n; ++i) {
-    EXPECT_EQ(LatencyHistogram::bucket_upper(i) + 1,
-              LatencyHistogram::bucket_lower(i + 1))
+    EXPECT_EQ(Histogram::bucket_upper(i) + 1,
+              Histogram::bucket_lower(i + 1))
         << "gap or overlap after bucket " << i;
   }
-  EXPECT_EQ(LatencyHistogram::bucket_upper(n - 1),
+  EXPECT_EQ(Histogram::bucket_upper(n - 1),
             std::numeric_limits<std::uint64_t>::max());
 }
 
 TEST(LatencyGeometry, IndexOfRoundTripsEveryBucketEdge) {
-  const auto n = LatencyHistogram::bucket_count();
+  const auto n = Histogram::bucket_count();
   for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(LatencyHistogram::index_of(LatencyHistogram::bucket_lower(i)),
+    EXPECT_EQ(Histogram::index_of(Histogram::bucket_lower(i)),
               i);
-    EXPECT_EQ(LatencyHistogram::index_of(LatencyHistogram::bucket_upper(i)),
+    EXPECT_EQ(Histogram::index_of(Histogram::bucket_upper(i)),
               i);
-    const auto rep = LatencyHistogram::bucket_representative(i);
-    EXPECT_GE(rep, LatencyHistogram::bucket_lower(i));
-    EXPECT_LE(rep, LatencyHistogram::bucket_upper(i));
+    const auto rep = Histogram::bucket_representative(i);
+    EXPECT_GE(rep, Histogram::bucket_lower(i));
+    EXPECT_LE(rep, Histogram::bucket_upper(i));
   }
 }
 
@@ -60,15 +60,15 @@ TEST(LatencyGeometry, RepresentativeErrorBoundHoldsEverywhere) {
   // The documented guarantee: reconstructing any value >= 32 from its
   // bucket representative errs by at most kMaxRelativeError (1/32).
   // Check both edges of every bucket — the worst cases by construction.
-  const auto n = LatencyHistogram::bucket_count();
-  for (std::size_t i = LatencyHistogram::index_of(32); i < n; ++i) {
-    const auto rep = LatencyHistogram::bucket_representative(i);
+  const auto n = Histogram::bucket_count();
+  for (std::size_t i = Histogram::index_of(32); i < n; ++i) {
+    const auto rep = Histogram::bucket_representative(i);
     for (const std::uint64_t v :
-         {LatencyHistogram::bucket_lower(i), LatencyHistogram::bucket_upper(i)}) {
+         {Histogram::bucket_lower(i), Histogram::bucket_upper(i)}) {
       const double error =
           v > rep ? static_cast<double>(v - rep) : static_cast<double>(rep - v);
       EXPECT_LE(error / static_cast<double>(v),
-                LatencyHistogram::kMaxRelativeError)
+                Histogram::kMaxRelativeError)
           << "bucket " << i << " value " << v << " representative " << rep;
     }
   }
@@ -83,7 +83,7 @@ TEST(LatencyHistogramTest, QuantileWithinBoundAcrossMagnitudes) {
        {std::uint64_t{1}, std::uint64_t{100}, std::uint64_t{10'000},
         std::uint64_t{1'000'000}, std::uint64_t{100'000'000},
         std::uint64_t{10'000'000'000}}) {
-    LatencyHistogram hist;
+    Histogram hist;
     std::vector<std::uint64_t> samples;
     for (int i = 0; i < 2000; ++i) {
       const std::uint64_t v = rng.uniform_range(0, 99) * scale + i % 50;
@@ -103,7 +103,7 @@ TEST(LatencyHistogramTest, QuantileWithinBoundAcrossMagnitudes) {
       const double truth = static_cast<double>(samples[rank]);
       const double got = static_cast<double>(hist.quantile(q));
       const double tolerance =
-          std::max(1.0, truth * LatencyHistogram::kMaxRelativeError);
+          std::max(1.0, truth * Histogram::kMaxRelativeError);
       EXPECT_NEAR(got, truth, tolerance)
           << "scale " << scale << " q " << q;
     }
@@ -111,7 +111,7 @@ TEST(LatencyHistogramTest, QuantileWithinBoundAcrossMagnitudes) {
 }
 
 TEST(LatencyHistogramTest, CountSumMaxAreExact) {
-  LatencyHistogram hist;
+  Histogram hist;
   std::uint64_t sum = 0;
   for (std::uint64_t v = 0; v < 1000; v += 7) {
     hist.record(v);
@@ -127,7 +127,7 @@ TEST(LatencyHistogramTest, CountSumMaxAreExact) {
 }
 
 TEST(LatencyHistogramTest, EmptyHistogramIsAllZero) {
-  LatencyHistogram hist;
+  Histogram hist;
   EXPECT_EQ(hist.count(), 0u);
   EXPECT_EQ(hist.quantile(0.5), 0u);
   const auto snap = hist.snapshot();
@@ -136,7 +136,7 @@ TEST(LatencyHistogramTest, EmptyHistogramIsAllZero) {
 }
 
 TEST(ScopedLatencyTest, RecordsOneSampleOnlyWhenAttached) {
-  LatencyHistogram hist;
+  Histogram hist;
   {
     const obs::ScopedLatency timed(&hist);
     const obs::ScopedLatency untimed(nullptr);
@@ -149,8 +149,8 @@ TEST(LatencyHistogramTest, MergeEqualsSingleRecorder) {
   // bucket-for-bucket with one recorder that saw the union — the
   // property that makes per-shard recording safe.
   util::Rng rng(11);
-  LatencyHistogram a, b, c, single;
-  std::vector<LatencyHistogram*> shards = {&a, &b, &c};
+  Histogram a, b, c, single;
+  std::vector<Histogram*> shards = {&a, &b, &c};
   for (int i = 0; i < 5000; ++i) {
     const std::uint64_t v = rng.uniform_range(0, 50'000'000);
     shards[static_cast<std::size_t>(i) % 3]->record(v);
@@ -158,12 +158,12 @@ TEST(LatencyHistogramTest, MergeEqualsSingleRecorder) {
   }
 
   // (a + b) + c
-  LatencyHistogram left;
+  Histogram left;
   left.merge_from(a);
   left.merge_from(b);
   left.merge_from(c);
   // c + (b + a)
-  LatencyHistogram right;
+  Histogram right;
   right.merge_from(c);
   right.merge_from(b);
   right.merge_from(a);
@@ -182,7 +182,7 @@ TEST(LatencyHistogramTest, MergeEqualsSingleRecorder) {
 TEST(LatencyHistogramTest, ConcurrentRecordAndQuantile) {
   // 4 writers + a reader hammering quantile/snapshot: tsan coverage for
   // the lock-free claim, and the final totals must be exact.
-  LatencyHistogram hist;
+  Histogram hist;
   constexpr int kThreads = 4;
   constexpr std::uint64_t kPerThread = 50'000;
   std::atomic<bool> stop{false};

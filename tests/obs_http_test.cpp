@@ -145,8 +145,7 @@ void expect_valid_prometheus(const std::string& body) {
     if (line.rfind("# HELP ", 0) == 0) continue;
     if (line.rfind("# TYPE ", 0) == 0) {
       const auto kind = line.substr(line.rfind(' ') + 1);
-      EXPECT_TRUE(kind == "counter" || kind == "gauge" ||
-                  kind == "histogram")
+      EXPECT_TRUE(kind == "counter" || kind == "gauge" || kind == "summary")
           << line;
       continue;
     }
@@ -169,8 +168,7 @@ void expect_valid_prometheus(const std::string& body) {
 TEST(ObsHttp, MetricsEndpointServesPrometheusExposition) {
   MetricsRegistry metrics;
   metrics.counter("monitor.packets", "telescope packets streamed").add(42);
-  metrics.histogram("pipeline.batch_us", {10, 100}, "batch latency")
-      .observe(7);
+  metrics.histogram("pipeline.batch_us", "batch latency").record(7);
   AdminOptions options;
   options.metrics = &metrics;
   AdminServer admin(std::move(options));
@@ -570,7 +568,7 @@ TEST(ObsHttp, StatsReportRatesFromTheStore) {
 TEST(ObsHttp, ConcurrentScrapesDuringMetricWrites) {
   MetricsRegistry metrics;
   auto& counter = metrics.counter("race.counter");
-  auto& histogram = metrics.histogram("race.hist", {10, 100});
+  auto& histogram = metrics.histogram("race.hist");
   AdminOptions options;
   options.metrics = &metrics;
   AdminServer admin(std::move(options));
@@ -583,7 +581,7 @@ TEST(ObsHttp, ConcurrentScrapesDuringMetricWrites) {
       std::uint64_t i = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         counter.add();
-        histogram.observe(i++ % 128);
+        histogram.record(i++ % 128);
       }
     });
   }

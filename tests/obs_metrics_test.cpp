@@ -1,6 +1,6 @@
-// Metrics registry: concurrent increments merge losslessly across
-// threads, histogram bucketing follows Prometheus le (inclusive upper
-// bound) semantics, and both export formats are pinned by golden files.
+// Metrics registry: concurrent increments and observations merge
+// losslessly across threads, and both export formats are pinned by
+// golden files.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -29,8 +29,7 @@ TEST(ObsMetrics, CounterMergesConcurrentIncrements) {
 
 TEST(ObsMetrics, HistogramMergesConcurrentObservations) {
   MetricsRegistry registry;
-  auto& histogram =
-      registry.histogram("test.hist", {10, 100, 1000}, "concurrency test");
+  auto& histogram = registry.histogram("test.hist", "concurrency test");
   constexpr int kThreads = 8;
   constexpr std::uint64_t kPerThread = 50000;
   std::vector<std::thread> threads;
@@ -38,14 +37,17 @@ TEST(ObsMetrics, HistogramMergesConcurrentObservations) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&histogram, t] {
       for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        histogram.observe(static_cast<std::uint64_t>(t));
+        histogram.record(static_cast<std::uint64_t>(t));
       }
     });
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(histogram.count(), kThreads * kPerThread);
-  // Threads 0..7 all observed values <= 10: everything lands in bucket 0.
-  EXPECT_EQ(histogram.bucket_counts()[0], kThreads * kPerThread);
+  // Values below 32 have exact buckets: bucket t holds thread t's samples.
+  const auto buckets = histogram.bucket_counts();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(buckets[static_cast<std::size_t>(t)], kPerThread) << t;
+  }
   // sum = kPerThread * (0+1+...+7)
   EXPECT_EQ(histogram.sum(), kPerThread * 28);
 }
@@ -58,22 +60,9 @@ TEST(ObsMetrics, GetOrCreateReturnsSameInstance) {
   a.add(3);
   EXPECT_EQ(b.value(), 3u);
 
-  auto& h1 = registry.histogram("same.hist", {1, 2, 3});
-  auto& h2 = registry.histogram("same.hist", {99});  // bounds ignored
+  auto& h1 = registry.histogram("same.hist", "first registration");
+  auto& h2 = registry.histogram("same.hist", "ignored help");
   EXPECT_EQ(&h1, &h2);
-  EXPECT_EQ(h2.bounds().size(), 3u);
-}
-
-TEST(ObsMetrics, HistogramBucketUpperBoundsAreInclusive) {
-  Histogram histogram({10, 20});
-  histogram.observe(10);  // == bound: first bucket (le="10")
-  histogram.observe(11);  // second bucket (le="20")
-  histogram.observe(21);  // overflow (+Inf)
-  const auto counts = histogram.bucket_counts();
-  ASSERT_EQ(counts.size(), 3u);
-  EXPECT_EQ(counts[0], 1u);
-  EXPECT_EQ(counts[1], 1u);
-  EXPECT_EQ(counts[2], 1u);
 }
 
 TEST(ObsMetrics, GaugeSetAndAdd) {
@@ -84,27 +73,18 @@ TEST(ObsMetrics, GaugeSetAndAdd) {
   EXPECT_EQ(gauge.value(), -2);
 }
 
-TEST(ObsMetrics, StandardBoundsAreStrictlyAscending) {
-  for (const auto& bounds : {latency_bounds_us(), size_bounds()}) {
-    ASSERT_FALSE(bounds.empty());
-    for (std::size_t i = 1; i < bounds.size(); ++i) {
-      EXPECT_LT(bounds[i - 1], bounds[i]);
-    }
-  }
-}
-
-/// A small registry with one metric of each kind, used by both golden
-/// tests: counter=3, gauge=-2, histogram bounds {1,2} fed 0,1,2,5, and
-/// a latency histogram fed 1,2,500. The first two latency samples sit
-/// in the exact (<32) region, so p50 is exactly 2; 500 lands in bucket
-/// [496,512) whose midpoint representative is 504 — the golden pins the
-/// log-linear geometry through the export path.
+/// A small registry used by both golden tests: counter=3, gauge=-2, a
+/// histogram fed 0,1,2,5 and one fed 1,2,500. Samples below 32 sit in
+/// the exact region, so c.hist's p50 is exactly 1 and d.lat's exactly
+/// 2; 500 lands in bucket [496,512) whose midpoint representative is
+/// 504 — the golden pins the log-linear geometry through the export
+/// path.
 void populate(MetricsRegistry& registry) {
   registry.counter("a.count", "things counted").add(3);
   registry.gauge("b.gauge").set(-2);
-  auto& histogram = registry.histogram("c.hist", {1, 2}, "a histogram");
-  for (const std::uint64_t sample : {0, 1, 2, 5}) histogram.observe(sample);
-  auto& latency = registry.latency("d.lat", "a latency");
+  auto& histogram = registry.histogram("c.hist", "a histogram");
+  for (const std::uint64_t sample : {0, 1, 2, 5}) histogram.record(sample);
+  auto& latency = registry.histogram("d.lat", "a latency");
   for (const std::uint64_t sample : {1, 2, 500}) latency.record(sample);
 }
 
@@ -118,10 +98,11 @@ TEST(ObsMetrics, GoldenPrometheusExposition) {
             "# TYPE quicsand_b_gauge gauge\n"
             "quicsand_b_gauge -2\n"
             "# HELP quicsand_c_hist a histogram\n"
-            "# TYPE quicsand_c_hist histogram\n"
-            "quicsand_c_hist_bucket{le=\"1\"} 2\n"
-            "quicsand_c_hist_bucket{le=\"2\"} 3\n"
-            "quicsand_c_hist_bucket{le=\"+Inf\"} 4\n"
+            "# TYPE quicsand_c_hist summary\n"
+            "quicsand_c_hist{quantile=\"0.5\"} 1\n"
+            "quicsand_c_hist{quantile=\"0.9\"} 5\n"
+            "quicsand_c_hist{quantile=\"0.99\"} 5\n"
+            "quicsand_c_hist{quantile=\"0.999\"} 5\n"
             "quicsand_c_hist_sum 8\n"
             "quicsand_c_hist_count 4\n"
             "# HELP quicsand_d_lat a latency\n"
@@ -162,11 +143,13 @@ TEST(ObsMetrics, SnapshotsListRegisteredValuesInNameOrder) {
   ASSERT_EQ(gauges.size(), 1u);
   EXPECT_EQ(gauges[0].first, "b.gauge");
   EXPECT_EQ(gauges[0].second, -2);
-  const auto latencies = registry.latency_snapshot();
-  ASSERT_EQ(latencies.size(), 1u);
-  EXPECT_EQ(latencies[0].name, "d.lat");
-  EXPECT_EQ(latencies[0].snap.count, 3u);
-  EXPECT_EQ(latencies[0].snap.max, 500u);
+  const auto histograms = registry.histogram_snapshot();
+  ASSERT_EQ(histograms.size(), 2u);
+  EXPECT_EQ(histograms[0].name, "c.hist");
+  EXPECT_EQ(histograms[0].snap.count, 4u);
+  EXPECT_EQ(histograms[1].name, "d.lat");
+  EXPECT_EQ(histograms[1].snap.count, 3u);
+  EXPECT_EQ(histograms[1].snap.max, 500u);
 }
 
 TEST(ObsMetrics, GoldenJsonSnapshot) {
@@ -181,11 +164,8 @@ TEST(ObsMetrics, GoldenJsonSnapshot) {
             "    \"b.gauge\": -2\n"
             "  },\n"
             "  \"histograms\": {\n"
-            "    \"c.hist\": {\"count\": 4, \"sum\": 8, \"buckets\": "
-            "[{\"le\": 1, \"count\": 2}, {\"le\": 2, \"count\": 1}, "
-            "{\"le\": null, \"count\": 1}]}\n"
-            "  },\n"
-            "  \"latencies\": {\n"
+            "    \"c.hist\": {\"count\": 4, \"sum\": 8, \"max\": 5, "
+            "\"p50\": 1, \"p90\": 5, \"p99\": 5, \"p999\": 5},\n"
             "    \"d.lat\": {\"count\": 3, \"sum\": 503, \"max\": 500, "
             "\"p50\": 2, \"p90\": 504, \"p99\": 504, \"p999\": 504}\n"
             "  }\n"
@@ -197,7 +177,7 @@ TEST(ObsMetrics, EmptyRegistryExportsAreWellFormed) {
   EXPECT_EQ(registry.to_prometheus(), "");
   EXPECT_EQ(registry.to_json(),
             "{\n  \"counters\": {},\n  \"gauges\": {},\n"
-            "  \"histograms\": {},\n  \"latencies\": {}\n}\n");
+            "  \"histograms\": {}\n}\n");
 }
 
 }  // namespace

@@ -232,7 +232,7 @@ TEST(Sampler, SamplesRegistryAndDrainsEvents) {
 
   auto& packets = metrics.counter("pipeline.packets");
   auto& depth = metrics.gauge("rings.depth");
-  auto& latency = metrics.histogram("alert.latency_us", {100, 1000});
+  auto& latency = metrics.histogram("alert.latency_us");
 
   std::uint64_t now_us = 100 * kSecUs;
   obs::SamplerConfig config;
@@ -245,8 +245,8 @@ TEST(Sampler, SamplesRegistryAndDrainsEvents) {
 
   packets.add(500);
   depth.set(7);
-  latency.observe(50);
-  latency.observe(2000);
+  latency.record(50);
+  latency.record(2000);
   sampler.sample_once();
 
   obs::DetectorEvent event;
@@ -261,15 +261,17 @@ TEST(Sampler, SamplesRegistryAndDrainsEvents) {
   packets.add(250);
   sampler.sample_once();
 
-  // Counter, gauge, and the histogram's .count/.sum series all exist.
+  // Counter, gauge, and the histogram's .count/.sum and quantile series
+  // all exist.
   const auto catalog = store.series();
   std::vector<std::string> names;
   names.reserve(catalog.size());
   for (const auto& info : catalog) names.push_back(info.name);
   EXPECT_EQ(names,
-            (std::vector<std::string>{"alert.latency_us.count",
-                                      "alert.latency_us.sum",
-                                      "pipeline.packets", "rings.depth"}));
+            (std::vector<std::string>{
+                "alert.latency_us.count", "alert.latency_us.p50",
+                "alert.latency_us.p90", "alert.latency_us.p99",
+                "alert.latency_us.sum", "pipeline.packets", "rings.depth"}));
 
   const auto counter = store.query("pipeline.packets", 0, now_us, 0);
   ASSERT_EQ(counter.points.size(), 2u);

@@ -1,11 +1,11 @@
 // Differential oracles for the allocation-free classify path.
 //
-//  * ReferenceParsers: net::decode_ipv4 and quic::parse_long_header,
-//    which read at fixed offsets after explicit length checks, against
-//    the ByteReader-based parsers they replaced (reference_parsers.*),
-//    field by field and ParseError included. Each runs on over 100k
-//    random, mutated, truncated and generator-built inputs, plus the
-//    committed fuzz corpus.
+//  * ReferenceParsers: net::decode_ipv4, quic::parse_long_header and
+//    quic::parse_gquic_packet, which read at fixed offsets after
+//    explicit length checks, against the ByteReader-based parsers they
+//    replaced (reference_parsers.*), field by field and ParseError
+//    included. Each runs on over 100k random, mutated, truncated and
+//    generator-built inputs, plus the committed fuzz corpus.
 //  * ClassifierOracle: Classifier::classify's QUIC fields against a fold
 //    over dissect_udp_payload(...).packets, on the DissectorFuzz inputs.
 #include <gtest/gtest.h>
@@ -22,6 +22,7 @@
 #include "fuzz/mutator.hpp"
 #include "net/headers.hpp"
 #include "quic/dissector.hpp"
+#include "quic/gquic.hpp"
 #include "quic/header.hpp"
 #include "quic/retry.hpp"
 #include "reference_parsers.hpp"
@@ -67,6 +68,19 @@ const std::vector<Bytes>& generated_datagrams() {
     return out;
   }();
   return datagrams;
+}
+
+/// The UDP payloads of generated_datagrams().
+std::vector<Bytes> generated_udp_payloads() {
+  std::vector<Bytes> out;
+  for (const auto& datagram : generated_datagrams()) {
+    const auto decoded = net::decode_ipv4(datagram);
+    if (decoded && decoded->is_udp()) {
+      const auto payload = decoded->udp().payload;
+      out.emplace_back(payload.begin(), payload.end());
+    }
+  }
+  return out;
 }
 
 /// The committed fuzz corpus of one target.
@@ -303,14 +317,7 @@ TEST(ReferenceParsers, ParseLongHeaderMatchesReference) {
   };
 
   // Seeds: every generated UDP payload and the crafted packets.
-  std::vector<Bytes> seeds;
-  for (const auto& datagram : generated_datagrams()) {
-    const auto decoded = net::decode_ipv4(datagram);
-    if (decoded && decoded->is_udp()) {
-      const auto payload = decoded->udp().payload;
-      seeds.emplace_back(payload.begin(), payload.end());
-    }
-  }
+  auto seeds = generated_udp_payloads();
   for (auto& packet : crafted_long_headers()) seeds.push_back(std::move(packet));
   for_each_derived(seeds, 109, check);
   for (const auto* target : {"quic_header", "quic_dissect"}) {
@@ -328,6 +335,97 @@ TEST(ReferenceParsers, ParseLongHeaderMatchesReference) {
   EXPECT_EQ(mismatches, 0u);
   EXPECT_GE(checked, 100000u);
   EXPECT_GT(accepted, checked / 10);
+}
+
+// --- parse_gquic_packet vs the reference --------------------------------
+
+/// Name of the first field where the two parsers differ, "" if none.
+std::string gquic_mismatch(std::span<const std::uint8_t> data) {
+  const auto got = quic::parse_gquic_packet(data);
+  const auto want = reference::parse_gquic_packet(data);
+  if (got.has_value() != want.has_value()) return "accepted";
+  if (!got) return "";
+  if (got->version != want->version) return "version";
+  if (got->has_version != want->has_version) return "has_version";
+  if (got->is_reset != want->is_reset) return "is_reset";
+  if (got->connection_id != want->connection_id) return "connection_id";
+  if (got->packet_number_length != want->packet_number_length) {
+    return "packet_number_length";
+  }
+  if (got->packet_number != want->packet_number) return "packet_number";
+  if (got->header_size != want->header_size) return "header_size";
+  if (got->payload_size != want->payload_size) return "payload_size";
+  return "";
+}
+
+/// Handcrafted Q043 public headers: data packets with every packet
+/// number length, with and without a version and with payloads around
+/// the 12-byte minimum, each also as a public reset, plus one with a
+/// version that does not start with 'Q'. Every one is also cut at every
+/// length.
+std::vector<Bytes> crafted_gquic_headers() {
+  util::Rng rng(131);
+  std::vector<Bytes> whole;
+  for (const std::uint64_t pn :
+       {0x12ULL, 0x1234ULL, 0x123456ULL, 0x123456789aULL}) {
+    for (const std::uint32_t version : {0u, 0x51303433u, 0x51303530u}) {
+      for (const std::size_t payload : {0u, 11u, 12u, 40u}) {
+        const quic::ConnectionId cid(rng.bytes(8));
+        auto packet =
+            quic::build_gquic_packet(cid, version, pn, rng.bytes(payload));
+        auto reset = packet;
+        reset[0] |= quic::GquicPublicFlags::kReset;
+        whole.push_back(std::move(packet));
+        whole.push_back(std::move(reset));
+      }
+    }
+  }
+  auto not_q = quic::build_gquic_packet(quic::ConnectionId(rng.bytes(8)),
+                                        0x51303433, 1, rng.bytes(20));
+  not_q[9] = 'T';
+  whole.push_back(std::move(not_q));
+  std::vector<Bytes> out;
+  for (const auto& packet : whole) {
+    for (auto end = packet.begin(); end != packet.end(); ++end) {
+      out.emplace_back(packet.begin(), end);
+    }
+    out.push_back(packet);
+  }
+  return out;
+}
+
+TEST(ReferenceParsers, ParseGquicPacketMatchesReference) {
+  std::size_t checked = 0;
+  std::size_t accepted = 0;
+  std::size_t mismatches = 0;
+  auto check = [&](std::span<const std::uint8_t> input) {
+    ++checked;
+    if (quic::parse_gquic_packet(input)) ++accepted;
+    const auto field = gquic_mismatch(input);
+    if (!field.empty() && mismatches++ == 0) {
+      ADD_FAILURE() << "first mismatch, " << field << ", for "
+                    << util::to_hex(input);
+    }
+  };
+  auto seeds = generated_udp_payloads();
+  for (auto& header : crafted_gquic_headers()) {
+    seeds.push_back(std::move(header));
+  }
+  for_each_derived(seeds, 137, check);
+  for (const auto& seed : corpus("quic_dissect")) check(seed);
+  // Public-header flag bytes with the connection-ID bit set.
+  std::vector<std::uint8_t> firsts;
+  for (int flags = 0; flags < 0x80; ++flags) {
+    if (flags & quic::GquicPublicFlags::kConnectionId) {
+      firsts.push_back(static_cast<std::uint8_t>(flags));
+    }
+  }
+  for (const auto& input : random_inputs(50000, 48, firsts, 139)) {
+    check(input);
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_GE(checked, 100000u);
+  EXPECT_GT(accepted, checked / 20);
 }
 
 // --- Classifier fold vs dissect_udp_payload ---------------------------

@@ -193,4 +193,45 @@ std::optional<LongHeaderView> parse_long_header(
   }
 }
 
+std::optional<quic::GquicPacketView> parse_gquic_packet(
+    std::span<const std::uint8_t> data) {
+  using quic::ConnectionId;
+  using quic::GquicPublicFlags;
+  try {
+    ByteReader r(data);
+    const std::uint8_t flags = r.read_u8();
+    if (flags & 0x80) return std::nullopt;
+    if (flags & GquicPublicFlags::kMultipath) return std::nullopt;
+    if (!(flags & GquicPublicFlags::kConnectionId)) return std::nullopt;
+
+    quic::GquicPacketView view;
+    view.is_reset = (flags & GquicPublicFlags::kReset) != 0;
+    view.connection_id = ConnectionId(r.read_bytes(8));
+    if (flags & GquicPublicFlags::kVersion) {
+      view.has_version = true;
+      view.version = r.read_u32().to_host();
+      if ((view.version >> 24) != 'Q') return std::nullopt;
+    }
+    if (view.is_reset) {
+      view.header_size = r.position();
+      view.payload_size = r.remaining();
+      return view;
+    }
+    // Bits 4-5 of the flags: a 1, 2, 4 or 6-byte packet number.
+    constexpr int kPnLengths[] = {1, 2, 4, 6};
+    view.packet_number_length = kPnLengths[(flags >> 4) & 0x03];
+    std::uint64_t pn = 0;
+    for (int i = 0; i < view.packet_number_length; ++i) {
+      pn = (pn << 8) | r.read_u8();
+    }
+    view.packet_number = pn;
+    view.header_size = r.position();
+    view.payload_size = r.remaining();
+    if (view.payload_size < 12) return std::nullopt;
+    return view;
+  } catch (const util::BufferUnderflow&) {
+    return std::nullopt;
+  }
+}
+
 }  // namespace quicsand::reference

@@ -1,6 +1,7 @@
-// Reference copies of the IPv4 decoder and the QUIC long-header parser
-// as they were before both moved to fixed-offset loads: sequential
-// util::ByteReader reads, with truncation reported by exception. They
+// Reference copies of the IPv4 decoder, the QUIC long-header parser and
+// the gQUIC public-header parser as they were before each moved to
+// fixed-offset loads: sequential util::ByteReader reads, with truncation
+// reported by exception. They
 // exist only so parser_oracle_test can compare the production parsers
 // against them field by field; nothing outside tests/ may use them.
 #pragma once
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "net/headers.hpp"
+#include "quic/gquic.hpp"
 #include "quic/header.hpp"
 
 namespace quicsand::reference {
@@ -39,5 +41,9 @@ struct LongHeaderView {
 std::optional<LongHeaderView> parse_long_header(
     std::span<const std::uint8_t> data, std::size_t offset,
     quic::ParseError* error = nullptr);
+
+/// quic::parse_gquic_packet, ByteReader edition.
+std::optional<quic::GquicPacketView> parse_gquic_packet(
+    std::span<const std::uint8_t> data);
 
 }  // namespace quicsand::reference
