@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "net/ip.hpp"
-#include "util/bytes.hpp"
 
 namespace quicsand::net {
 
@@ -86,39 +85,55 @@ struct DecodedPacket {
   [[nodiscard]] const IcmpInfo& icmp() const { return std::get<IcmpInfo>(l4); }
 };
 
-/// Build a complete IPv4+UDP datagram with valid checksums.
+/// Wire size of the datagram each writer below produces for a payload
+/// (for icmp_error_size: an original datagram) of the given size. Each
+/// throws std::length_error when the size exceeds the 65,535 bytes an
+/// IPv4 total length can express.
+std::size_t udp_size(std::size_t payload_size);
+std::size_t tcp_size(std::size_t payload_size);
+std::size_t icmp_size(std::size_t payload_size);
+std::size_t icmp_error_size(std::size_t original_size);
+
+/// Fixed-offset writers: each writes one complete datagram with valid
+/// checksums to the front of `out` and returns its size (the matching
+/// *_size() above). They throw std::length_error as *_size() does, and
+/// std::out_of_range when `out` is shorter than the datagram.
+std::size_t write_udp(std::span<std::uint8_t> out, const Ipv4Header& ip,
+                      std::uint16_t sport, std::uint16_t dport,
+                      std::span<const std::uint8_t> payload);
+
+/// IPv4+TCP segment, no options.
+std::size_t write_tcp(std::span<std::uint8_t> out, const Ipv4Header& ip,
+                      const TcpInfo& tcp);
+
+std::size_t write_icmp(std::span<std::uint8_t> out, const Ipv4Header& ip,
+                       const IcmpInfo& icmp);
+
+/// ICMP error (e.g. destination/port unreachable) quoting the original
+/// datagram's IP header plus its first 8 payload bytes, as RFC 792
+/// requires. This is what real UDP backscatter looks like when a victim
+/// rejects a spoofed probe.
+std::size_t write_icmp_error(std::span<std::uint8_t> out,
+                             const Ipv4Header& ip, std::uint8_t type,
+                             std::uint8_t code,
+                             std::span<const std::uint8_t> original_datagram);
+
+/// The 20-byte IPv4 header alone (no options, DF set) of a datagram
+/// carrying `l4_length` bytes of `ip.protocol`; `ip.total_length` is
+/// ignored. For callers that patch a prebuilt datagram in place.
+void write_ipv4_header(std::span<std::uint8_t> out, const Ipv4Header& ip,
+                       std::size_t l4_length);
+
+/// The writers above, returning a fresh vector.
 std::vector<std::uint8_t> build_udp(const Ipv4Header& ip, std::uint16_t sport,
                                     std::uint16_t dport,
                                     std::span<const std::uint8_t> payload);
-
-/// Build a complete IPv4+TCP segment (no options) with valid checksums.
 std::vector<std::uint8_t> build_tcp(const Ipv4Header& ip, const TcpInfo& tcp);
-
-/// Build a complete IPv4+ICMP datagram with valid checksums.
 std::vector<std::uint8_t> build_icmp(const Ipv4Header& ip,
                                      const IcmpInfo& icmp);
-
-/// Build an ICMP error (e.g. destination/port unreachable) quoting the
-/// original datagram's IP header plus its first 8 payload bytes, as
-/// RFC 792 requires. This is what real UDP backscatter looks like when a
-/// victim rejects a spoofed probe.
 std::vector<std::uint8_t> build_icmp_error(
     const Ipv4Header& ip, std::uint8_t type, std::uint8_t code,
     std::span<const std::uint8_t> original_datagram);
-
-// Allocation-free variants: append the same bytes to a caller-owned writer
-// (typically a reusable per-emitter buffer). The vector-returning builders
-// above delegate to these, so the two families cannot drift apart.
-void build_udp_into(util::ByteWriter& w, const Ipv4Header& ip,
-                    std::uint16_t sport, std::uint16_t dport,
-                    std::span<const std::uint8_t> payload);
-void build_tcp_into(util::ByteWriter& w, const Ipv4Header& ip,
-                    const TcpInfo& tcp);
-void build_icmp_into(util::ByteWriter& w, const Ipv4Header& ip,
-                     const IcmpInfo& icmp);
-void build_icmp_error_into(util::ByteWriter& w, const Ipv4Header& ip,
-                           std::uint8_t type, std::uint8_t code,
-                           std::span<const std::uint8_t> original_datagram);
 
 /// The original datagram summary quoted inside an ICMP error payload.
 struct IcmpQuote {

@@ -2,35 +2,24 @@
 // generation/ingest hot path.
 //
 // A RecordBatch owns a fixed-capacity byte arena plus parallel columns of
-// timestamps and (offset, length) extents.  Producers append packets with
-// try_append(); consumers read them back as non-owning views.  clear()
-// resets the batch without releasing memory, so after the first fill a
-// batch performs zero heap allocations in steady state — the property the
-// zero-alloc test in tests/net_record_batch_test.cpp pins.
+// timestamps and (offset, length) extents.  Producers either reserve a
+// packet's arena region with append() and write it in place, or copy a
+// finished packet in with try_append(); consumers read them back as
+// non-owning views.  clear() resets the batch without releasing memory,
+// so after the first fill a batch performs zero heap allocations in
+// steady state — the property the zero-alloc test in
+// tests/net_record_batch_test.cpp pins.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
-#include "util/bytes.hpp"
 #include "util/time.hpp"
 
 namespace quicsand::net {
-
-/// A reusable single-packet staging buffer: the slot type the telescope
-/// generator keeps per emitter.  Emitters write the next packet in place
-/// via the writer (capacity is retained across packets), so steady-state
-/// production touches no heap.
-struct PacketBuffer {
-  util::Timestamp timestamp{};
-  util::ByteWriter writer;
-
-  [[nodiscard]] std::span<const std::uint8_t> bytes() const {
-    return writer.view();
-  }
-};
 
 /// Non-owning view of one packet stored in a RecordBatch.
 struct PacketView {
@@ -69,19 +58,28 @@ class RecordBatch {
            arena_used_ + bytes <= arena_.size();
   }
 
+  /// Append one packet of `size` bytes and return its arena region, for
+  /// the caller to fill in place before the batch is read. Throws
+  /// std::length_error when !has_room(size).
+  std::span<std::uint8_t> append(util::Timestamp timestamp,
+                                 std::size_t size) {
+    if (!has_room(size)) throw std::length_error("RecordBatch::append");
+    const std::span<std::uint8_t> region(arena_.data() + arena_used_, size);
+    timestamps_.push_back(timestamp);
+    offsets_.push_back(static_cast<std::uint32_t>(arena_used_));
+    lengths_.push_back(static_cast<std::uint32_t>(size));
+    arena_used_ += size;
+    return region;
+  }
+
   /// Append one packet by copying its bytes into the arena. Returns false
   /// (batch unchanged) when full; the caller then drains the batch and
   /// retries after clear().
   bool try_append(util::Timestamp timestamp,
                   std::span<const std::uint8_t> data) {
     if (!has_room(data.size())) return false;
-    // The bytes were framed by ByteWriter on the producer side already.
-    // lint:allow(raw-memcpy): bulk copy into the preallocated arena
-    std::memcpy(arena_.data() + arena_used_, data.data(), data.size());
-    timestamps_.push_back(timestamp);
-    offsets_.push_back(static_cast<std::uint32_t>(arena_used_));
-    lengths_.push_back(static_cast<std::uint32_t>(data.size()));
-    arena_used_ += data.size();
+    std::copy(data.begin(), data.end(),
+              append(timestamp, data.size()).begin());
     return true;
   }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <stdexcept>
 
 #include "net/headers.hpp"
 #include "quic/gquic.hpp"
@@ -12,10 +13,11 @@
 namespace quicsand::telescope {
 
 std::optional<net::RawPacket> PacketEmitter::next() {
-  if (!produce(adapter_buffer_)) return std::nullopt;
-  const auto bytes = adapter_buffer_.bytes();
-  return net::RawPacket{adapter_buffer_.timestamp,
-                        {bytes.begin(), bytes.end()}};
+  if (!stage()) return std::nullopt;
+  net::RawPacket packet(staged_time(),
+                        std::vector<std::uint8_t>(staged_size()));
+  emit(packet.data);
+  return packet;
 }
 
 namespace {
@@ -49,9 +51,8 @@ net::Ipv4Address random_in_prefix(const net::Ipv4Prefix& prefix,
 ResearchScanEmitter::ResearchScanEmitter(
     const ScenarioConfig& scenario, const ResearchScannerConfig& config,
     net::Ipv4Prefix source_prefix, std::uint64_t seed)
-    : scenario_(scenario),
-      config_(config),
-      source_prefix_(source_prefix),
+    : telescope_(scenario.telescope),
+      pass_duration_(config.pass_duration),
       rng_(util::mix64(seed, config.asn)) {
   // Deterministic pass schedule: evenly spaced with a per-scanner phase,
   // so short windows still contain the expected number of passes.
@@ -66,20 +67,16 @@ ResearchScanEmitter::ResearchScanEmitter(
   total_ = pass_starts_.size() * scenario.telescope.size();
 
   // Template probe: a padded client Initial from a fixed scanner host.
-  // Per-probe we patch destination address, source host bits and DCID,
-  // then fix the IP checksum; the UDP checksum is left as 0 ("none"),
-  // which RFC 768 permits and scanners commonly do.
+  // Per probe, emit() rewrites the IPv4 header (destination, source host
+  // bits, IP id) and patches the DCID; the UDP checksum is left as 0
+  // ("none"), which RFC 768 permits and scanners commonly do.
   auto ctx = quic::HandshakeContext::random(config.version, rng_);
   const auto payload = quic::build_client_initial(
       ctx, "", rng_, quic::CryptoFidelity::kFast);
-  const auto src = source_prefix.at(0x20);
-  template_packet_ = net::build_udp(ip_header(src, scenario.telescope.base(),
-                                              rng_),
-                                    34434, kQuicPort, payload);
+  template_ip_ = ip_header(source_prefix.at(0x20), telescope_.base(), rng_);
+  template_packet_ = net::build_udp(template_ip_, 34434, kQuicPort, payload);
   template_packet_[26] = 0;  // UDP checksum: none
   template_packet_[27] = 0;
-  // DCID starts after IP(20) + UDP(8) + flags(1) + version(4) + len(1).
-  dcid_offset_ = 34;
   start_next_pass();
 }
 
@@ -89,52 +86,49 @@ void ResearchScanEmitter::start_next_pass() {
     return;
   }
   scanner::ScanPassConfig pass;
-  pass.telescope = scenario_.telescope;
+  pass.telescope = telescope_;
   pass.start = pass_starts_[pass_index_];
-  pass.duration = config_.pass_duration;
+  pass.duration = pass_duration_;
   pass.coverage = 1.0;
   pass.seed = util::mix64(rng_.next(), pass_index_);
   current_pass_ = std::make_unique<scanner::ScanPass>(pass);
   ++pass_index_;
 }
 
-bool ResearchScanEmitter::produce(net::PacketBuffer& out) {
+bool ResearchScanEmitter::stage() {
   while (current_pass_) {
     const auto probe = current_pass_->next();
     if (!probe) {
       start_next_pass();
       continue;
     }
-    out.timestamp = probe->time;
-    out.writer.clear();
-    out.writer.write_bytes(template_packet_);
-    const auto data = out.writer.mutable_view();
-    // Destination address.
-    const std::uint32_t dst = probe->target.value();
-    data[16] = static_cast<std::uint8_t>(dst >> 24);
-    data[17] = static_cast<std::uint8_t>(dst >> 16);
-    data[18] = static_cast<std::uint8_t>(dst >> 8);
-    data[19] = static_cast<std::uint8_t>(dst);
+    target_ = probe->target;
     // Scanner host: a handful of machines inside the source prefix.
-    data[15] = static_cast<std::uint8_t>(0x20 + rng_.uniform(8));
+    host_ = static_cast<std::uint8_t>(0x20 + rng_.uniform(8));
     // Fresh IP id and DCID per probe.
-    const std::uint64_t r = rng_.next();
-    data[4] = static_cast<std::uint8_t>(r);
-    data[5] = static_cast<std::uint8_t>(r >> 8);
-    for (int i = 0; i < 8; ++i) {
-      data[dcid_offset_ + static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(r >> (8 * i));
-    }
-    // Recompute the IP header checksum.
-    data[10] = 0;
-    data[11] = 0;
-    const std::uint16_t csum =
-        net::internet_checksum({data.data(), 20});
-    data[10] = static_cast<std::uint8_t>(csum >> 8);
-    data[11] = static_cast<std::uint8_t>(csum);
+    random_ = rng_.next();
+    set_staged(probe->time, template_packet_.size());
     return true;
   }
   return false;
+}
+
+void ResearchScanEmitter::emit(std::span<std::uint8_t> out) {
+  // DCID starts after IP(20) + UDP(8) + flags(1) + version(4) + len(1).
+  constexpr std::size_t kDcidOffset = 34;
+  if (out.size() < template_packet_.size()) {
+    throw std::out_of_range("ResearchScanEmitter::emit: short buffer");
+  }
+  std::copy(template_packet_.begin(), template_packet_.end(), out.begin());
+  net::Ipv4Header ip = template_ip_;
+  ip.src = net::Ipv4Address((ip.src.value() & ~0xffu) | host_);
+  ip.dst = target_;
+  ip.identification = static_cast<std::uint16_t>(((random_ & 0xff) << 8) |
+                                                 ((random_ >> 8) & 0xff));
+  net::write_ipv4_header(out, ip, template_packet_.size() - 20);
+  for (std::size_t i = 0; i < 8; ++i) {
+    out[kDcidOffset + i] = static_cast<std::uint8_t>(random_ >> (8 * i));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -145,32 +139,34 @@ BotnetSessionEmitter::BotnetSessionEmitter(const ScenarioConfig& scenario,
                                            util::Timestamp start,
                                            std::uint64_t packet_count,
                                            std::uint64_t seed)
-    : scenario_(scenario),
+    : telescope_(scenario.telescope),
+      fidelity_(scenario.fidelity),
+      gap_rate_(1.0 / util::to_seconds(scenario.botnet.intra_gap_mean)),
       source_(source),
       time_(start),
       remaining_(packet_count),
       rng_(util::mix64(seed, source.value())) {}
 
-bool BotnetSessionEmitter::produce(net::PacketBuffer& out) {
+bool BotnetSessionEmitter::stage() {
   if (remaining_ == 0) return false;
   --remaining_;
   auto ctx = quic::HandshakeContext::random(
       rng_.bernoulli(0.8) ? 1u : 0xff00001du, rng_);
   datagram_.clear();
-  quic::build_client_initial_into(datagram_, ctx, "", rng_,
-                                  scenario_.fidelity, scratch_);
-  const auto target = random_in_prefix(scenario_.telescope, rng_);
+  quic::build_client_initial_into(datagram_, ctx, "", rng_, fidelity_,
+                                  scratch_);
+  const auto target = random_in_prefix(telescope_, rng_);
   // Draw order (port before IP header) matches the historical
   // right-to-left evaluation of build_udp's arguments.
-  const std::uint16_t source_port = ephemeral_port(rng_);
-  const auto header = ip_header(source_, target, rng_);
-  out.timestamp = time_;
-  out.writer.clear();
-  net::build_udp_into(out.writer, header, source_port, kQuicPort,
-                      datagram_.view());
-  const double mean_gap_s = util::to_seconds(scenario_.botnet.intra_gap_mean);
-  time_ += util::from_seconds(rng_.exponential(1.0 / mean_gap_s));
+  source_port_ = ephemeral_port(rng_);
+  header_ = ip_header(source_, target, rng_);
+  set_staged(time_, net::udp_size(datagram_.size()));
+  time_ += util::from_seconds(rng_.exponential(gap_rate_));
   return true;
+}
+
+void BotnetSessionEmitter::emit(std::span<std::uint8_t> out) {
+  net::write_udp(out, header_, source_port_, kQuicPort, datagram_.view());
 }
 
 // ---------------------------------------------------------------------------
@@ -179,8 +175,9 @@ bool BotnetSessionEmitter::produce(net::PacketBuffer& out) {
 QuicBackscatterEmitter::QuicBackscatterEmitter(const ScenarioConfig& scenario,
                                                const PlannedAttack& attack,
                                                std::uint64_t seed)
-    : scenario_(scenario),
-      attack_(attack),
+    : victim_(attack.victim),
+      quic_version_(attack.quic_version),
+      fidelity_(scenario.fidelity),
       rng_(util::mix64(seed,
                        attack.victim.value() ^
                            static_cast<std::uint64_t>(attack.start.count()))) {
@@ -236,30 +233,29 @@ void QuicBackscatterEmitter::schedule_connection(util::Timestamp start) {
   // already dropped. The mixture reproduces the §6 message composition
   // (~31% Initial / ~57% Handshake / rest other).
   quic::HandshakeContext ctx =
-      quic::HandshakeContext::random(attack_.quic_version, rng_);
+      quic::HandshakeContext::random(quic_version_, rng_);
   const auto client = spoofed_clients_[rng_.uniform(spoofed_clients_.size())];
   const std::uint16_t client_port = ephemeral_port(rng_);
 
-  // Wraps the QUIC datagram staged in payload_builder_ into an IP/UDP
-  // packet and enqueues it. The datagram is always built first and the
-  // IP header draws happen only inside the budget check, preserving the
-  // historical right-to-left argument evaluation draw order.
+  // Enqueues the QUIC datagram built in payload_builder_ with its IP/UDP
+  // fields, and puts a recycled buffer in the builder. The datagram is
+  // always built first and the IP header draws happen only inside the
+  // budget check, preserving the historical right-to-left argument
+  // evaluation draw order.
   auto push = [&](util::Duration offset) {
     if (budget_ <= 0) return;
     --budget_;
-    const auto header = ip_header(attack_.victim, client, rng_);
-    udp_builder_.reset(take_spare());
-    net::build_udp_into(udp_builder_, header, kQuicPort, client_port,
-                        payload_builder_.view());
-    pending_.push(Scheduled{start + offset, udp_builder_.take()});
+    const auto header = ip_header(victim_, client, rng_);
+    pending_.push(Scheduled{start + offset, header, client_port,
+                            payload_builder_.take()});
+    payload_builder_.reset(take_spare());
   };
 
   // A small share of attack tools probe with versions the server does
   // not speak; the victim then answers with a single Version Negotiation
   // packet (§2's worst-case handshake) instead of a handshake flight.
   if (rng_.bernoulli(0.02)) {
-    const std::uint32_t versions[] = {attack_.quic_version,
-                                      0x00000001u};
+    const std::uint32_t versions[] = {quic_version_, 0x00000001u};
     payload_builder_.clear();
     quic::build_version_negotiation_into(payload_builder_, ctx.client_scid,
                                          ctx.server_scid, versions, rng_);
@@ -267,38 +263,37 @@ void QuicBackscatterEmitter::schedule_connection(util::Timestamp start) {
     return;
   }
 
-  const auto fidelity = scenario_.fidelity;
   payload_builder_.clear();
   quic::build_server_initial_handshake_into(payload_builder_, ctx, rng_,
-                                            fidelity, scratch_);
+                                            fidelity_, scratch_);
   push(util::Duration{});
   {
     const std::size_t crypto_bytes = 700 + rng_.uniform(500);
     payload_builder_.clear();
-    quic::build_server_handshake_into(payload_builder_, ctx, rng_, fidelity,
+    quic::build_server_handshake_into(payload_builder_, ctx, rng_, fidelity_,
                                       scratch_, crypto_bytes);
     push(50 * util::kMillisecond);
   }
   if (rng_.bernoulli(profile_.retx1)) {
     payload_builder_.clear();
     quic::build_server_initial_handshake_into(payload_builder_, ctx, rng_,
-                                              fidelity, scratch_);
+                                              fidelity_, scratch_);
     push(350 * util::kMillisecond);
     if (rng_.bernoulli(profile_.retx2)) {
       payload_builder_.clear();
       quic::build_server_initial_handshake_into(payload_builder_, ctx, rng_,
-                                                fidelity, scratch_);
+                                                fidelity_, scratch_);
       push(1100 * util::kMillisecond);
     }
   }
   if (rng_.bernoulli(profile_.pings)) {
     payload_builder_.clear();
     quic::build_server_handshake_ping_into(payload_builder_, ctx, rng_,
-                                           fidelity, scratch_);
+                                           fidelity_, scratch_);
     push(2 * util::kSecond);
     payload_builder_.clear();
     quic::build_server_handshake_ping_into(payload_builder_, ctx, rng_,
-                                           fidelity, scratch_);
+                                           fidelity_, scratch_);
     push(4 * util::kSecond);
   }
   if (rng_.bernoulli(profile_.reset)) {
@@ -333,18 +328,21 @@ void QuicBackscatterEmitter::refill() {
   }
 }
 
-bool QuicBackscatterEmitter::produce(net::PacketBuffer& out) {
+bool QuicBackscatterEmitter::stage() {
   refill();
   if (pending_.empty()) return false;
   // The queue orders on time alone, so moving the payload out of the top
-  // element before pop() cannot perturb the heap. The consumer's old
-  // buffer goes back into the spare pool, making the hand-off copy-free.
-  auto& top = const_cast<Scheduled&>(pending_.top());
-  out.timestamp = top.time;
-  spare_.push_back(out.writer.take());
-  out.writer.adopt(std::move(top.datagram));
+  // element before pop() cannot perturb the heap.
+  staged_ = std::move(const_cast<Scheduled&>(pending_.top()));
   pending_.pop();
+  set_staged(staged_.time, net::udp_size(staged_.payload.size()));
   return true;
+}
+
+void QuicBackscatterEmitter::emit(std::span<std::uint8_t> out) {
+  net::write_udp(out, staged_.header, kQuicPort, staged_.client_port,
+                 staged_.payload);
+  spare_.push_back(std::move(staged_.payload));
 }
 
 // ---------------------------------------------------------------------------
@@ -353,8 +351,9 @@ bool QuicBackscatterEmitter::produce(net::PacketBuffer& out) {
 CommonBackscatterEmitter::CommonBackscatterEmitter(
     const ScenarioConfig& scenario, const PlannedAttack& attack,
     std::uint64_t seed)
-    : scenario_(scenario),
-      attack_(attack),
+    : telescope_(scenario.telescope),
+      victim_(attack.victim),
+      protocol_(attack.protocol),
       rng_(util::mix64(seed,
                        attack.victim.value() ^
                            static_cast<std::uint64_t>(attack.start.count()) ^
@@ -369,13 +368,13 @@ CommonBackscatterEmitter::CommonBackscatterEmitter(
   attack_end_ = attack.start + attack.duration;
 }
 
-bool CommonBackscatterEmitter::produce(net::PacketBuffer& out) {
+bool CommonBackscatterEmitter::stage() {
   while (budget_ > 0 && next_connection_ < attack_end_ &&
          (pending_.empty() || next_connection_ <= pending_.top().time)) {
-    const auto client = random_in_prefix(scenario_.telescope, rng_);
+    const auto client = random_in_prefix(telescope_, rng_);
     const std::uint16_t client_port = ephemeral_port(rng_);
     const auto seq = static_cast<std::uint32_t>(rng_.next());
-    if (attack_.protocol == AttackProtocol::kTcp) {
+    if (protocol_ == AttackProtocol::kTcp) {
       // SYN-ACK retransmissions with exponential backoff (1s, 2s, 4s).
       util::Duration offset{};
       const int retx = 3 + static_cast<int>(rng_.uniform(3));
@@ -394,20 +393,13 @@ bool CommonBackscatterEmitter::produce(net::PacketBuffer& out) {
         util::from_seconds(rng_.exponential(connection_rate_));
   }
   if (pending_.empty()) return false;
-  const auto scheduled = pending_.top();
+  current_ = pending_.top();
   pending_.pop();
-  out.timestamp = scheduled.time;
-  out.writer.clear();
 
-  if (attack_.protocol == AttackProtocol::kTcp) {
-    net::TcpInfo tcp;
-    tcp.src_port = service_port_;
-    tcp.dst_port = scheduled.client_port;
-    tcp.seq = scheduled.seq;
-    tcp.ack = scheduled.seq + 1;  // echoes the spoofed SYN's ISN + 1
-    tcp.flags = net::TcpFlags::kSyn | net::TcpFlags::kAck;
-    const auto header = ip_header(attack_.victim, scheduled.client, rng_);
-    net::build_tcp_into(out.writer, header, tcp);
+  if (protocol_ == AttackProtocol::kTcp) {
+    reply_ = Reply::kSynAck;
+    header_ = ip_header(victim_, current_.client, rng_);
+    set_staged(current_.time, net::tcp_size(0));
     return true;
   }
   // ICMP backscatter: mostly echo replies to spoofed pings; some
@@ -416,25 +408,45 @@ bool CommonBackscatterEmitter::produce(net::PacketBuffer& out) {
   // (payload before headers) matches the historical right-to-left
   // evaluation of the builder arguments.
   if (rng_.bernoulli(0.3)) {
-    std::array<std::uint8_t, 8> probe_payload;
-    rng_.fill(probe_payload);
-    const auto inner = ip_header(scheduled.client, attack_.victim, rng_);
-    original_.clear();
-    net::build_udp_into(original_, inner, scheduled.client_port, 443,
-                        probe_payload);
-    const auto header = ip_header(attack_.victim, scheduled.client, rng_);
-    net::build_icmp_error_into(out.writer, header, 3, 3, original_.view());
+    reply_ = Reply::kPortUnreachable;
+    rng_.fill(std::span(body_).first(kProbePayloadSize));
+    probe_header_ = ip_header(current_.client, victim_, rng_);
+    header_ = ip_header(victim_, current_.client, rng_);
+    set_staged(current_.time,
+               net::icmp_error_size(net::udp_size(kProbePayloadSize)));
     return true;
   }
-  net::IcmpInfo icmp;
-  icmp.type = 0;  // echo reply
-  icmp.code = 0;
-  std::array<std::uint8_t, 28> body;
-  rng_.fill(body);
-  icmp.payload = body;
-  const auto header = ip_header(attack_.victim, scheduled.client, rng_);
-  net::build_icmp_into(out.writer, header, icmp);
+  reply_ = Reply::kEchoReply;
+  rng_.fill(body_);
+  header_ = ip_header(victim_, current_.client, rng_);
+  set_staged(current_.time, net::icmp_size(body_.size()));
   return true;
+}
+
+void CommonBackscatterEmitter::emit(std::span<std::uint8_t> out) {
+  switch (reply_) {
+    case Reply::kSynAck: {
+      net::TcpInfo tcp;
+      tcp.src_port = service_port_;
+      tcp.dst_port = current_.client_port;
+      tcp.seq = current_.seq;
+      tcp.ack = current_.seq + 1;  // echoes the spoofed SYN's ISN + 1
+      tcp.flags = net::TcpFlags::kSyn | net::TcpFlags::kAck;
+      net::write_tcp(out, header_, tcp);
+      return;
+    }
+    case Reply::kEchoReply:
+      net::write_icmp(out, header_, {0, 0, body_});  // echo reply
+      return;
+    case Reply::kPortUnreachable: {
+      // The spoofed probe: IPv4 and UDP headers plus its payload.
+      std::array<std::uint8_t, 20 + 8 + kProbePayloadSize> probe;
+      net::write_udp(probe, probe_header_, current_.client_port, 443,
+                     std::span(body_).first(kProbePayloadSize));
+      net::write_icmp_error(out, header_, 3, 3, probe);
+      return;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -446,7 +458,7 @@ MisconfigEmitter::MisconfigEmitter(const ScenarioConfig& scenario,
                                    util::Timestamp start,
                                    std::uint64_t packet_count,
                                    std::uint64_t seed)
-    : scenario_(scenario),
+    : fidelity_(scenario.fidelity),
       source_(source),
       version_(version),
       time_(start),
@@ -461,7 +473,7 @@ MisconfigEmitter::MisconfigEmitter(const ScenarioConfig& scenario,
              : util::kSecond;
 }
 
-bool MisconfigEmitter::produce(net::PacketBuffer& out) {
+bool MisconfigEmitter::stage() {
   if (remaining_ == 0) return false;
   --remaining_;
   // A confused endpoint retransmitting handshake-space data and pings at
@@ -479,22 +491,22 @@ bool MisconfigEmitter::produce(net::PacketBuffer& out) {
                                            quic::ConnectionId(cid_bytes),
                                            packet_number, payload_size, rng_);
   } else if (rng_.bernoulli(0.5)) {
-    quic::build_server_handshake_ping_into(payload_, ctx_, rng_,
-                                           scenario_.fidelity, scratch_);
+    quic::build_server_handshake_ping_into(payload_, ctx_, rng_, fidelity_,
+                                           scratch_);
   } else {
     const std::size_t crypto_bytes = 100 + rng_.uniform(200);
-    quic::build_server_handshake_into(payload_, ctx_, rng_,
-                                      scenario_.fidelity, scratch_,
-                                      crypto_bytes);
+    quic::build_server_handshake_into(payload_, ctx_, rng_, fidelity_,
+                                      scratch_, crypto_bytes);
   }
-  const auto header = ip_header(source_, target_, rng_);
-  out.timestamp = time_;
-  out.writer.clear();
-  net::build_udp_into(out.writer, header, kQuicPort, target_port_,
-                      payload_.view());
+  header_ = ip_header(source_, target_, rng_);
+  set_staged(time_, net::udp_size(payload_.size()));
   time_ += gap_ + util::Duration{static_cast<std::int64_t>(rng_.uniform(
                       static_cast<std::uint64_t>(gap_.count()) + 1))};
   return true;
+}
+
+void MisconfigEmitter::emit(std::span<std::uint8_t> out) {
+  net::write_udp(out, header_, kQuicPort, target_port_, payload_.view());
 }
 
 }  // namespace quicsand::telescope

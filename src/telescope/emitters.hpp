@@ -1,46 +1,67 @@
 // Packet emitters: time-ordered sources of telescope traffic.
 //
 // Each emitter models one traffic phenomenon and yields complete raw
-// IPv4 datagrams with non-decreasing timestamps. The generator merges
-// emitters through a priority queue, so a month of telescope traffic is
-// produced in one streaming pass with O(active flights) memory.
+// IPv4 datagrams with non-decreasing timestamps. The generator builds and
+// primes every emitter of the scenario up front (one per attack, botnet
+// session, misconfigured host and research scanner) and merges them
+// through a heap, so memory grows with the number of planned events and
+// each flood's scheduled-but-unsent packets, not with the stream's
+// length. Each emitter keeps only the scenario fields it reads.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <queue>
+#include <span>
 #include <vector>
 
 #include "net/headers.hpp"
 #include "net/packet.hpp"
-#include "net/record_batch.hpp"
 #include "quic/packets.hpp"
 #include "quic/stateless_reset.hpp"
 #include "scanner/zmap.hpp"
 #include "telescope/ground_truth.hpp"
 #include "telescope/scenario.hpp"
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 
 namespace quicsand::telescope {
 
+/// Two-step production, so that each packet is written once, straight
+/// into its final buffer (the generator's batch arena):
+///   stage() draws the next packet: every RNG draw it needs, in a fixed
+///     order, and its timestamp and wire size; it writes no packet bytes.
+///   emit(out) serializes the staged packet into exactly staged_size()
+///     bytes and draws nothing.
+/// Call emit() at most once per successful stage(). A staged packet may
+/// be dropped unemitted: the generator drops an emitter whose next packet
+/// falls past the window.
 class PacketEmitter {
  public:
   virtual ~PacketEmitter() = default;
 
-  /// Write the next packet in time order into `out` (timestamp plus raw
-  /// bytes, reusing the buffer's capacity — zero heap traffic once warm).
-  /// Returns false when the emitter is drained.
-  virtual bool produce(net::PacketBuffer& out) = 0;
+  /// Stage the next packet in time order; false when drained.
+  virtual bool stage() = 0;
+  [[nodiscard]] util::Timestamp staged_time() const { return staged_time_; }
+  [[nodiscard]] std::size_t staged_size() const { return staged_size_; }
+  virtual void emit(std::span<std::uint8_t> out) = 0;
 
-  /// Legacy per-record adapter over produce(): copies the staged packet
-  /// into a fresh RawPacket. Kept for the differential oracle and
-  /// low-rate callers; both paths share one implementation so they
-  /// cannot drift.
+  /// Per-record adapter for tests: stage() and emit() into a fresh
+  /// RawPacket.
   std::optional<net::RawPacket> next();
 
+ protected:
+  /// Record what stage() drew.
+  void set_staged(util::Timestamp time, std::size_t size) {
+    staged_time_ = time;
+    staged_size_ = size;
+  }
+
  private:
-  net::PacketBuffer adapter_buffer_;
+  util::Timestamp staged_time_{};
+  std::size_t staged_size_ = 0;
 };
 
 /// Internet-wide research scanner (TUM / RWTH model): a sequence of
@@ -52,7 +73,8 @@ class ResearchScanEmitter : public PacketEmitter {
                       const ResearchScannerConfig& scanner_config,
                       net::Ipv4Prefix source_prefix, std::uint64_t seed);
 
-  bool produce(net::PacketBuffer& out) override;
+  bool stage() override;
+  void emit(std::span<std::uint8_t> out) override;
 
   /// Probes this emitter will produce over the whole window.
   [[nodiscard]] std::uint64_t total_probes() const { return total_; }
@@ -60,16 +82,19 @@ class ResearchScanEmitter : public PacketEmitter {
  private:
   void start_next_pass();
 
-  ScenarioConfig scenario_;
-  ResearchScannerConfig config_;
-  net::Ipv4Prefix source_prefix_;
+  net::Ipv4Prefix telescope_;
+  util::Duration pass_duration_;
   util::Rng rng_;
   std::vector<util::Timestamp> pass_starts_;
   std::size_t pass_index_ = 0;
   std::unique_ptr<scanner::ScanPass> current_pass_;
   std::vector<std::uint8_t> template_packet_;
-  std::size_t dcid_offset_ = 0;  ///< offset of the 8-byte DCID
+  net::Ipv4Header template_ip_;  ///< the template's IPv4 header fields
   std::uint64_t total_ = 0;
+  // The staged probe.
+  net::Ipv4Address target_;
+  std::uint8_t host_ = 0;    ///< last octet of the scanner host
+  std::uint64_t random_ = 0;  ///< IP id (low 16 bits) and DCID bytes
 };
 
 /// One botnet scanning session: a burst of client Initials from a single
@@ -80,16 +105,21 @@ class BotnetSessionEmitter : public PacketEmitter {
                        net::Ipv4Address source, util::Timestamp start,
                        std::uint64_t packet_count, std::uint64_t seed);
 
-  bool produce(net::PacketBuffer& out) override;
+  bool stage() override;
+  void emit(std::span<std::uint8_t> out) override;
 
  private:
-  ScenarioConfig scenario_;
+  net::Ipv4Prefix telescope_;
+  quic::CryptoFidelity fidelity_;
+  double gap_rate_;  ///< 1 / mean intra-session gap in seconds
   net::Ipv4Address source_;
   util::Timestamp time_;
   std::uint64_t remaining_;
   util::Rng rng_;
   quic::BuildScratch scratch_;
-  util::ByteWriter datagram_;
+  util::ByteWriter datagram_;  ///< the staged QUIC payload
+  net::Ipv4Header header_;
+  std::uint16_t source_port_ = 0;
 };
 
 /// Per-implementation handshake flight behaviour (retransmission and
@@ -112,12 +142,17 @@ class QuicBackscatterEmitter : public PacketEmitter {
   QuicBackscatterEmitter(const ScenarioConfig& scenario,
                          const PlannedAttack& attack, std::uint64_t seed);
 
-  bool produce(net::PacketBuffer& out) override;
+  bool stage() override;
+  void emit(std::span<std::uint8_t> out) override;
 
  private:
+  /// One datagram of a scheduled flight: its IP/UDP fields and QUIC
+  /// payload, wrapped at emit().
   struct Scheduled {
     util::Timestamp time;
-    std::vector<std::uint8_t> datagram;
+    net::Ipv4Header header;
+    std::uint16_t client_port = 0;
+    std::vector<std::uint8_t> payload;
     bool operator>(const Scheduled& other) const {
       return time > other.time;
     }
@@ -125,11 +160,12 @@ class QuicBackscatterEmitter : public PacketEmitter {
 
   void schedule_connection(util::Timestamp start);
   void refill();
-  /// Pop a recycled datagram buffer (or an empty one) from the pool.
+  /// Pop a recycled payload buffer (or an empty one) from the pool.
   std::vector<std::uint8_t> take_spare();
 
-  ScenarioConfig scenario_;
-  PlannedAttack attack_;
+  net::Ipv4Address victim_;
+  std::uint32_t quic_version_;
+  quic::CryptoFidelity fidelity_;
   util::Rng rng_;
   std::vector<net::Ipv4Address> spoofed_clients_;
   /// The victim's long-lived stateless-reset key (RFC 9000 §10.3).
@@ -145,10 +181,10 @@ class QuicBackscatterEmitter : public PacketEmitter {
   std::priority_queue<Scheduled, std::vector<Scheduled>, std::greater<>>
       pending_;
   quic::BuildScratch scratch_;
-  util::ByteWriter payload_builder_;  ///< staged QUIC datagram
-  util::ByteWriter udp_builder_;      ///< staged IP/UDP wrapper
-  /// Recycled datagram buffers: produce() swaps the consumer's buffer in
-  /// here and hands the scheduled datagram out without copying.
+  /// The QUIC datagram under construction, on a recycled buffer.
+  util::ByteWriter payload_builder_;
+  Scheduled staged_;
+  /// Payload buffers emit() is done with, reused by schedule_connection().
   std::vector<std::vector<std::uint8_t>> spare_;
 };
 
@@ -159,7 +195,8 @@ class CommonBackscatterEmitter : public PacketEmitter {
   CommonBackscatterEmitter(const ScenarioConfig& scenario,
                            const PlannedAttack& attack, std::uint64_t seed);
 
-  bool produce(net::PacketBuffer& out) override;
+  bool stage() override;
+  void emit(std::span<std::uint8_t> out) override;
 
  private:
   struct Scheduled {
@@ -171,9 +208,13 @@ class CommonBackscatterEmitter : public PacketEmitter {
       return time > other.time;
     }
   };
+  enum class Reply : std::uint8_t { kSynAck, kEchoReply, kPortUnreachable };
+  /// Payload size of the spoofed UDP probe a port unreachable answers.
+  static constexpr std::size_t kProbePayloadSize = 8;
 
-  ScenarioConfig scenario_;
-  PlannedAttack attack_;
+  net::Ipv4Prefix telescope_;
+  net::Ipv4Address victim_;
+  AttackProtocol protocol_;
   util::Rng rng_;
   std::uint16_t service_port_;
   double connection_rate_;
@@ -183,7 +224,13 @@ class CommonBackscatterEmitter : public PacketEmitter {
   std::int64_t budget_ = 40000;
   std::priority_queue<Scheduled, std::vector<Scheduled>, std::greater<>>
       pending_;
-  util::ByteWriter original_;  ///< staged quoted datagram for ICMP errors
+  // The staged reply.
+  Scheduled current_{};
+  Reply reply_ = Reply::kSynAck;
+  net::Ipv4Header header_;
+  net::Ipv4Header probe_header_;  ///< the spoofed probe's, for an unreachable
+  /// Echo body, or the spoofed probe's payload in its first bytes.
+  std::array<std::uint8_t, 28> body_{};
 };
 
 /// Low-volume misconfiguration backscatter: a content host dribbling a
@@ -195,10 +242,11 @@ class MisconfigEmitter : public PacketEmitter {
                    std::uint32_t version, util::Timestamp start,
                    std::uint64_t packet_count, std::uint64_t seed);
 
-  bool produce(net::PacketBuffer& out) override;
+  bool stage() override;
+  void emit(std::span<std::uint8_t> out) override;
 
  private:
-  ScenarioConfig scenario_;
+  quic::CryptoFidelity fidelity_;
   net::Ipv4Address source_;
   std::uint32_t version_;
   net::Ipv4Address target_;
@@ -209,7 +257,8 @@ class MisconfigEmitter : public PacketEmitter {
   std::uint64_t remaining_;
   util::Rng rng_;
   quic::BuildScratch scratch_;
-  util::ByteWriter payload_;
+  util::ByteWriter payload_;  ///< the staged QUIC payload
+  net::Ipv4Header header_;
 };
 
 }  // namespace quicsand::telescope

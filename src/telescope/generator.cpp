@@ -145,17 +145,10 @@ TelescopeGenerator::TelescopeGenerator(const ScenarioConfig& config,
 }
 
 void TelescopeGenerator::add_emitter(std::unique_ptr<PacketEmitter> emitter) {
-  emitters_.push_back(std::move(emitter));
-  slots_.emplace_back();
-  pull_from(emitters_.size() - 1);
-}
-
-void TelescopeGenerator::pull_from(std::size_t emitter_index) {
-  auto& slot = slots_[emitter_index];
-  if (emitters_[emitter_index]->produce(slot) &&
-      slot.timestamp < config_.end()) {
-    heap_push(MergeEntry{slot.timestamp, emitter_index});
+  if (emitter->stage() && emitter->staged_time() < config_.end()) {
+    heap_push(MergeEntry{emitter->staged_time(), emitters_.size()});
   }
+  emitters_.push_back(std::move(emitter));
 }
 
 void TelescopeGenerator::heap_push(MergeEntry entry) {
@@ -187,11 +180,9 @@ void TelescopeGenerator::heap_sift_down(std::size_t i) {
 }
 
 void TelescopeGenerator::advance_root() {
-  const std::size_t emitter_index = heap_.front().emitter_index;
-  auto& slot = slots_[emitter_index];
-  if (emitters_[emitter_index]->produce(slot) &&
-      slot.timestamp < config_.end()) {
-    heap_.front().time = slot.timestamp;
+  auto& emitter = *emitters_[heap_.front().emitter_index];
+  if (emitter.stage() && emitter.staged_time() < config_.end()) {
+    heap_.front().time = emitter.staged_time();
     heap_sift_down(0);
   } else {
     heap_.front() = heap_.back();
@@ -203,14 +194,17 @@ void TelescopeGenerator::advance_root() {
 std::size_t TelescopeGenerator::next_batch(net::RecordBatch& batch) {
   batch.clear();
   while (!heap_.empty()) {
-    const auto& slot = slots_[heap_.front().emitter_index];
-    if (!batch.try_append(slot.timestamp, slot.bytes())) {
+    const MergeEntry root = heap_.front();
+    auto& emitter = *emitters_[root.emitter_index];
+    const std::size_t size = emitter.staged_size();
+    if (!batch.has_room(size)) {
       if (batch.empty()) {
         throw std::invalid_argument(
             "next_batch: packet larger than the batch arena");
       }
       break;
     }
+    emitter.emit(batch.append(root.time, size));
     advance_root();
     ++truth_.total_packet_count;
   }

@@ -29,8 +29,8 @@ class TelescopeGenerator {
   /// Batched production: clear `batch`, then append packets in global
   /// time order until the batch is full (capacity or arena) or the
   /// window is done. Returns the number appended; zero means done.
-  /// Zero heap traffic in steady state — packets are staged in
-  /// per-emitter slots and copied once into the batch arena.
+  /// Zero heap traffic in steady state: each packet is written once,
+  /// by its emitter, straight into the batch arena.
   std::size_t next_batch(net::RecordBatch& batch);
 
   /// Drain the stream into `sink`; returns the packet count. Production
@@ -48,23 +48,20 @@ class TelescopeGenerator {
   [[nodiscard]] threat::IntelDb make_intel_db() const;
 
  private:
-  /// The merge heap holds only (time, emitter) pairs; the packet bytes
-  /// stay in the emitter's slot until the consumer copies or adopts
-  /// them. Ordering looks at time alone.
+  /// The merge heap holds only (time, emitter) pairs: each emitter keeps
+  /// its next packet staged (drawn, not yet written) until the root is
+  /// emitted into a batch. Ordering looks at time alone.
   struct MergeEntry {
     util::Timestamp time;
     std::size_t emitter_index;
   };
 
+  /// Stage the new emitter's first packet and push its heap entry.
   void add_emitter(std::unique_ptr<PacketEmitter> emitter);
-  /// Produce emitter i's next packet into its slot and push a heap
-  /// entry (construction-time priming).
-  void pull_from(std::size_t emitter_index);
-  /// After the root's packet is consumed: refill that emitter's slot and
-  /// restore the heap with a single sift-down (replace-top). During an
-  /// attack burst the refilled packet is usually still the minimum, so
-  /// the sift exits after one comparison — the merge then costs O(1)
-  /// per packet instead of a full pop+push.
+  /// After the root's packet is emitted: stage that emitter's next packet
+  /// and restore the heap with a single sift-down (replace-top), or drop
+  /// the emitter when it is drained or its next packet falls past the
+  /// window.
   void advance_root();
   void heap_push(MergeEntry entry);
   void heap_sift_down(std::size_t i);
@@ -72,9 +69,6 @@ class TelescopeGenerator {
   ScenarioConfig config_;
   GroundTruth truth_;
   std::vector<std::unique_ptr<PacketEmitter>> emitters_;
-  /// One staging buffer per emitter: slots_[i] holds emitter i's next
-  /// packet while its (time, i) entry sits in the merge heap.
-  std::vector<net::PacketBuffer> slots_;
   /// Binary min-heap on MergeEntry::time.
   std::vector<MergeEntry> heap_;
   std::vector<net::Ipv4Address> research_hosts_;

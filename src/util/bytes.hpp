@@ -5,7 +5,9 @@
 // checking lives in exactly one place. The per-datagram header parsers
 // (IPv4, QUIC long header) are the exception: they check a header's
 // length once, explicitly, then read it with the fixed-offset loads
-// below, so the classify path never throws.
+// below, so the classify path never throws. The IPv4/UDP/TCP/ICMP
+// writers likewise size their datagram once and fill it with the
+// fixed-offset stores.
 #pragma once
 
 #include <cstdint>
@@ -63,6 +65,33 @@ constexpr std::uint32_t load_be32(std::span<const std::uint8_t> data,
                                   std::size_t at) {
   return (std::uint32_t{data[at]} << 24) | (std::uint32_t{data[at + 1]} << 16) |
          (std::uint32_t{data[at + 2]} << 8) | std::uint32_t{data[at + 3]};
+}
+
+/// 32-bit load at a fixed offset in the machine's byte order, for sums
+/// that do not depend on it, such as the Internet checksum's (RFC 1071
+/// §2(B)). Same precondition as load_be32.
+inline std::uint32_t load_native32(std::span<const std::uint8_t> data,
+                                   std::size_t at) {
+  std::uint32_t v = 0;
+  std::memcpy(&v, data.data() + at, sizeof v);
+  return v;
+}
+
+/// Big-endian stores at a fixed offset, the mirror of load_be16/32. The
+/// caller has already checked that `at + 2` (`at + 4` for store_be32) is
+/// at most `data.size()`.
+constexpr void store_be16(std::span<std::uint8_t> data, std::size_t at,
+                          std::uint16_t v) {
+  data[at] = static_cast<std::uint8_t>(v >> 8);
+  data[at + 1] = static_cast<std::uint8_t>(v);
+}
+
+constexpr void store_be32(std::span<std::uint8_t> data, std::size_t at,
+                          std::uint32_t v) {
+  data[at] = static_cast<std::uint8_t>(v >> 24);
+  data[at + 1] = static_cast<std::uint8_t>(v >> 16);
+  data[at + 2] = static_cast<std::uint8_t>(v >> 8);
+  data[at + 3] = static_cast<std::uint8_t>(v);
 }
 
 /// Copy `src`, at most 32 bytes, to the front of `dst` (which must be at
@@ -200,13 +229,9 @@ class ByteWriter {
     buf_.clear();
   }
 
-  /// Replace the backing store with a buffer whose contents are kept
-  /// (ownership transfer from a producer; pairs with take() on the other
-  /// side of a hand-off).
-  void adopt(std::vector<std::uint8_t>&& buf) { buf_ = std::move(buf); }
-
-  /// Grow by `n` bytes without initialising them and return a mutable view
-  /// of the new region (for bulk fills like rng.fill or checksummed copies).
+  /// Grow by `n` zero-filled bytes (std::vector::resize initialises them)
+  /// and return a mutable view of the new region, for bulk fills like
+  /// rng.fill.
   std::span<std::uint8_t> append_uninitialized(std::size_t n) {
     buf_.resize(buf_.size() + n);
     return std::span<std::uint8_t>(buf_).last(n);

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <new>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "net/record_batch.hpp"
@@ -108,6 +109,25 @@ TEST(RecordBatch, ClearKeepsStorageAndAllowsReuse) {
   EXPECT_TRUE(std::equal(fresh.begin(), fresh.end(), view.data.begin()));
 }
 
+TEST(RecordBatch, AppendReturnsTheRegionViewReads) {
+  RecordBatch batch(4, 64);
+  const auto region = batch.append(ts(7), 40);
+  ASSERT_EQ(region.size(), 40u);
+  for (std::size_t i = 0; i < region.size(); ++i) {
+    region[i] = static_cast<std::uint8_t>(i);
+  }
+  const auto view = batch.view(0);
+  EXPECT_EQ(view.timestamp, ts(7));
+  EXPECT_EQ(view.data.data(), region.data());
+  EXPECT_EQ(view.data.size(), 40u);
+  EXPECT_EQ(view.data[39], 39);
+  // No room: throws and leaves the batch as it was.
+  EXPECT_THROW((void)batch.append(ts(8), 25), std::length_error);
+  EXPECT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch.arena_used(), 40u);
+  EXPECT_EQ(batch.append(ts(8), 24).data(), region.data() + 40);
+}
+
 // --- SoA column consistency -------------------------------------------
 
 TEST(RecordBatch, ColumnsStayConsistentUnderRandomFill) {
@@ -176,6 +196,14 @@ TEST(RecordBatch, AppendClearCycleAllocatesNothing) {
   EXPECT_EQ(allocations(), before);
 }
 
+/// Stage and emit one packet into `buf`; false when drained.
+bool produce(telescope::PacketEmitter& emitter,
+             std::vector<std::uint8_t>& buf) {
+  if (!emitter.stage()) return false;
+  emitter.emit(std::span(buf).first(emitter.staged_size()));
+  return true;
+}
+
 /// Drain an emitter built by `make` once to learn its stream length,
 /// then rebuild it, warm it over the first half, and assert the second
 /// half produces with ZERO heap allocations: every scratch buffer
@@ -183,18 +211,18 @@ TEST(RecordBatch, AppendClearCycleAllocatesNothing) {
 /// its high-water capacity.
 template <typename MakeEmitter>
 void expect_warm_emitter_alloc_free(const char* name, MakeEmitter make) {
-  net::PacketBuffer buf;
+  std::vector<std::uint8_t> buf(65535);
   std::uint64_t length = 0;
   {
     auto emitter = make();
-    while (emitter.produce(buf)) ++length;
+    while (produce(emitter, buf)) ++length;
   }
   ASSERT_GT(length, 1000u) << name;
   auto emitter = make();
-  for (std::uint64_t i = 0; i < length / 2; ++i) emitter.produce(buf);
+  for (std::uint64_t i = 0; i < length / 2; ++i) produce(emitter, buf);
   const auto before = allocations();
   std::uint64_t produced = 0;
-  while (emitter.produce(buf)) ++produced;
+  while (produce(emitter, buf)) ++produced;
   EXPECT_EQ(allocations() - before, 0u)
       << name << " allocated during its warm second half";
   EXPECT_EQ(produced, length - length / 2) << name;

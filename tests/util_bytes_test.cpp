@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <iterator>
+
 namespace quicsand::util {
 namespace {
 
@@ -94,6 +98,19 @@ TEST(FixedOffsetLoads, ReadBigEndianAtOffset) {
   EXPECT_EQ(load_be16(data, 1), 0x0102);
   EXPECT_EQ(load_be32(data, 1), 0x01020304u);
   EXPECT_EQ(load_be32(data, 2), 0x020304eeu);
+}
+
+TEST(FixedOffsetStores, WriteBigEndianAtOffsetAndNothingElse) {
+  std::uint8_t data[8] = {0xaa, 0xaa, 0xaa, 0xaa, 0xaa, 0xaa, 0xaa, 0xaa};
+  store_be16(data, 1, 0x0102);
+  store_be32(data, 3, 0x03040506u);
+  const std::uint8_t want[] = {0xaa, 0x01, 0x02, 0x03,
+                               0x04, 0x05, 0x06, 0xaa};
+  EXPECT_TRUE(std::equal(std::begin(data), std::end(data), want));
+  EXPECT_EQ(load_be32(data, 3), 0x03040506u);
+  EXPECT_EQ(load_native32(data, 3),
+            std::endian::native == std::endian::little ? 0x06050403u
+                                                       : 0x03040506u);
 }
 
 TEST(CopyShort, CopiesEveryLengthAndNothingPastIt) {
