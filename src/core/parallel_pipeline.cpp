@@ -20,6 +20,12 @@ std::size_t resolve_shards(std::size_t requested) {
 
 }  // namespace
 
+std::size_t RecordView::size() const {
+  std::size_t n = 0;
+  for (const auto part : joined_.base()) n += part.size();
+  return n;
+}
+
 void publish_classifier_stats(const ClassifierStats& stats,
                               obs::MetricsRegistry& metrics) {
   metrics.gauge("classifier.total", "decodable+undecodable packets seen")
@@ -45,7 +51,7 @@ ParallelPipeline::ParallelPipeline(PipelineOptions options,
     : options_(std::move(options)),
       shards_(resolve_shards(shards)),
       hours_(static_cast<std::size_t>(options_.days) * 24),
-      worker_staging_(shards_, ShardParts(shards_)) {
+      worker_staging_(shards_, ShardParts(shards_ * kGroups)) {
   worker_classifiers_.reserve(shards_);
   for (std::size_t i = 0; i < shards_; ++i) {
     worker_classifiers_.push_back(std::make_unique<Classifier>(
@@ -181,7 +187,7 @@ void ParallelPipeline::submit(net::RecordBatch&& batch) {
   }
   if (batches_counter_ != nullptr) batches_counter_->add();
   if (health_ != nullptr) health_->heartbeat();
-  auto* out = &batches_.emplace_back(shards_);
+  auto* out = &batches_.emplace_back(shards_ * kGroups);
   auto shared = std::make_shared<net::RecordBatch>(std::move(batch));
   const auto submit_us = queue_wait_us_ != nullptr ? obs::steady_us() : 0;
   pool_->submit([this, out, shared, submit_us](std::size_t worker) {
@@ -203,15 +209,17 @@ void ParallelPipeline::submit(net::RecordBatch&& batch) {
                          worker, hour);
                    });
         if (!keep_for_analysis(*record)) continue;
-        staged[util::shard_of(record->src.value(), shards_)].push_back(
-            *record);
+        const auto shard = util::shard_of(record->src.value(), shards_);
+        staged[shard * kGroups +
+               (record->is_quic() ? kQuicGroup : kCommonGroup)]
+            .push_back(*record);
       }
       // Each part leaves at its exact size; the staging keeps capacity.
       std::size_t kept = 0;
-      for (std::size_t s = 0; s < shards_; ++s) {
-        (*out)[s].assign(staged[s].begin(), staged[s].end());
-        kept += staged[s].size();
-        staged[s].clear();
+      for (std::size_t k = 0; k < staged.size(); ++k) {
+        (*out)[k].assign(staged[k].begin(), staged[k].end());
+        kept += staged[k].size();
+        staged[k].clear();
       }
       if (records_counter_ != nullptr) records_counter_->add(kept);
     }
@@ -235,7 +243,22 @@ void ParallelPipeline::finish() {
   for (std::size_t slot = 0; slot < kHourlySlotCount; ++slot) {
     hourly_.of(static_cast<HourlySlot>(slot)) = worker_hourly_[slot].merged();
   }
-  lay_out_records();
+  // Batches were submitted in arrival order, so listing each group's
+  // parts batch by batch keeps arrival order within the group.
+  group_begin_.assign(shards_ * kGroups + 1, 0);
+  for (std::size_t s = 0; s < shards_; ++s) {
+    std::size_t records = 0;
+    for (std::size_t k = s * kGroups; k < (s + 1) * kGroups; ++k) {
+      group_begin_[k] = parts_.size();
+      for (const auto& parts : batches_) {
+        if (parts[k].empty()) continue;
+        parts_.emplace_back(parts[k]);
+        records += parts[k].size();
+      }
+    }
+    if (shard_records_hist_ != nullptr) shard_records_hist_->record(records);
+  }
+  group_begin_.back() = parts_.size();
   finished_ = true;
   if (auto* metrics = options_.obs.metrics) {
     publish_classifier_stats(stats_, *metrics);
@@ -244,34 +267,6 @@ void ParallelPipeline::finish() {
     health_->heartbeat();
     health_->set_idle(true);  // ingest drained and merged
   }
-}
-
-void ParallelPipeline::lay_out_records() {
-  shard_begin_.assign(shards_ + 1, 0);
-  for (const auto& parts : batches_) {
-    for (std::size_t s = 0; s < shards_; ++s) {
-      shard_begin_[s + 1] += parts[s].size();
-    }
-  }
-  for (std::size_t s = 0; s < shards_; ++s) {
-    if (shard_records_hist_ != nullptr) {
-      shard_records_hist_->record(shard_begin_[s + 1]);
-    }
-    shard_begin_[s + 1] += shard_begin_[s];
-  }
-  records_.reset(static_cast<PacketRecord*>(
-      ::operator new(shard_begin_.back() * sizeof(PacketRecord))));
-  // Batches were submitted in arrival order, so concatenating each
-  // shard's parts keeps arrival order within the shard. Every part is
-  // freed as soon as it is copied.
-  pool_->parallel_for(shards_, [&](std::size_t s, std::size_t) {
-    auto* out = records_.get() + shard_begin_[s];
-    for (auto& parts : batches_) {
-      out = std::uninitialized_copy(parts[s].begin(), parts[s].end(), out);
-      std::vector<PacketRecord>().swap(parts[s]);
-    }
-  });
-  batches_.clear();
 }
 
 const ClassifierStats& ParallelPipeline::stats() {
@@ -284,14 +279,17 @@ const HourlySeries& ParallelPipeline::hourly() {
   return hourly_;
 }
 
-std::span<const PacketRecord> ParallelPipeline::records() {
+RecordView ParallelPipeline::records() {
   finish();
-  return {records_.get(), shard_begin_.back()};
+  return RecordView(parts_);
 }
 
-std::span<const PacketRecord> ParallelPipeline::shard(std::size_t s) const {
-  return {records_.get() + shard_begin_[s],
-          shard_begin_[s + 1] - shard_begin_[s]};
+RecordParts ParallelPipeline::group(std::size_t s, RecordFilter filter) const {
+  const auto k = s * kGroups + (filter == common_backscatter_filter()
+                                    ? kCommonGroup
+                                    : kQuicGroup);
+  return RecordParts(parts_).subspan(group_begin_[k],
+                                     group_begin_[k + 1] - group_begin_[k]);
 }
 
 std::vector<Session> ParallelPipeline::sessions(util::Duration timeout,
@@ -302,7 +300,7 @@ std::vector<Session> ParallelPipeline::sessions(util::Duration timeout,
     obs::Span span(options_.obs.tracer,
                    "parallel.sessionize.shard" + std::to_string(s));
     const obs::ScopedLatency latency(sessionize_shard_us_);
-    parts[s] = build_sessions(shard(s), timeout, filter);
+    parts[s] = build_sessions(group(s, filter), timeout, filter);
   });
   obs::Span span(options_.obs.tracer, "parallel.merge_sessions");
   return merge_sessions(std::move(parts)).sessions;
@@ -331,7 +329,8 @@ ParallelPipeline::session_timeout_sweep(
   pool_->parallel_for(shards_, [&](std::size_t s, std::size_t) {
     obs::Span span(options_.obs.tracer,
                    "parallel.gap_profile.shard" + std::to_string(s));
-    profiles[s] = collect_gap_profile(shard(s), sanitized_quic_filter());
+    profiles[s] = collect_gap_profile(group(s, sanitized_quic_filter()),
+                                      sanitized_quic_filter());
   });
   obs::Span span(options_.obs.tracer, "parallel.merge_gap_profiles");
   GapProfile merged;
@@ -357,10 +356,10 @@ AttackAnalysis ParallelPipeline::analyze_attacks(
     obs::Span span(options_.obs.tracer,
                    "parallel.analyze.shard" + std::to_string(s));
     const obs::ScopedLatency latency(analyze_shard_us_);
-    response_parts[s] =
-        build_sessions(shard(s), timeout, quic_response_filter());
-    common_parts[s] =
-        build_sessions(shard(s), timeout, common_backscatter_filter());
+    response_parts[s] = build_sessions(group(s, quic_response_filter()),
+                                       timeout, quic_response_filter());
+    common_parts[s] = build_sessions(group(s, common_backscatter_filter()),
+                                     timeout, common_backscatter_filter());
     quic_parts[s] = detect_attacks(response_parts[s], thresholds);
     common_attack_parts[s] = detect_attacks(common_parts[s], thresholds);
   });

@@ -3,17 +3,20 @@
 // Ingest classifies packet batches on a worker pool: each worker owns a
 // Classifier and a row of hourly ShardedCounters, merged by summation
 // when ingest finishes. Each classify task routes the records it keeps
-// by hash(source IP) % N, and finish() lays them out once, grouped by
-// shard, every shard on its own worker. Sessionization and DoS detection
-// are purely source-local (§5.1), so every shard runs the serial inner
-// loops on its own range and the merged output equals build_sessions /
+// by hash(source IP) % N into one exactly sized part per shard and
+// group (QUIC, or TCP/ICMP), and the records stay in those parts: no
+// copy follows. Sessionization and DoS detection are purely source-local
+// (§5.1), so every shard runs the serial inner loops over its own parts
+// of one group, and the merged output equals build_sessions /
 // detect_attacks over the whole stream, whatever the shard count. See
-// DESIGN.md "Parallel execution model" for the determinism argument.
+// DESIGN.md "Parallel execution model" and "Where records go" for the
+// determinism argument.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <ranges>
 #include <span>
 #include <vector>
 
@@ -32,6 +35,19 @@ namespace quicsand::core {
 /// It MUST fail to compile under -Werror=thread-safety — if deleting a
 /// QS_GUARDED_BY/QS_REQUIRES here makes the probe build, CI fails.
 struct TsaNegativeProbe;
+
+/// Read-only view of records held in non-empty parts, walked part by
+/// part (ParallelPipeline::records()).
+class RecordView : public std::ranges::view_interface<RecordView> {
+ public:
+  explicit RecordView(RecordParts parts) : joined_(parts) {}
+  [[nodiscard]] auto begin() const { return joined_.begin(); }
+  [[nodiscard]] auto end() const { return joined_.end(); }
+  [[nodiscard]] std::size_t size() const;
+
+ private:
+  std::ranges::join_view<RecordParts> joined_;
+};
 
 class ParallelPipeline {
  public:
@@ -68,9 +84,11 @@ class ParallelPipeline {
   [[nodiscard]] const ClassifierStats& stats();
   [[nodiscard]] const HourlySeries& hourly();
 
-  /// Sanitized records grouped by shard (util::shard_of of the source),
-  /// in arrival order within each shard; at 1 shard, the arrival order.
-  [[nodiscard]] std::span<const PacketRecord> records();
+  /// Sanitized records where classification left them: by shard
+  /// (util::shard_of of the source), then group (QUIC requests and
+  /// responses first, then TCP/ICMP), then arrival order. The view reads
+  /// the pipeline's parts and lives no longer than the pipeline.
+  [[nodiscard]] RecordView records();
 
   std::vector<Session> request_sessions(util::Duration timeout);
   std::vector<Session> response_sessions(util::Duration timeout);
@@ -90,17 +108,14 @@ class ParallelPipeline {
  private:
   friend struct TsaNegativeProbe;
 
-  /// One classified batch's kept records, one exactly sized part per
-  /// shard.
-  using ShardParts = std::vector<std::vector<PacketRecord>>;
+  /// Record groups per shard: every RecordFilter reads exactly one.
+  static constexpr std::size_t kQuicGroup = 0;
+  static constexpr std::size_t kCommonGroup = 1;
+  static constexpr std::size_t kGroups = 2;
 
-  /// Frees the record storage, which finish() allocates uninitialized so
-  /// each shard first-touches its own range.
-  struct OperatorDelete {
-    void operator()(PacketRecord* records) const {
-      ::operator delete(records);
-    }
-  };
+  /// One classified batch's kept records, one exactly sized part per
+  /// shard and group, at index shard * kGroups + group.
+  using ShardParts = std::vector<std::vector<PacketRecord>>;
 
   /// Classify `batch` as one pool task (after backpressure).
   void submit(net::RecordBatch&& batch);
@@ -116,10 +131,8 @@ class ParallelPipeline {
   /// Return a claimed slot and wake blocked producers; takes
   /// inflight_mutex_ itself (called from worker jobs).
   void release_inflight_slot() QS_EXCLUDES(inflight_mutex_);
-  /// Lay the per-batch parts out once, grouped by shard, each shard on
-  /// its own worker.
-  void lay_out_records();
-  [[nodiscard]] std::span<const PacketRecord> shard(std::size_t s) const;
+  /// Shard s's parts of the one group `filter` reads, in arrival order.
+  [[nodiscard]] RecordParts group(std::size_t s, RecordFilter filter) const;
   /// Sessionize every shard in parallel, then merge.
   std::vector<Session> sessions(util::Duration timeout, RecordFilter filter);
 
@@ -134,7 +147,8 @@ class ParallelPipeline {
 
   // Ingest: consume() fills current_; the main thread appends an output
   // slot per batch before submitting it, so workers write disjoint,
-  // stable deque elements.
+  // stable deque elements. The slots keep arrival order and hold the
+  // kept records until the pipeline is destroyed.
   net::RecordBatch current_{0, 0};
   std::deque<ShardParts> batches_;
   util::Mutex inflight_mutex_{util::LockRank::kPipelineInflight,
@@ -149,13 +163,14 @@ class ParallelPipeline {
                           "pipeline_batch_pool"};
   std::vector<net::RecordBatch> batch_pool_ QS_GUARDED_BY(pool_mutex_);
 
-  // Merged state, valid once finished_. Shard s owns records_ range
-  // [shard_begin_[s], shard_begin_[s + 1]).
+  // Merged state, valid once finished_. parts_ lists the non-empty
+  // parts of batches_ by shard, group, then arrival; group k = shard *
+  // kGroups + g owns parts_[group_begin_[k], group_begin_[k + 1]).
   bool finished_ = false;
   ClassifierStats stats_;
   HourlySeries hourly_;
-  std::unique_ptr<PacketRecord[], OperatorDelete> records_;
-  std::vector<std::size_t> shard_begin_;
+  std::vector<std::span<const PacketRecord>> parts_;
+  std::vector<std::size_t> group_begin_;
 
   // Observability handles, resolved once at construction; all nullptr
   // when no registry is attached (options_.obs).

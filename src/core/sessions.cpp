@@ -69,30 +69,37 @@ std::uint32_t Session::dominant_version() const {
   return best_version;
 }
 
-std::vector<Session> build_sessions(std::span<const PacketRecord> records,
-                                    util::Duration timeout,
+std::vector<Session> build_sessions(RecordParts parts, util::Duration timeout,
                                     RecordFilter filter) {
   const bool distinct = filter == RecordFilter::kQuicResponses;
   std::vector<Session> closed;
   std::unordered_map<std::uint32_t, Session> open;
-  for (const auto& record : records) {
-    if (!accepts(filter, record)) continue;
-    auto [it, inserted] = open.try_emplace(record.src.value());
-    Session& session = it->second;
-    if (inserted) {
-      session = open_session(record);
-    } else if (record.timestamp - session.end > timeout) {
-      closed.push_back(std::move(session));
-      session = open_session(record);
-    } else {
-      absorb_record(session, record);
+  for (const auto part : parts) {
+    for (const auto& record : part) {
+      if (!accepts(filter, record)) continue;
+      auto [it, inserted] = open.try_emplace(record.src.value());
+      Session& session = it->second;
+      if (inserted) {
+        session = open_session(record);
+      } else if (record.timestamp - session.end > timeout) {
+        closed.push_back(std::move(session));
+        session = open_session(record);
+      } else {
+        absorb_record(session, record);
+      }
+      if (distinct) absorb_distinct(session, record);
     }
-    if (distinct) absorb_distinct(session, record);
   }
   closed.reserve(closed.size() + open.size());
   for (auto& [source, session] : open) closed.push_back(std::move(session));
   std::sort(closed.begin(), closed.end(), session_before);
   return closed;
+}
+
+std::vector<Session> build_sessions(std::span<const PacketRecord> records,
+                                    util::Duration timeout,
+                                    RecordFilter filter) {
+  return build_sessions(RecordParts(&records, 1), timeout, filter);
 }
 
 SessionMerge merge_sessions(std::vector<std::vector<Session>> parts) {
@@ -121,21 +128,27 @@ SessionMerge merge_sessions(std::vector<std::vector<Session>> parts) {
   return merge;
 }
 
-GapProfile collect_gap_profile(std::span<const PacketRecord> records,
-                               RecordFilter filter) {
+GapProfile collect_gap_profile(RecordParts parts, RecordFilter filter) {
   GapProfile profile;
   std::unordered_map<std::uint32_t, util::Timestamp> last_seen;
-  for (const auto& record : records) {
-    if (!accepts(filter, record)) continue;
-    const auto [it, inserted] =
-        last_seen.try_emplace(record.src.value(), record.timestamp);
-    if (!inserted) {
-      profile.gaps.push_back(record.timestamp - it->second);
-      it->second = record.timestamp;
+  for (const auto part : parts) {
+    for (const auto& record : part) {
+      if (!accepts(filter, record)) continue;
+      const auto [it, inserted] =
+          last_seen.try_emplace(record.src.value(), record.timestamp);
+      if (!inserted) {
+        profile.gaps.push_back(record.timestamp - it->second);
+        it->second = record.timestamp;
+      }
     }
   }
   profile.sources = last_seen.size();
   return profile;
+}
+
+GapProfile collect_gap_profile(std::span<const PacketRecord> records,
+                               RecordFilter filter) {
+  return collect_gap_profile(RecordParts(&records, 1), filter);
 }
 
 void merge_gap_profiles(GapProfile& into, GapProfile&& from) {

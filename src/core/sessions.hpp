@@ -110,11 +110,17 @@ constexpr RecordFilter sanitized_quic_filter() {
   return RecordFilter::kSanitizedQuic;
 }
 
+/// A record stream held as consecutive parts, read in order.
+using RecordParts = std::span<const std::span<const PacketRecord>>;
+
 /// Group the filtered records into per-source sessions with the given
-/// inactivity timeout. Records must be in non-decreasing time order
-/// (pcap / generator order). Sessions are returned sorted by start time.
-/// Only kQuicResponses sessions get their distinct sets and version map
-/// filled (see Session); the other groups' stay empty.
+/// inactivity timeout. Each source's records must arrive in time order
+/// (pcap / generator order); how sources interleave does not matter.
+/// Sessions are returned sorted by start time. Only kQuicResponses
+/// sessions get their distinct sets and version map filled (see
+/// Session); the other groups' stay empty.
+std::vector<Session> build_sessions(RecordParts parts, util::Duration timeout,
+                                    RecordFilter filter);
 std::vector<Session> build_sessions(std::span<const PacketRecord> records,
                                     util::Duration timeout,
                                     RecordFilter filter);
@@ -132,14 +138,16 @@ struct SessionMerge {
 
 SessionMerge merge_sessions(std::vector<std::vector<Session>> parts);
 
-/// Per-source inactivity gaps of a filtered record span — the sufficient
-/// statistic for the timeout sweep. Profiles of a source-partitioned
-/// stream combine by summing `sources` and concatenating `gaps`.
+/// Per-source inactivity gaps of a filtered record stream — the
+/// sufficient statistic for the timeout sweep. Profiles of a
+/// source-partitioned stream combine by summing `sources` and
+/// concatenating `gaps`.
 struct GapProfile {
   std::uint64_t sources = 0;
   std::vector<util::Duration> gaps;  ///< unsorted
 };
 
+GapProfile collect_gap_profile(RecordParts parts, RecordFilter filter);
 GapProfile collect_gap_profile(std::span<const PacketRecord> records,
                                RecordFilter filter);
 void merge_gap_profiles(GapProfile& into, GapProfile&& from);

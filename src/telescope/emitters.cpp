@@ -64,7 +64,6 @@ ResearchScanEmitter::ResearchScanEmitter(
         scenario.start + util::Duration{static_cast<std::int64_t>(
                              day * static_cast<double>(util::kDay.count()))});
   }
-  total_ = pass_starts_.size() * scenario.telescope.size();
 
   // Template probe: a padded client Initial from a fixed scanner host.
   // Per probe, emit() rewrites the IPv4 header (destination, source host

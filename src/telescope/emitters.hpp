@@ -76,9 +76,6 @@ class ResearchScanEmitter : public PacketEmitter {
   bool stage() override;
   void emit(std::span<std::uint8_t> out) override;
 
-  /// Probes this emitter will produce over the whole window.
-  [[nodiscard]] std::uint64_t total_probes() const { return total_; }
-
  private:
   void start_next_pass();
 
@@ -90,7 +87,6 @@ class ResearchScanEmitter : public PacketEmitter {
   std::unique_ptr<scanner::ScanPass> current_pass_;
   std::vector<std::uint8_t> template_packet_;
   net::Ipv4Header template_ip_;  ///< the template's IPv4 header fields
-  std::uint64_t total_ = 0;
   // The staged probe.
   net::Ipv4Address target_;
   std::uint8_t host_ = 0;    ///< last octet of the scanner host

@@ -51,14 +51,13 @@ TelescopeGenerator::TelescopeGenerator(const ScenarioConfig& config,
     const auto* info = registry.find(scanner_config->asn);
     if (info == nullptr) continue;
     const auto prefix = registry.prefixes_of(scanner_config->asn).front();
-    auto emitter = std::make_unique<ResearchScanEmitter>(
-        config, *scanner_config, prefix, rng.next());
-    truth_.research_probe_count += emitter->total_probes();
     for (std::uint64_t host = 0; host < 8; ++host) {
       research_hosts_.push_back(prefix.at(0x20 + host));
     }
-    add_emitter(std::move(emitter));
+    add_emitter(std::make_unique<ResearchScanEmitter>(
+        config, *scanner_config, prefix, rng.next()));
   }
+  research_emitters_ = emitters_.size();
 
   // Botnet scanning sessions from eyeball networks, diurnally shaped.
   {
@@ -207,6 +206,9 @@ std::size_t TelescopeGenerator::next_batch(net::RecordBatch& batch) {
     emitter.emit(batch.append(root.time, size));
     advance_root();
     ++truth_.total_packet_count;
+    if (root.emitter_index < research_emitters_) {
+      ++truth_.research_probe_count;
+    }
   }
   return batch.size();
 }

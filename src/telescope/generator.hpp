@@ -69,6 +69,8 @@ class TelescopeGenerator {
   ScenarioConfig config_;
   GroundTruth truth_;
   std::vector<std::unique_ptr<PacketEmitter>> emitters_;
+  /// emitters_[0, research_emitters_) are the research scanners.
+  std::size_t research_emitters_ = 0;
   /// Binary min-heap on MergeEntry::time.
   std::vector<MergeEntry> heap_;
   std::vector<net::Ipv4Address> research_hosts_;

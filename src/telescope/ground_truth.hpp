@@ -52,7 +52,8 @@ struct BotnetSource {
 struct GroundTruth {
   std::vector<PlannedAttack> attacks;
   std::vector<BotnetSource> botnet_sources;
-  std::uint64_t research_probe_count = 0;   ///< research scanner packets
+  /// Research scanner probes the stream has carried so far.
+  std::uint64_t research_probe_count = 0;
   std::uint64_t botnet_packet_count = 0;
   std::uint64_t backscatter_packet_count = 0;  ///< QUIC responses
   std::uint64_t common_packet_count = 0;       ///< TCP/ICMP responses

@@ -13,6 +13,7 @@
 #include <limits>
 #include <numeric>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "asdb/registry.hpp"
@@ -217,12 +218,15 @@ TEST(ParallelPipelineDifferentialTest, StatsHourlyAndRecordsMatchSerial) {
     EXPECT_EQ(parallel->hourly().other_quic, ref.hourly.other_quic);
     EXPECT_EQ(parallel->hourly().quic_requests, ref.hourly.quic_requests);
     EXPECT_EQ(parallel->hourly().quic_responses, ref.hourly.quic_responses);
-    // Records are grouped by shard, in arrival order within each shard.
+    // Records are grouped by shard, then group (QUIC first, then
+    // TCP/ICMP), in arrival order within each group.
     auto expected = ref.records;
+    const auto key = [shards](const PacketRecord& r) {
+      return std::pair(util::shard_of(r.src.value(), shards), !r.is_quic());
+    };
     std::stable_sort(expected.begin(), expected.end(),
-                     [shards](const PacketRecord& a, const PacketRecord& b) {
-                       return util::shard_of(a.src.value(), shards) <
-                              util::shard_of(b.src.value(), shards);
+                     [&key](const PacketRecord& a, const PacketRecord& b) {
+                       return key(a) < key(b);
                      });
     const auto records = parallel->records();
     ASSERT_EQ(records.size(), expected.size());

@@ -1,8 +1,14 @@
 // Focused pipeline tests: hourly binning bounds, classifier corner
 // cases, hostile input through consume() (late timestamps, packets
-// larger than a batch arena), the accessors on an empty pipeline, and
-// the custom-threshold accessor.
+// larger than a batch arena), the record-group split against the
+// serial reference, the accessors on an empty pipeline, and the
+// custom-threshold accessor.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "core/parallel_pipeline.hpp"
 #include "net/headers.hpp"
@@ -145,6 +151,122 @@ TEST(PipelineTest, LateTimestampMatchesReferenceAtOneAndFourShards) {
   }
 }
 
+/// One crafted datagram from `source`: a QUIC request, a QUIC
+/// response, a TCP SYN-ACK, an ICMP echo reply or a TCP SYN (kept, but
+/// read by no analysis), by `kind` 0-4.
+net::RawPacket crafted_at(util::Timestamp t, net::Ipv4Address source,
+                          int kind) {
+  net::Ipv4Header ip;
+  ip.src = source;
+  ip.dst = net::Ipv4Address::from_octets(44, 0, 0, 1);
+  const auto ctx = quic::HandshakeContext::random(1, rng());
+  constexpr auto kFast = quic::CryptoFidelity::kFast;
+  constexpr std::uint8_t kPayload[8] = {};
+  switch (kind) {
+    case 0:
+      return {t, net::build_udp(ip, 40000, 443,
+                                quic::build_client_initial(ctx, "x", rng(),
+                                                           kFast))};
+    case 1:
+      return {t, net::build_udp(ip, 443, 40000,
+                                quic::build_server_initial_handshake(
+                                    ctx, rng(), kFast))};
+    case 2:
+      return {t, net::build_tcp(ip, {80, 40000, 1, 2,
+                                     net::TcpFlags::kSyn | net::TcpFlags::kAck,
+                                     {}})};
+    case 3:
+      return {t, net::build_icmp(ip, {0, 0, kPayload})};
+    default:
+      return {t,
+              net::build_tcp(ip, {40000, 80, 1, 0, net::TcpFlags::kSyn, {}})};
+  }
+}
+
+TEST(PipelineTest, RecordGroupsMatchReferenceAtEveryShardCount) {
+  // Twelve sources, each cycling QUIC requests, QUIC responses, TCP
+  // SYN-ACKs and ICMP echo replies every 250 ms for 45-210 s; odd
+  // sources pause for 150 s after 45 s. Every third source sends one
+  // record of each kind mid-stream that is stamped 20 s before it
+  // started, so each group holds records older than their session start.
+  std::vector<std::pair<util::Timestamp, net::RawPacket>> arrivals;
+  for (std::uint8_t i = 1; i <= 12; ++i) {
+    const auto source = net::Ipv4Address::from_octets(142, 250, i, 9);
+    const auto start = kT0 + i * 7 * util::kSecond;
+    const int steps = 4 * (30 + 15 * i);
+    for (int k = 0; k < steps; ++k) {
+      auto t = start + k * util::kSecond / 4;
+      if (i % 2 == 1 && k >= 180) t += 150 * util::kSecond;
+      arrivals.emplace_back(t, crafted_at(t, source, k == 0 ? 4 : k % 4));
+    }
+    if (i % 3 == 0) {
+      const auto middle = start + steps * util::kSecond / 8;
+      for (int kind = 0; kind < 4; ++kind) {
+        arrivals.emplace_back(
+            middle, crafted_at(start - 20 * util::kSecond, source, kind));
+      }
+    }
+  }
+  std::stable_sort(
+      arrivals.begin(), arrivals.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+
+  // The serial reference: the kept records in arrival order.
+  Classifier classifier({});
+  std::vector<PacketRecord> records;
+  for (const auto& [arrival, packet] : arrivals) {
+    const auto record = classifier.classify(packet);
+    if (record && keep_for_analysis(*record)) records.push_back(*record);
+  }
+  ASSERT_EQ(records.size(), arrivals.size());
+  const std::vector<util::Duration> timeouts = {
+      util::kMinute, 2 * util::kMinute, 5 * util::kMinute,
+      std::numeric_limits<util::Duration>::max()};
+  const auto sweep = timeout_sweep(records, timeouts, sanitized_quic_filter());
+  const auto timeout = one_day_options().session_timeout;
+  const auto responses =
+      build_sessions(records, timeout, quic_response_filter());
+  const auto common =
+      build_sessions(records, timeout, common_backscatter_filter());
+  const auto quic_attacks = detect_attacks(responses, DosThresholds{});
+  const auto common_attacks = detect_attacks(common, DosThresholds{});
+  ASSERT_FALSE(quic_attacks.empty());
+  ASSERT_FALSE(common_attacks.empty());
+  ASSERT_LT(common_attacks.size(), common.size());
+  ASSERT_GT(
+      build_sessions(records, util::kMinute, quic_request_filter()).size(),
+      build_sessions(records, 5 * util::kMinute, quic_request_filter()).size());
+
+  for (const std::size_t shards : {1u, 2u, 4u, 7u}) {
+    SCOPED_TRACE(shards);
+    ParallelPipeline pipeline(one_day_options(), shards);
+    // Small batches, so every group spans many parts.
+    const auto small_batch = [] { return net::RecordBatch(200, 200 * 1500); };
+    auto batch = small_batch();
+    for (const auto& [arrival, packet] : arrivals) {
+      if (batch.try_append(packet.timestamp, packet.data)) continue;
+      pipeline.consume_batch(std::exchange(batch, small_batch()));
+      ASSERT_TRUE(batch.try_append(packet.timestamp, packet.data));
+    }
+    pipeline.consume_batch(std::move(batch));
+    EXPECT_EQ(pipeline.records().size(), records.size());
+    for (const auto t : {util::kMinute, 5 * util::kMinute}) {
+      EXPECT_EQ(pipeline.request_sessions(t),
+                build_sessions(records, t, quic_request_filter()));
+      EXPECT_EQ(pipeline.response_sessions(t),
+                build_sessions(records, t, quic_response_filter()));
+      EXPECT_EQ(pipeline.common_sessions(t),
+                build_sessions(records, t, common_backscatter_filter()));
+    }
+    EXPECT_EQ(pipeline.session_timeout_sweep(timeouts), sweep);
+    const auto analysis = pipeline.analyze_attacks();
+    EXPECT_EQ(analysis.response_sessions, responses);
+    EXPECT_EQ(analysis.common_sessions, common);
+    EXPECT_EQ(analysis.quic_attacks, quic_attacks);
+    EXPECT_EQ(analysis.common_attacks, common_attacks);
+  }
+}
+
 TEST(PipelineTest, OversizedPacketIsClassifiedThroughConsume) {
   // Larger than a whole batch arena; pcapng admits blocks up to 16 MiB.
   auto big = quic_response_at(kT0 + util::kSecond);
@@ -156,7 +278,8 @@ TEST(PipelineTest, OversizedPacketIsClassifiedThroughConsume) {
     pipeline.consume(big);
     pipeline.consume(quic_response_at(kT0 + 2 * util::kSecond));
     EXPECT_EQ(pipeline.stats().of(TrafficClass::kQuicResponse), 3u);
-    const auto records = pipeline.records();
+    const auto view = pipeline.records();
+    const std::vector<PacketRecord> records(view.begin(), view.end());
     ASSERT_EQ(records.size(), 3u);
     // One source, one shard: arrival order survives the detour.
     EXPECT_EQ(records[1].timestamp, kT0 + util::kSecond);

@@ -3,18 +3,22 @@
 // same packets, timestamps, and bytes whether drained through a tiny
 // batch (many refills, arena resets, partial final batch), the default
 // batch, or the per-record generate() adapter — for every committed
-// scenario shape, across seeds. The batched ParallelPipeline ingest
-// (consume_batch) must likewise reproduce the per-record ingest
-// (consume) exactly for every shard count: identical record streams,
-// classifier stats, and DoS attack sets.
+// scenario shape, across seeds (one test per shape and seed), and the
+// ledger's research probe count must equal the probes the stream
+// carries. The batched ParallelPipeline ingest (consume_batch) must
+// likewise reproduce the per-record ingest (consume) exactly for every
+// shard count: identical record streams, classifier stats, and DoS
+// attack sets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "core/parallel_pipeline.hpp"
+#include "net/headers.hpp"
 #include "net/record_batch.hpp"
 #include "scanner/deployment.hpp"
 #include "telescope/generator.hpp"
@@ -31,10 +35,13 @@ struct NamedScenario {
 
 /// The repo has one committed scenario factory (april2021); the other
 /// shapes in use are derived from it: the bench/live "light" variant
-/// with research scanners disabled, and a full-crypto variant that
-/// exercises the real AEAD path the fast-fidelity default skips. All
-/// are trimmed to a 1-day window on a small telescope so the diff stays
-/// in tier-1 time budget while touching every emitter kind.
+/// with research scanners disabled, a full-crypto variant that
+/// exercises the real AEAD path the fast-fidelity default skips, and a
+/// research variant that scans three times a day (april2021's first
+/// pass starts at least 0.94 days into the window, so at most seeds it
+/// carries no research probe). All are trimmed to a 1-day window on a
+/// small telescope so the diff stays in tier-1 time budget while
+/// touching every emitter kind.
 std::vector<NamedScenario> committed_scenarios(std::uint64_t seed) {
   auto base = ScenarioConfig::april2021(1, seed);
   base.telescope = {net::Ipv4Address::from_octets(44, 0, 0, 0), 20};
@@ -57,16 +64,42 @@ std::vector<NamedScenario> committed_scenarios(std::uint64_t seed) {
   full_crypto.botnet.sessions_per_day = 60;
   full_crypto.misconfig.sessions_per_day = 50;
 
+  auto research = base;
+  research.tum.passes_per_day = 3;
+  research.rwth.passes_per_day = 3;
+
   return {{"april2021", base},
           {"light-no-research", light},
-          {"full-crypto", full_crypto}};
+          {"full-crypto", full_crypto},
+          {"research", research}};
+}
+
+const asdb::AsRegistry& test_registry() {
+  static const auto registry = asdb::AsRegistry::synthetic({}, 2021);
+  return registry;
 }
 
 TelescopeGenerator make_generator(const ScenarioConfig& config) {
-  static const auto registry = asdb::AsRegistry::synthetic({}, 2021);
   static const auto deployment =
-      scanner::Deployment::synthetic(registry, {}, 2021);
-  return TelescopeGenerator(config, registry, deployment);
+      scanner::Deployment::synthetic(test_registry(), {}, 2021);
+  return TelescopeGenerator(config, test_registry(), deployment);
+}
+
+/// Research probes in `packets`: UDP datagrams from either research
+/// scanner's prefix.
+std::uint64_t research_probes(const std::vector<net::RawPacket>& packets,
+                              const ScenarioConfig& config) {
+  const auto tum = test_registry().prefixes_of(config.tum.asn).front();
+  const auto rwth = test_registry().prefixes_of(config.rwth.asn).front();
+  std::uint64_t probes = 0;
+  for (const auto& packet : packets) {
+    const auto decoded = net::decode_ipv4(packet.data);
+    if (decoded && decoded->is_udp() &&
+        (tum.contains(decoded->ip.src) || rwth.contains(decoded->ip.src))) {
+      ++probes;
+    }
+  }
+  return probes;
 }
 
 bool same_attack(const PlannedAttack& a, const PlannedAttack& b) {
@@ -114,45 +147,78 @@ std::vector<net::RawPacket> drain(TelescopeGenerator& generator,
   return out;
 }
 
-TEST(TelescopeBatchDiff, StreamInvariantUnderBatchGeometry) {
-  for (const auto seed : kSeeds) {
-    for (const auto& [name, config] : committed_scenarios(seed)) {
-      SCOPED_TRACE(::testing::Message() << name << " seed " << seed);
+/// One instance per committed shape (an index into committed_scenarios)
+/// and seed.
+using ShapeSeed = std::tuple<std::size_t, std::uint64_t>;
+class BatchDiffShape : public ::testing::TestWithParam<ShapeSeed> {};
 
-      // Deliberately small batch so the stream crosses many batch
-      // boundaries (refill, arena reset, partial final batch) vs the
-      // default geometry and the per-record generate() adapter.
-      auto small_gen = make_generator(config);
-      const auto small = drain(small_gen, 512, 512 * 1500);
-      auto large_gen = make_generator(config);
-      const auto large = drain(large_gen, net::RecordBatch::kDefaultCapacity,
-                               net::RecordBatch::kDefaultArenaBytes);
-      auto sink_gen = make_generator(config);
-      std::vector<net::RawPacket> sunk;
-      const auto sink_count = sink_gen.generate(
-          [&](const net::RawPacket& packet) { sunk.push_back(packet); });
+TEST_P(BatchDiffShape, StreamInvariantUnderBatchGeometry) {
+  const auto [shape, seed] = GetParam();
+  const auto config = committed_scenarios(seed).at(shape).config;
 
-      ASSERT_EQ(small.size(), large.size());
-      ASSERT_EQ(small.size(), sunk.size());
-      EXPECT_EQ(sink_count, sunk.size());
-      for (std::size_t i = 0; i < small.size(); ++i) {
-        ASSERT_EQ(small[i].timestamp, large[i].timestamp)
-            << "timestamp mismatch at packet " << i;
-        ASSERT_EQ(small[i].data, large[i].data)
-            << "byte mismatch at packet " << i;
-        ASSERT_EQ(small[i].timestamp, sunk[i].timestamp)
-            << "sink timestamp mismatch at packet " << i;
-        ASSERT_EQ(small[i].data, sunk[i].data)
-            << "sink byte mismatch at packet " << i;
-      }
-      EXPECT_GT(small.size(), 1000u) << "scenario produced too few packets";
-      expect_same_ground_truth(small_gen.ground_truth(),
-                               large_gen.ground_truth());
-      expect_same_ground_truth(small_gen.ground_truth(),
-                               sink_gen.ground_truth());
-      EXPECT_EQ(small_gen.ground_truth().total_packet_count, small.size());
-    }
+  // Deliberately small batch so the stream crosses many batch
+  // boundaries (refill, arena reset, partial final batch) vs the
+  // default geometry and the per-record generate() adapter.
+  auto small_gen = make_generator(config);
+  const auto small = drain(small_gen, 512, 512 * 1500);
+  auto large_gen = make_generator(config);
+  const auto large = drain(large_gen, net::RecordBatch::kDefaultCapacity,
+                           net::RecordBatch::kDefaultArenaBytes);
+  auto sink_gen = make_generator(config);
+  std::vector<net::RawPacket> sunk;
+  const auto sink_count = sink_gen.generate(
+      [&](const net::RawPacket& packet) { sunk.push_back(packet); });
+
+  ASSERT_EQ(small.size(), large.size());
+  ASSERT_EQ(small.size(), sunk.size());
+  EXPECT_EQ(sink_count, sunk.size());
+  for (std::size_t i = 0; i < small.size(); ++i) {
+    ASSERT_EQ(small[i].timestamp, large[i].timestamp)
+        << "timestamp mismatch at packet " << i;
+    ASSERT_EQ(small[i].data, large[i].data)
+        << "byte mismatch at packet " << i;
+    ASSERT_EQ(small[i].timestamp, sunk[i].timestamp)
+        << "sink timestamp mismatch at packet " << i;
+    ASSERT_EQ(small[i].data, sunk[i].data)
+        << "sink byte mismatch at packet " << i;
   }
+  EXPECT_GT(small.size(), 1000u) << "scenario produced too few packets";
+  expect_same_ground_truth(small_gen.ground_truth(),
+                           large_gen.ground_truth());
+  expect_same_ground_truth(small_gen.ground_truth(),
+                           sink_gen.ground_truth());
+  EXPECT_EQ(small_gen.ground_truth().total_packet_count, small.size());
+  EXPECT_EQ(small_gen.ground_truth().research_probe_count,
+            research_probes(small, config));
+}
+
+std::string shape_seed_name(const ::testing::TestParamInfo<ShapeSeed>& info) {
+  const auto [shape, seed] = info.param;
+  std::string name = committed_scenarios(seed)[shape].name;
+  for (auto& c : name) {
+    if (c == '-') c = '_';
+  }
+  return name + "_" + std::to_string(seed);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, BatchDiffShape,
+    ::testing::Combine(::testing::Range<std::size_t>(
+                           0, committed_scenarios(kSeeds[0]).size()),
+                       ::testing::ValuesIn(kSeeds)),
+    shape_seed_name);
+
+TEST(TelescopeBatchDiff, ResearchProbeCountIsWhatTheStreamCarries) {
+  // At this seed april2021's one-day window ends inside a research pass
+  // of 4,096 scheduled probes: the ledger counts the 215 the stream
+  // carries. (216 datagrams leave UDP port 34434; one is a botnet
+  // Initial that drew that port.)
+  const auto config = committed_scenarios(4245)[0].config;
+  auto generator = make_generator(config);
+  const auto packets = drain(generator, net::RecordBatch::kDefaultCapacity,
+                             net::RecordBatch::kDefaultArenaBytes);
+  EXPECT_EQ(research_probes(packets, config), 215u);
+  EXPECT_EQ(generator.ground_truth().research_probe_count, 215u);
 }
 
 // --- Pipeline-level diff: consume() vs consume_batch() ----------------
@@ -168,6 +234,11 @@ std::vector<core::DetectedAttack> normalized(
                      std::tie(b.start, b.victim, b.end, b.packets);
             });
   return attacks;
+}
+
+std::vector<core::PacketRecord> records_of(core::ParallelPipeline& pipeline) {
+  const auto view = pipeline.records();
+  return {view.begin(), view.end()};
 }
 
 void expect_same_stats(const core::ClassifierStats& a,
@@ -217,8 +288,8 @@ TEST(TelescopeBatchDiff, BatchedIngestMatchesPerRecordAcrossShardCounts) {
 
       expect_same_stats(per_record.stats(), batched.stats());
 
-      const auto lhs = per_record.records();
-      const auto rhs = batched.records();
+      const auto lhs = records_of(per_record);
+      const auto rhs = records_of(batched);
       ASSERT_EQ(lhs.size(), rhs.size());
       for (std::size_t i = 0; i < lhs.size(); ++i) {
         ASSERT_EQ(lhs[i], rhs[i]) << "record " << i << " differs";
@@ -274,8 +345,8 @@ TEST(TelescopeBatchDiff, MixedPerRecordAndBatchedIngestIsEquivalent) {
   mixed.finish();
 
   expect_same_stats(reference.stats(), mixed.stats());
-  const auto lhs = reference.records();
-  const auto rhs = mixed.records();
+  const auto lhs = records_of(reference);
+  const auto rhs = records_of(mixed);
   ASSERT_EQ(lhs.size(), rhs.size());
   for (std::size_t k = 0; k < lhs.size(); ++k) {
     ASSERT_EQ(lhs[k], rhs[k]) << "record " << k << " differs";
