@@ -2,8 +2,10 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <limits>
+#include <string>
 #include <thread>
 
 #include "util/parse.hpp"
@@ -22,6 +24,21 @@ std::uint64_t env_u64(
   const auto parsed = util::parse_u64(value);
   if (!parsed || *parsed < min || *parsed > max) return default_value;
   return *parsed;
+}
+
+/// The process's peak resident set (VmHWM) in MiB, or 0 when
+/// /proc/self/status cannot tell.
+std::uint64_t peak_rss_mib() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmHWM:", 0) != 0) continue;
+    const auto digits = line.find_first_of("0123456789");
+    const auto end = line.find_first_not_of("0123456789", digits);
+    if (digits == std::string::npos) return 0;
+    const auto kib = util::parse_u64(line.substr(digits, end - digits));
+    return kib ? *kib / 1024 : 0;
+  }
+  return 0;
 }
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
@@ -200,7 +217,11 @@ void print_scale(const telescope::ScenarioConfig& config) {
 void print_timing(const AnalyzedScenario& scenario) {
   std::cout << "[generate " << util::fmt(scenario.generate_seconds, 1)
             << "s, analyze " << util::fmt(scenario.analyze_seconds, 1)
-            << "s]\n";
+            << "s";
+  if (const auto peak = peak_rss_mib(); peak > 0) {
+    std::cout << ", peak " << peak << " MB";
+  }
+  std::cout << "]\n";
 }
 
 void compare(const std::string& metric, const std::string& paper,

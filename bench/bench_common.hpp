@@ -94,7 +94,8 @@ AnalyzedScenario run_scenario(const telescope::ScenarioConfig& config);
 /// Print the standard scale banner.
 void print_scale(const telescope::ScenarioConfig& config);
 
-/// Print the trailing `[generate …, analyze …]` timing line.
+/// Print the trailing `[generate …, analyze …, peak … MB]` line: wall
+/// times and the process's peak resident set (VmHWM, in MiB).
 void print_timing(const AnalyzedScenario& scenario);
 
 /// Print a "paper vs measured" comparison row.

@@ -10,7 +10,9 @@
 #   4. build the asan and ubsan presets' fuzz drivers (the fuzz_drivers
 #      target in tests/fuzz/CMakeLists.txt) and run a bounded smoke
 #      through ctest (FUZZ_SMOKE_ITERATIONS per target, default 500) from
-#      the committed corpus — replays every committed crasher, then fuzzes
+#      the committed corpus — replays every committed crasher, then fuzzes;
+#      then build the pipeline suites under the asan preset (the
+#      QUICSAND_ASAN_SUITES list in tests/CMakeLists.txt) and run them
 #   5. run quicsand_lint over every first-party tree (also the `lint`
 #      ctest label), writing the JSON report CI uploads as an artifact;
 #      when clang is installed, run the thread-safety gate
@@ -72,6 +74,9 @@ if [ "$run_fuzz" = 1 ]; then
     echo "==> fuzz smoke ($preset, $smoke_iters iterations per target)"
     ctest --preset "fuzz-$preset" -j "$jobs"
   done
+  echo "==> pipeline suites under ASan (asan_suites in tests/CMakeLists.txt)"
+  cmake --build --preset asan -j "$jobs" --target asan_suites
+  ctest --preset asan-suites -j "$jobs"
 fi
 
 echo "==> quicsand_lint"

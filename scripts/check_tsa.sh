@@ -39,7 +39,7 @@ if [ "$run_build" = 1 ]; then
   cmake --build --preset clang-tsa -j "$jobs"
 fi
 
-probes=10
+probes=13
 flags="-std=c++20 -fsyntax-only -Isrc -Wthread-safety -Werror=thread-safety"
 src=tests/tsa_negative.cpp
 

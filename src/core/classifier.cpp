@@ -60,6 +60,7 @@ void ClassifierStats::merge_from(const ClassifierStats& other) {
   }
   research += other.research;
   research_requests += other.research_requests;
+  kept += other.kept;
   quic_port_rejects += other.quic_port_rejects;
 }
 
@@ -156,6 +157,7 @@ std::optional<PacketRecord> Classifier::classify(
       ++stats_.research_requests;
     }
   }
+  if (keep_for_analysis(record)) ++stats_.kept;
   return record;
 }
 

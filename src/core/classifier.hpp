@@ -34,6 +34,7 @@ struct ClassifierStats {
   std::uint64_t research = 0;           ///< research-flagged QUIC packets
   std::uint64_t research_requests = 0;  ///< research QUIC requests
   std::uint64_t quic_port_rejects = 0;  ///< UDP/443 that failed dissection
+  std::uint64_t kept = 0;  ///< records kept for analysis (keep_for_analysis)
 
   [[nodiscard]] std::uint64_t of(TrafficClass cls) const {
     return by_class[static_cast<std::size_t>(cls)];
@@ -55,6 +56,12 @@ struct ClassifierStats {
   /// classification keeps one Classifier per worker).
   void merge_from(const ClassifierStats& other);
 };
+
+/// True when the record feeds the analysis stages: research scanners and
+/// unclassified traffic are counted, then dropped.
+[[nodiscard]] inline bool keep_for_analysis(const PacketRecord& record) {
+  return !record.is_research && record.cls != TrafficClass::kOther;
+}
 
 class Classifier {
  public:

@@ -1,6 +1,7 @@
 #include "core/parallel_pipeline.hpp"
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -19,12 +20,6 @@ std::size_t resolve_shards(std::size_t requested) {
 }
 
 }  // namespace
-
-std::size_t RecordView::size() const {
-  std::size_t n = 0;
-  for (const auto part : joined_.base()) n += part.size();
-  return n;
-}
 
 void publish_classifier_stats(const ClassifierStats& stats,
                               obs::MetricsRegistry& metrics) {
@@ -46,12 +41,20 @@ void publish_classifier_stats(const ClassifierStats& stats,
   }
 }
 
+ParallelPipeline::ShardState::ShardState(util::Duration timeout)
+    : tables{SessionTable(timeout, quic_request_filter()),
+             SessionTable(timeout, quic_response_filter()),
+             SessionTable(timeout, common_backscatter_filter())} {}
+
 ParallelPipeline::ParallelPipeline(PipelineOptions options,
                                    std::size_t shards)
     : options_(std::move(options)),
       shards_(resolve_shards(shards)),
       hours_(static_cast<std::size_t>(options_.days) * 24),
-      worker_staging_(shards_, ShardParts(shards_ * kGroups)) {
+      slot_records_(4 * shards_),
+      shard_state_(shards_, ShardState(options_.session_timeout)),
+      slots_(4 * shards_),
+      sequencers_(shards_) {
   worker_classifiers_.reserve(shards_);
   for (std::size_t i = 0; i < shards_; ++i) {
     worker_classifiers_.push_back(std::make_unique<Classifier>(
@@ -66,7 +69,7 @@ ParallelPipeline::ParallelPipeline(PipelineOptions options,
         "pipeline.packets", "packets consumed by the pipeline");
     records_counter_ = &metrics->counter(
         "pipeline.records", "sanitized records kept for analysis");
-    batches_counter_ =
+    batch_counter_ =
         &metrics->counter("parallel.batches", "classify batches dispatched");
     backpressure_wait_us_ = &metrics->histogram(
         "parallel.backpressure_wait_us",
@@ -80,12 +83,12 @@ ParallelPipeline::ParallelPipeline(PipelineOptions options,
     classify_batch_us_ = &metrics->histogram(
         "parallel.classify_batch_us",
         "wall time a worker spent classifying one batch");
-    sessionize_shard_us_ = &metrics->histogram(
-        "parallel.sessionize_shard_us",
-        "wall time one shard spent in sessionization");
-    analyze_shard_us_ = &metrics->histogram(
-        "parallel.analyze_shard_us",
-        "wall time one shard spent in session + attack analysis");
+    absorb_batch_us_ = &metrics->histogram(
+        "parallel.absorb_batch_us",
+        "wall time one shard spent absorbing one batch's records");
+    close_shard_us_ = &metrics->histogram(
+        "parallel.close_shard_us",
+        "wall time one shard spent closing and sorting its sessions");
     inflight_gauge_ = &metrics->gauge(
         "parallel.inflight_batches", "classify batches queued or running");
     pending_gauge_ = &metrics->gauge(
@@ -143,23 +146,20 @@ void ParallelPipeline::recycle(net::RecordBatch&& batch) {
   batch_pool_.push_back(std::move(batch));
 }
 
-void ParallelPipeline::wait_for_inflight_slot(util::UniqueLock& lock) {
+std::uint64_t ParallelPipeline::wait_for_inflight_slot(
+    util::UniqueLock& lock) {
   // Backpressure: bound the batches in flight so a fast capture or
   // generation loop cannot buffer the whole trace ahead of the workers.
-  while (inflight_ >= 4 * shards_) inflight_cv_.wait(lock);
+  // With fewer than slots_.size() in flight, the batch that last held
+  // this slot has been absorbed by every shard (DESIGN.md §6).
+  while (inflight_ >= slots_.size()) inflight_cv_.wait(lock);
   ++inflight_;
   if (inflight_gauge_ != nullptr) {
     inflight_gauge_->set(static_cast<std::int64_t>(inflight_));
   }
-}
-
-void ParallelPipeline::release_inflight_slot() {
-  util::LockGuard lock(inflight_mutex_);
-  --inflight_;
-  if (inflight_gauge_ != nullptr) {
-    inflight_gauge_->set(static_cast<std::int64_t>(inflight_));
-  }
-  inflight_cv_.notify_all();
+  const auto seq = submitted_++;
+  slots_[seq % slots_.size()] = {seq, 0};
+  return seq;
 }
 
 void ParallelPipeline::consume_batch(net::RecordBatch&& batch) {
@@ -180,17 +180,17 @@ void ParallelPipeline::flush_current() {
 }
 
 void ParallelPipeline::submit(net::RecordBatch&& batch) {
+  std::uint64_t seq = 0;
   {
     const obs::ScopedLatency wait(backpressure_wait_us_);
     util::UniqueLock lock(inflight_mutex_);
-    wait_for_inflight_slot(lock);
+    seq = wait_for_inflight_slot(lock);
   }
-  if (batches_counter_ != nullptr) batches_counter_->add();
+  if (batch_counter_ != nullptr) batch_counter_->add();
   if (health_ != nullptr) health_->heartbeat();
-  auto* out = &batches_.emplace_back(shards_ * kGroups);
   auto shared = std::make_shared<net::RecordBatch>(std::move(batch));
   const auto submit_us = queue_wait_us_ != nullptr ? obs::steady_us() : 0;
-  pool_->submit([this, out, shared, submit_us](std::size_t worker) {
+  pool_->submit([this, seq, shared, submit_us](std::size_t worker) {
     if (queue_wait_us_ != nullptr) {
       queue_wait_us_->record(obs::steady_us() - submit_us);
     }
@@ -198,7 +198,9 @@ void ParallelPipeline::submit(net::RecordBatch&& batch) {
       const obs::ScopedLatency latency(classify_batch_us_);
       obs::Span span(options_.obs.tracer, "parallel.classify_batch");
       auto& classifier = *worker_classifiers_[worker];
-      auto& staged = worker_staging_[worker];
+      auto& kept = slot_records_[seq % slot_records_.size()];
+      kept.records.clear();
+      kept.shards.clear();
       for (std::size_t i = 0; i < shared->size(); ++i) {
         const auto view = shared->view(i);
         const auto record = classifier.classify(view.timestamp, view.data);
@@ -209,23 +211,58 @@ void ParallelPipeline::submit(net::RecordBatch&& batch) {
                          worker, hour);
                    });
         if (!keep_for_analysis(*record)) continue;
-        const auto shard = util::shard_of(record->src.value(), shards_);
-        staged[shard * kGroups +
-               (record->is_quic() ? kQuicGroup : kCommonGroup)]
-            .push_back(*record);
+        kept.records.push_back(*record);
+        kept.shards.push_back(static_cast<std::uint32_t>(
+            util::shard_of(record->src.value(), shards_)));
       }
-      // Each part leaves at its exact size; the staging keeps capacity.
-      std::size_t kept = 0;
-      for (std::size_t k = 0; k < staged.size(); ++k) {
-        (*out)[k].assign(staged[k].begin(), staged[k].end());
-        kept += staged[k].size();
-        staged[k].clear();
+      if (records_counter_ != nullptr) {
+        records_counter_->add(kept.records.size());
       }
-      if (records_counter_ != nullptr) records_counter_->add(kept);
     }
     recycle(std::move(*shared));
-    release_inflight_slot();
+    {
+      util::LockGuard lock(inflight_mutex_);
+      slots_[seq % slots_.size()].unabsorbed = shards_;
+    }
+    // Start at the worker's own shard, so workers rarely queue on one.
+    for (std::size_t k = 0; k < shards_; ++k) {
+      absorb_in_order((worker + k) % shards_);
+    }
   });
+}
+
+void ParallelPipeline::absorb_in_order(std::size_t s) {
+  util::UniqueLock lock(inflight_mutex_);
+  if (sequencers_[s].draining) return;
+  sequencers_[s].draining = true;
+  for (;;) {
+    const auto seq = sequencers_[s].next;
+    const auto k = seq % slots_.size();
+    if (slots_[k].seq != seq || slots_[k].unabsorbed == 0) break;
+    ++sequencers_[s].next;
+    lock.unlock();
+    {
+      const obs::ScopedLatency latency(absorb_batch_us_);
+      obs::Span span(options_.obs.tracer, "parallel.absorb");
+      auto& shard = shard_state_[s];
+      const auto& kept = slot_records_[k];
+      for (std::size_t i = 0; i < kept.records.size(); ++i) {
+        if (kept.shards[i] != s) continue;
+        for (auto& table : shard.tables) table.absorb(kept.records[i]);
+        shard.gaps.absorb(kept.records[i]);
+        ++shard.records;
+      }
+    }
+    lock.lock();
+    if (--slots_[k].unabsorbed == 0) {
+      --inflight_;
+      if (inflight_gauge_ != nullptr) {
+        inflight_gauge_->set(static_cast<std::int64_t>(inflight_));
+      }
+      inflight_cv_.notify_all();
+    }
+  }
+  sequencers_[s].draining = false;
 }
 
 void ParallelPipeline::finish() {
@@ -236,32 +273,49 @@ void ParallelPipeline::finish() {
     pool_->wait_idle();
   }
 
-  obs::Span span(options_.obs.tracer, "parallel.merge_ingest");
-  for (const auto& classifier : worker_classifiers_) {
-    stats_.merge_from(classifier->stats());
-  }
-  for (std::size_t slot = 0; slot < kHourlySlotCount; ++slot) {
-    hourly_.of(static_cast<HourlySlot>(slot)) = worker_hourly_[slot].merged();
-  }
-  // Batches were submitted in arrival order, so listing each group's
-  // parts batch by batch keeps arrival order within the group.
-  group_begin_.assign(shards_ * kGroups + 1, 0);
-  for (std::size_t s = 0; s < shards_; ++s) {
-    std::size_t records = 0;
-    for (std::size_t k = s * kGroups; k < (s + 1) * kGroups; ++k) {
-      group_begin_[k] = parts_.size();
-      for (const auto& parts : batches_) {
-        if (parts[k].empty()) continue;
-        parts_.emplace_back(parts[k]);
-        records += parts[k].size();
-      }
+  {
+    obs::Span span(options_.obs.tracer, "parallel.merge_ingest");
+    for (const auto& classifier : worker_classifiers_) {
+      stats_.merge_from(classifier->stats());
     }
-    if (shard_records_hist_ != nullptr) shard_records_hist_->record(records);
+    for (std::size_t slot = 0; slot < kHourlySlotCount; ++slot) {
+      hourly_.of(static_cast<HourlySlot>(slot)) =
+          worker_hourly_[slot].merged();
+    }
   }
-  group_begin_.back() = parts_.size();
+  std::array<std::vector<std::vector<Session>>, kSessionGroups> closed;
+  for (auto& group : closed) group.resize(shards_);
+  pool_->parallel_for(shards_, [&](std::size_t s, std::size_t) {
+    obs::Span span(options_.obs.tracer,
+                   "parallel.close_sessions.shard" + std::to_string(s));
+    const obs::ScopedLatency latency(close_shard_us_);
+    auto& shard = shard_state_[s];
+    for (std::size_t g = 0; g < kSessionGroups; ++g) {
+      closed[g][s] = shard.tables[g].close_all();
+    }
+    shard.profile = shard.gaps.take();
+  });
+  {
+    obs::Span span(options_.obs.tracer, "parallel.merge_sessions");
+    for (std::size_t g = 0; g < kSessionGroups; ++g) {
+      sessions_[g] = merge_sessions(std::move(closed[g])).sessions;
+    }
+  }
+  for (const auto& shard : shard_state_) {
+    for (const auto& table : shard.tables) {
+      late_records_ += table.late_records();
+    }
+    if (shard_records_hist_ != nullptr) {
+      shard_records_hist_->record(shard.records);
+    }
+  }
   finished_ = true;
   if (auto* metrics = options_.obs.metrics) {
     publish_classifier_stats(stats_, *metrics);
+    metrics
+        ->counter("pipeline.late_records",
+                  "records older than their session's start")
+        .add(late_records_);
   }
   if (health_ != nullptr) {
     health_->heartbeat();
@@ -279,31 +333,15 @@ const HourlySeries& ParallelPipeline::hourly() {
   return hourly_;
 }
 
-RecordView ParallelPipeline::records() {
-  finish();
-  return RecordView(parts_);
-}
-
-RecordParts ParallelPipeline::group(std::size_t s, RecordFilter filter) const {
-  const auto k = s * kGroups + (filter == common_backscatter_filter()
-                                    ? kCommonGroup
-                                    : kQuicGroup);
-  return RecordParts(parts_).subspan(group_begin_[k],
-                                     group_begin_[k + 1] - group_begin_[k]);
-}
-
 std::vector<Session> ParallelPipeline::sessions(util::Duration timeout,
                                                 RecordFilter filter) {
+  if (timeout != options_.session_timeout) {
+    throw std::invalid_argument(
+        "ParallelPipeline: sessions exist at options().session_timeout "
+        "only");
+  }
   finish();
-  std::vector<std::vector<Session>> parts(shards_);
-  pool_->parallel_for(shards_, [&](std::size_t s, std::size_t) {
-    obs::Span span(options_.obs.tracer,
-                   "parallel.sessionize.shard" + std::to_string(s));
-    const obs::ScopedLatency latency(sessionize_shard_us_);
-    parts[s] = build_sessions(group(s, filter), timeout, filter);
-  });
-  obs::Span span(options_.obs.tracer, "parallel.merge_sessions");
-  return merge_sessions(std::move(parts)).sessions;
+  return sessions_[static_cast<std::size_t>(filter)];
 }
 
 std::vector<Session> ParallelPipeline::request_sessions(
@@ -325,17 +363,9 @@ std::vector<std::pair<util::Duration, std::uint64_t>>
 ParallelPipeline::session_timeout_sweep(
     std::span<const util::Duration> timeouts) {
   finish();
-  std::vector<GapProfile> profiles(shards_);
-  pool_->parallel_for(shards_, [&](std::size_t s, std::size_t) {
-    obs::Span span(options_.obs.tracer,
-                   "parallel.gap_profile.shard" + std::to_string(s));
-    profiles[s] = collect_gap_profile(group(s, sanitized_quic_filter()),
-                                      sanitized_quic_filter());
-  });
-  obs::Span span(options_.obs.tracer, "parallel.merge_gap_profiles");
   GapProfile merged;
-  for (auto& profile : profiles) {
-    merge_gap_profiles(merged, std::move(profile));
+  for (const auto& shard : shard_state_) {
+    merge_gap_profiles(merged, shard.profile);
   }
   return sweep_counts(std::move(merged), timeouts);
 }
@@ -346,43 +376,14 @@ AttackAnalysis ParallelPipeline::analyze_attacks() {
 
 AttackAnalysis ParallelPipeline::analyze_attacks(
     const DosThresholds& thresholds) {
-  finish();
-  const auto timeout = options_.session_timeout;
-  std::vector<std::vector<Session>> response_parts(shards_);
-  std::vector<std::vector<Session>> common_parts(shards_);
-  std::vector<std::vector<DetectedAttack>> quic_parts(shards_);
-  std::vector<std::vector<DetectedAttack>> common_attack_parts(shards_);
-  pool_->parallel_for(shards_, [&](std::size_t s, std::size_t) {
-    obs::Span span(options_.obs.tracer,
-                   "parallel.analyze.shard" + std::to_string(s));
-    const obs::ScopedLatency latency(analyze_shard_us_);
-    response_parts[s] = build_sessions(group(s, quic_response_filter()),
-                                       timeout, quic_response_filter());
-    common_parts[s] = build_sessions(group(s, common_backscatter_filter()),
-                                     timeout, common_backscatter_filter());
-    quic_parts[s] = detect_attacks(response_parts[s], thresholds);
-    common_attack_parts[s] = detect_attacks(common_parts[s], thresholds);
-  });
-
-  auto* metrics = options_.obs.metrics;
   AttackAnalysis analysis;
-  {
-    obs::Span span(options_.obs.tracer, "parallel.merge_analysis");
-    const obs::ScopedLatency latency(
-        metrics != nullptr
-            ? &metrics->histogram("parallel.merge_analysis_us",
-                                  "wall time of the final session/attack merge")
-            : nullptr);
-    auto response_merge = merge_sessions(std::move(response_parts));
-    analysis.quic_attacks =
-        merge_attacks(std::move(quic_parts), response_merge.global_index);
-    analysis.response_sessions = std::move(response_merge.sessions);
-    auto common_merge = merge_sessions(std::move(common_parts));
-    analysis.common_attacks = merge_attacks(std::move(common_attack_parts),
-                                            common_merge.global_index);
-    analysis.common_sessions = std::move(common_merge.sessions);
-  }
-  if (metrics != nullptr) {
+  analysis.response_sessions = response_sessions(options_.session_timeout);
+  analysis.common_sessions = common_sessions(options_.session_timeout);
+  analysis.quic_attacks =
+      detect_attacks(analysis.response_sessions, thresholds);
+  analysis.common_attacks =
+      detect_attacks(analysis.common_sessions, thresholds);
+  if (auto* metrics = options_.obs.metrics) {
     metrics->gauge("pipeline.quic_attacks")
         .set(static_cast<std::int64_t>(analysis.quic_attacks.size()));
     metrics->gauge("pipeline.common_attacks")

@@ -3,20 +3,20 @@
 // Ingest classifies packet batches on a worker pool: each worker owns a
 // Classifier and a row of hourly ShardedCounters, merged by summation
 // when ingest finishes. Each classify task routes the records it keeps
-// by hash(source IP) % N into one exactly sized part per shard and
-// group (QUIC, or TCP/ICMP), and the records stay in those parts: no
-// copy follows. Sessionization and DoS detection are purely source-local
-// (§5.1), so every shard runs the serial inner loops over its own parts
-// of one group, and the merged output equals build_sessions /
-// detect_attacks over the whole stream, whatever the shard count. See
-// DESIGN.md "Parallel execution model" and "Where records go" for the
-// determinism argument.
+// by hash(source IP) % N into one part per shard, and each shard folds
+// its parts into its session tables and gap profile strictly in batch
+// submission order, while ingest runs. No record outlives its batch.
+// Sessionization and DoS detection are purely source-local (§5.1), so
+// each shard sees exactly the serial per-source record sequences, and
+// the merged output equals build_sessions / detect_attacks over the
+// whole stream, whatever the shard count. See DESIGN.md "Parallel
+// execution model" and "Where sessions are built" for the determinism
+// argument.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <ranges>
 #include <span>
 #include <vector>
 
@@ -36,17 +36,11 @@ namespace quicsand::core {
 /// QS_GUARDED_BY/QS_REQUIRES here makes the probe build, CI fails.
 struct TsaNegativeProbe;
 
-/// Read-only view of records held in non-empty parts, walked part by
-/// part (ParallelPipeline::records()).
-class RecordView : public std::ranges::view_interface<RecordView> {
- public:
-  explicit RecordView(RecordParts parts) : joined_(parts) {}
-  [[nodiscard]] auto begin() const { return joined_.begin(); }
-  [[nodiscard]] auto end() const { return joined_.end(); }
-  [[nodiscard]] std::size_t size() const;
-
- private:
-  std::ranges::join_view<RecordParts> joined_;
+/// How many records ingest kept for analysis (ParallelPipeline::records()).
+struct RecordCount {
+  std::uint64_t kept = 0;
+  [[nodiscard]] std::uint64_t size() const { return kept; }
+  [[nodiscard]] bool empty() const { return kept == 0; }
 };
 
 class ParallelPipeline {
@@ -84,21 +78,31 @@ class ParallelPipeline {
   [[nodiscard]] const ClassifierStats& stats();
   [[nodiscard]] const HourlySeries& hourly();
 
-  /// Sanitized records where classification left them: by shard
-  /// (util::shard_of of the source), then group (QUIC requests and
-  /// responses first, then TCP/ICMP), then arrival order. The view reads
-  /// the pipeline's parts and lives no longer than the pipeline.
-  [[nodiscard]] RecordView records();
+  /// The number of records kept for analysis (stats().kept). The
+  /// records themselves are gone once their batch is absorbed.
+  [[nodiscard]] RecordCount records() { return {stats().kept}; }
 
+  /// Records older than their session's start, over the three session
+  /// groups (also exported as `pipeline.late_records`).
+  [[nodiscard]] std::uint64_t late_records() {
+    finish();
+    return late_records_;
+  }
+
+  /// Sessions of one group at the configured timeout. Each shard built
+  /// them during ingest at options().session_timeout, so any other
+  /// `timeout` throws std::invalid_argument.
   std::vector<Session> request_sessions(util::Duration timeout);
   std::vector<Session> response_sessions(util::Duration timeout);
   std::vector<Session> common_sessions(util::Duration timeout);
 
-  /// Figure 4 sweep over the sanitized QUIC records (both directions).
+  /// Figure 4 sweep over the sanitized QUIC records (both directions),
+  /// read from the gap profiles the shards collected.
   std::vector<std::pair<util::Duration, std::uint64_t>>
   session_timeout_sweep(std::span<const util::Duration> timeouts);
 
-  /// Detected attacks at the configured (or the given) thresholds.
+  /// Detected attacks at the configured (or the given) thresholds: one
+  /// detect_attacks pass over the sessions finish() closed and merged.
   AttackAnalysis analyze_attacks();
   AttackAnalysis analyze_attacks(const DosThresholds& thresholds);
 
@@ -108,32 +112,58 @@ class ParallelPipeline {
  private:
   friend struct TsaNegativeProbe;
 
-  /// Record groups per shard: every RecordFilter reads exactly one.
-  static constexpr std::size_t kQuicGroup = 0;
-  static constexpr std::size_t kCommonGroup = 1;
-  static constexpr std::size_t kGroups = 2;
+  /// The session groups, indexed by their RecordFilter value.
+  static constexpr std::size_t kSessionGroups = 3;
 
-  /// One classified batch's kept records, one exactly sized part per
-  /// shard and group, at index shard * kGroups + group.
-  using ShardParts = std::vector<std::vector<PacketRecord>>;
+  /// One batch's kept records in arrival order, each with its shard.
+  /// Written by the classify task, then read by every shard's sequencer.
+  struct SlotRecords {
+    std::vector<PacketRecord> records;
+    std::vector<std::uint32_t> shards;
+  };
 
-  /// Classify `batch` as one pool task (after backpressure).
+  /// One shard's analysis state. During ingest only the worker holding
+  /// the shard's sequencer touches it; finish() closes it.
+  struct ShardState {
+    explicit ShardState(util::Duration timeout);
+    std::array<SessionTable, kSessionGroups> tables;
+    GapCollector gaps{sanitized_quic_filter()};
+    GapProfile profile;  ///< what `gaps` collected, taken by finish()
+    std::uint64_t records = 0;
+  };
+
+  /// Where shard s stands in the batch sequence: the sequence number of
+  /// the batch it absorbs next, and whether a worker is absorbing now.
+  struct Sequencer {
+    std::uint64_t next = 0;
+    bool draining = false;
+  };
+
+  /// The batch an in-flight slot holds, and how many shards have yet to
+  /// absorb it (0 until it is classified).
+  struct Slot {
+    std::uint64_t seq = 0;
+    std::size_t unabsorbed = 0;
+  };
+
+  /// Classify `batch` as one pool task (after backpressure), then let
+  /// every shard absorb what is ready.
   void submit(net::RecordBatch&& batch);
   /// Submit the consume() batch if it holds packets.
   void flush_current();
   /// Return a default-sized batch to the pool (others are dropped).
   void recycle(net::RecordBatch&& batch);
-  /// Block until fewer than 4 * shards_ batches are in flight, then
-  /// claim a slot (increments inflight_, publishes the gauge). Caller
-  /// holds inflight_mutex_ via `lock`.
-  void wait_for_inflight_slot(util::UniqueLock& lock)
+  /// Block until fewer than slots_.size() batches are in flight, then
+  /// claim the next sequence number's slot (increments inflight_) and
+  /// return that number. Caller holds inflight_mutex_ via `lock`.
+  std::uint64_t wait_for_inflight_slot(util::UniqueLock& lock)
       QS_REQUIRES(inflight_mutex_);
-  /// Return a claimed slot and wake blocked producers; takes
-  /// inflight_mutex_ itself (called from worker jobs).
-  void release_inflight_slot() QS_EXCLUDES(inflight_mutex_);
-  /// Shard s's parts of the one group `filter` reads, in arrival order.
-  [[nodiscard]] RecordParts group(std::size_t s, RecordFilter filter) const;
-  /// Sessionize every shard in parallel, then merge.
+  /// Unless a worker already absorbs for shard `s`, absorb its parts of
+  /// every classified batch in sequence order, releasing each batch's
+  /// slot once every shard has absorbed it. Takes inflight_mutex_
+  /// itself, and drops it while absorbing.
+  void absorb_in_order(std::size_t s) QS_EXCLUDES(inflight_mutex_);
+  /// One group's sessions; `timeout` must be the configured one.
   std::vector<Session> sessions(util::Duration timeout, RecordFilter filter);
 
   PipelineOptions options_;
@@ -143,18 +173,23 @@ class ParallelPipeline {
   // Per-worker ingest state: workers only touch their own slot/row.
   std::vector<std::unique_ptr<Classifier>> worker_classifiers_;
   std::vector<util::ShardedCounter> worker_hourly_;  // one per HourlySlot
-  std::vector<ShardParts> worker_staging_;  // routing buffers, reused
 
-  // Ingest: consume() fills current_; the main thread appends an output
-  // slot per batch before submitting it, so workers write disjoint,
-  // stable deque elements. The slots keep arrival order and hold the
-  // kept records until the pipeline is destroyed.
+  // Ingest: consume() fills current_. A submitted batch takes slot
+  // seq % slots_.size(): its classify task writes the kept records into
+  // that slot's slot_records_, and each shard's sequencer absorbs its
+  // own records of it in sequence order. A slot is released only when
+  // every shard has absorbed it, so at most slots_.size() batches of
+  // records wait.
   net::RecordBatch current_{0, 0};
-  std::deque<ShardParts> batches_;
+  std::vector<SlotRecords> slot_records_;
+  std::vector<ShardState> shard_state_;
   util::Mutex inflight_mutex_{util::LockRank::kPipelineInflight,
                               "pipeline_inflight"};
   util::CondVar inflight_cv_;
   std::size_t inflight_ QS_GUARDED_BY(inflight_mutex_) = 0;
+  std::uint64_t submitted_ QS_GUARDED_BY(inflight_mutex_) = 0;
+  std::vector<Slot> slots_ QS_GUARDED_BY(inflight_mutex_);
+  std::vector<Sequencer> sequencers_ QS_GUARDED_BY(inflight_mutex_);
 
   // Recycled RecordBatch pool. Workers take pool_mutex_ and
   // inflight_mutex_ strictly sequentially (never nested), so both are
@@ -163,26 +198,25 @@ class ParallelPipeline {
                           "pipeline_batch_pool"};
   std::vector<net::RecordBatch> batch_pool_ QS_GUARDED_BY(pool_mutex_);
 
-  // Merged state, valid once finished_. parts_ lists the non-empty
-  // parts of batches_ by shard, group, then arrival; group k = shard *
-  // kGroups + g owns parts_[group_begin_[k], group_begin_[k + 1]).
+  // Merged state, valid once finished_: each group's sessions (indexed
+  // by RecordFilter value) in serial order.
   bool finished_ = false;
   ClassifierStats stats_;
   HourlySeries hourly_;
-  std::vector<std::span<const PacketRecord>> parts_;
-  std::vector<std::size_t> group_begin_;
+  std::array<std::vector<Session>, kSessionGroups> sessions_;
+  std::uint64_t late_records_ = 0;
 
   // Observability handles, resolved once at construction; all nullptr
   // when no registry is attached (options_.obs).
   obs::Counter* packets_counter_ = nullptr;
   obs::Counter* records_counter_ = nullptr;
-  obs::Counter* batches_counter_ = nullptr;
+  obs::Counter* batch_counter_ = nullptr;
   obs::Histogram* backpressure_wait_us_ = nullptr;
   obs::Histogram* queue_wait_us_ = nullptr;
   obs::Histogram* shard_records_hist_ = nullptr;
   obs::Histogram* classify_batch_us_ = nullptr;
-  obs::Histogram* sessionize_shard_us_ = nullptr;
-  obs::Histogram* analyze_shard_us_ = nullptr;
+  obs::Histogram* absorb_batch_us_ = nullptr;
+  obs::Histogram* close_shard_us_ = nullptr;
   obs::Gauge* inflight_gauge_ = nullptr;
   obs::Gauge* pending_gauge_ = nullptr;
   // Liveness component; heartbeat per dispatched batch, idle once

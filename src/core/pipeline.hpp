@@ -57,12 +57,6 @@ struct HourlySeries {
   }
 };
 
-/// True when the record feeds the analysis stages: research scanners and
-/// unclassified traffic are counted, then dropped.
-[[nodiscard]] inline bool keep_for_analysis(const PacketRecord& record) {
-  return !record.is_research && record.cls != TrafficClass::kOther;
-}
-
 /// Invoke add(slot, hour) for each hourly series the record contributes
 /// to. Out-of-window records contribute nothing.
 template <typename AddFn>

@@ -1,6 +1,7 @@
 #include "core/sessions.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace quicsand::core {
 
@@ -69,37 +70,37 @@ std::uint32_t Session::dominant_version() const {
   return best_version;
 }
 
-std::vector<Session> build_sessions(RecordParts parts, util::Duration timeout,
-                                    RecordFilter filter) {
-  const bool distinct = filter == RecordFilter::kQuicResponses;
-  std::vector<Session> closed;
-  std::unordered_map<std::uint32_t, Session> open;
-  for (const auto part : parts) {
-    for (const auto& record : part) {
-      if (!accepts(filter, record)) continue;
-      auto [it, inserted] = open.try_emplace(record.src.value());
-      Session& session = it->second;
-      if (inserted) {
-        session = open_session(record);
-      } else if (record.timestamp - session.end > timeout) {
-        closed.push_back(std::move(session));
-        session = open_session(record);
-      } else {
-        absorb_record(session, record);
-      }
-      if (distinct) absorb_distinct(session, record);
-    }
+void SessionTable::absorb(const PacketRecord& record) {
+  if (!accepts(filter_, record)) return;
+  const auto [it, inserted] =
+      latest_.try_emplace(record.src.value(), sessions_.size());
+  if (inserted ||
+      record.timestamp - sessions_[it->second].end > timeout_) {
+    it->second = sessions_.size();
+    sessions_.push_back(open_session(record));
+  } else {
+    Session& session = sessions_[it->second];
+    if (record.timestamp < session.start) ++late_;
+    absorb_record(session, record);
   }
-  closed.reserve(closed.size() + open.size());
-  for (auto& [source, session] : open) closed.push_back(std::move(session));
-  std::sort(closed.begin(), closed.end(), session_before);
-  return closed;
+  if (filter_ == RecordFilter::kQuicResponses) {
+    absorb_distinct(sessions_[it->second], record);
+  }
+}
+
+std::vector<Session> SessionTable::close_all() {
+  latest_.clear();
+  auto sessions = std::exchange(sessions_, {});
+  std::sort(sessions.begin(), sessions.end(), session_before);
+  return sessions;
 }
 
 std::vector<Session> build_sessions(std::span<const PacketRecord> records,
                                     util::Duration timeout,
                                     RecordFilter filter) {
-  return build_sessions(RecordParts(&records, 1), timeout, filter);
+  SessionTable table(timeout, filter);
+  for (const auto& record : records) table.absorb(record);
+  return table.close_all();
 }
 
 SessionMerge merge_sessions(std::vector<std::vector<Session>> parts) {
@@ -128,30 +129,30 @@ SessionMerge merge_sessions(std::vector<std::vector<Session>> parts) {
   return merge;
 }
 
-GapProfile collect_gap_profile(RecordParts parts, RecordFilter filter) {
-  GapProfile profile;
-  std::unordered_map<std::uint32_t, util::Timestamp> last_seen;
-  for (const auto part : parts) {
-    for (const auto& record : part) {
-      if (!accepts(filter, record)) continue;
-      const auto [it, inserted] =
-          last_seen.try_emplace(record.src.value(), record.timestamp);
-      if (!inserted) {
-        profile.gaps.push_back(record.timestamp - it->second);
-        it->second = record.timestamp;
-      }
-    }
+void GapCollector::absorb(const PacketRecord& record) {
+  if (!accepts(filter_, record)) return;
+  const auto [it, inserted] =
+      last_seen_.try_emplace(record.src.value(), record.timestamp);
+  if (!inserted) {
+    gaps_.push_back(record.timestamp - it->second);
+    it->second = record.timestamp;
   }
-  profile.sources = last_seen.size();
+}
+
+GapProfile GapCollector::take() {
+  GapProfile profile{last_seen_.size(), std::exchange(gaps_, {})};
+  last_seen_.clear();
   return profile;
 }
 
 GapProfile collect_gap_profile(std::span<const PacketRecord> records,
                                RecordFilter filter) {
-  return collect_gap_profile(RecordParts(&records, 1), filter);
+  GapCollector collector(filter);
+  for (const auto& record : records) collector.absorb(record);
+  return collector.take();
 }
 
-void merge_gap_profiles(GapProfile& into, GapProfile&& from) {
+void merge_gap_profiles(GapProfile& into, const GapProfile& from) {
   into.sources += from.sources;
   into.gaps.insert(into.gaps.end(), from.gaps.begin(), from.gaps.end());
 }

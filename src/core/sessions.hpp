@@ -110,17 +110,40 @@ constexpr RecordFilter sanitized_quic_filter() {
   return RecordFilter::kSanitizedQuic;
 }
 
-/// A record stream held as consecutive parts, read in order.
-using RecordParts = std::span<const std::span<const PacketRecord>>;
+/// The sessions of one record group, built one record at a time. Each
+/// source has at most one open session; it closes when the source's
+/// next record comes more than `timeout` after the session's end. Each
+/// source's records must arrive in time order (pcap / generator order);
+/// how sources interleave does not matter. Only kQuicResponses sessions
+/// get their distinct sets and version map filled (see Session).
+/// build_sessions and every ParallelPipeline shard run this one table.
+class SessionTable {
+ public:
+  SessionTable(util::Duration timeout, RecordFilter filter)
+      : timeout_(timeout), filter_(filter) {}
 
-/// Group the filtered records into per-source sessions with the given
-/// inactivity timeout. Each source's records must arrive in time order
-/// (pcap / generator order); how sources interleave does not matter.
-/// Sessions are returned sorted by start time. Only kQuicResponses
-/// sessions get their distinct sets and version map filled (see
-/// Session); the other groups' stay empty.
-std::vector<Session> build_sessions(RecordParts parts, util::Duration timeout,
-                                    RecordFilter filter);
+  /// Fold in one record; records outside the filter's group are ignored.
+  void absorb(const PacketRecord& record);
+
+  /// Close the open sessions and return every session, sorted by start
+  /// time (session_before). The table is left empty.
+  [[nodiscard]] std::vector<Session> close_all();
+
+  /// Records older than their session's start: absorb_record counts
+  /// them in slot 0 and never moves `end` backwards.
+  [[nodiscard]] std::uint64_t late_records() const { return late_; }
+
+ private:
+  util::Duration timeout_;
+  RecordFilter filter_;
+  std::vector<Session> sessions_;  ///< every session, in opening order
+  /// Each source's latest session: its index in sessions_.
+  std::unordered_map<std::uint32_t, std::size_t> latest_;
+  std::uint64_t late_ = 0;
+};
+
+/// Group the filtered records into per-source sessions (a SessionTable
+/// over `records`), sorted by start time.
 std::vector<Session> build_sessions(std::span<const PacketRecord> records,
                                     util::Duration timeout,
                                     RecordFilter filter);
@@ -147,10 +170,27 @@ struct GapProfile {
   std::vector<util::Duration> gaps;  ///< unsorted
 };
 
-GapProfile collect_gap_profile(RecordParts parts, RecordFilter filter);
+/// Collects a GapProfile one record at a time: the last-seen stamp per
+/// source and the gap to each source's previous record.
+class GapCollector {
+ public:
+  explicit GapCollector(RecordFilter filter) : filter_(filter) {}
+
+  /// Fold in one record; records outside the filter's group are ignored.
+  void absorb(const PacketRecord& record);
+
+  /// The profile collected so far. The collector is left empty.
+  [[nodiscard]] GapProfile take();
+
+ private:
+  RecordFilter filter_;
+  std::unordered_map<std::uint32_t, util::Timestamp> last_seen_;
+  std::vector<util::Duration> gaps_;
+};
+
 GapProfile collect_gap_profile(std::span<const PacketRecord> records,
                                RecordFilter filter);
-void merge_gap_profiles(GapProfile& into, GapProfile&& from);
+void merge_gap_profiles(GapProfile& into, const GapProfile& from);
 
 /// Session count per timeout from a gap profile: for timeout T the count
 /// is `sources` + the number of gaps above T.

@@ -8,13 +8,19 @@
 // non-owning views.  clear() resets the batch without releasing memory,
 // so after the first fill a batch performs zero heap allocations in
 // steady state — the property the zero-alloc test in
-// tests/net_record_batch_test.cpp pins.
+// tests/net_record_batch_test.cpp pins.  The arena is not zero-filled:
+// a region append() hands out holds whatever the arena held before, so
+// a producer must write every byte it appends (pinned by
+// telescope_stream_golden_test), and pages no packet reached are never
+// touched.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "util/time.hpp"
@@ -34,28 +40,42 @@ class RecordBatch {
 
   explicit RecordBatch(std::size_t capacity = kDefaultCapacity,
                        std::size_t arena_bytes = kDefaultArenaBytes)
-      : capacity_(capacity), arena_(arena_bytes) {
+      : capacity_(capacity),
+        arena_(std::make_unique_for_overwrite<std::uint8_t[]>(arena_bytes)),
+        arena_bytes_(arena_bytes) {
     timestamps_.reserve(capacity);
     offsets_.reserve(capacity);
     lengths_.reserve(capacity);
   }
 
-  RecordBatch(RecordBatch&&) = default;
-  RecordBatch& operator=(RecordBatch&&) = default;
+  /// A moved-from batch is empty with no capacity and no arena.
+  RecordBatch(RecordBatch&& other) noexcept
+      : capacity_(std::exchange(other.capacity_, 0)),
+        arena_(std::move(other.arena_)),
+        arena_bytes_(std::exchange(other.arena_bytes_, 0)),
+        arena_used_(std::exchange(other.arena_used_, 0)),
+        timestamps_(std::move(other.timestamps_)),
+        offsets_(std::move(other.offsets_)),
+        lengths_(std::move(other.lengths_)) {}
+  RecordBatch& operator=(RecordBatch&& other) noexcept {
+    RecordBatch moved(std::move(other));
+    swap(*this, moved);
+    return *this;
+  }
   RecordBatch(const RecordBatch&) = delete;
   RecordBatch& operator=(const RecordBatch&) = delete;
 
   [[nodiscard]] std::size_t size() const { return timestamps_.size(); }
   [[nodiscard]] bool empty() const { return timestamps_.empty(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] std::size_t arena_bytes() const { return arena_.size(); }
+  [[nodiscard]] std::size_t arena_bytes() const { return arena_bytes_; }
   [[nodiscard]] std::size_t arena_used() const { return arena_used_; }
 
   /// True if one more packet of `bytes` length fits (both a free record
   /// slot and arena room).
   [[nodiscard]] bool has_room(std::size_t bytes) const {
     return timestamps_.size() < capacity_ &&
-           arena_used_ + bytes <= arena_.size();
+           arena_used_ + bytes <= arena_bytes_;
   }
 
   /// Append one packet of `size` bytes and return its arena region, for
@@ -64,7 +84,7 @@ class RecordBatch {
   std::span<std::uint8_t> append(util::Timestamp timestamp,
                                  std::size_t size) {
     if (!has_room(size)) throw std::length_error("RecordBatch::append");
-    const std::span<std::uint8_t> region(arena_.data() + arena_used_, size);
+    const std::span<std::uint8_t> region(arena_.get() + arena_used_, size);
     timestamps_.push_back(timestamp);
     offsets_.push_back(static_cast<std::uint32_t>(arena_used_));
     lengths_.push_back(static_cast<std::uint32_t>(size));
@@ -86,7 +106,7 @@ class RecordBatch {
   [[nodiscard]] PacketView view(std::size_t i) const {
     return PacketView{timestamps_[i],
                       std::span<const std::uint8_t>(
-                          arena_.data() + offsets_[i], lengths_[i])};
+                          arena_.get() + offsets_[i], lengths_[i])};
   }
 
   [[nodiscard]] const std::vector<util::Timestamp>& timestamps() const {
@@ -116,6 +136,7 @@ class RecordBatch {
     using std::swap;
     swap(a.capacity_, b.capacity_);
     swap(a.arena_, b.arena_);
+    swap(a.arena_bytes_, b.arena_bytes_);
     swap(a.arena_used_, b.arena_used_);
     swap(a.timestamps_, b.timestamps_);
     swap(a.offsets_, b.offsets_);
@@ -124,7 +145,8 @@ class RecordBatch {
 
  private:
   std::size_t capacity_;
-  std::vector<std::uint8_t> arena_;
+  std::unique_ptr<std::uint8_t[]> arena_;
+  std::size_t arena_bytes_;
   std::size_t arena_used_ = 0;
   std::vector<util::Timestamp> timestamps_;
   std::vector<std::uint32_t> offsets_;

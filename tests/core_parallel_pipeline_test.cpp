@@ -2,10 +2,11 @@
 // analysis products to a serial reference built here from the free
 // functions (Classifier, bin_hourly, keep_for_analysis, build_sessions,
 // detect_attacks, timeout_sweep) — hourly series, classifier stats,
-// record stream, session lists, timeout sweep and detected attacks — for
-// every shard count, including non-powers of two. Also exercises the
-// ThreadPool and ShardedCounter primitives the engine is built on (run
-// these under the `tsan` preset).
+// kept-record count, session lists, timeout sweep and detected attacks —
+// for every shard count, including non-powers of two, and whatever order
+// the workers finish their batches in (the sequencer stress test). Also
+// exercises the ThreadPool and ShardedCounter primitives the engine is
+// built on (run these under the `tsan` preset).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,8 +19,11 @@
 
 #include "asdb/registry.hpp"
 #include "core/parallel_pipeline.hpp"
+#include "net/headers.hpp"
+#include "quic/packets.hpp"
 #include "scanner/deployment.hpp"
 #include "telescope/generator.hpp"
+#include "util/rng.hpp"
 #include "util/sharded_counter.hpp"
 #include "util/thread_pool.hpp"
 
@@ -186,9 +190,12 @@ const Reference& reference() {
   return instance;
 }
 
-std::unique_ptr<ParallelPipeline> parallel_pipeline(std::size_t shards) {
-  auto pipeline =
-      std::make_unique<ParallelPipeline>(scenario().options, shards);
+std::unique_ptr<ParallelPipeline> parallel_pipeline(
+    std::size_t shards,
+    util::Duration timeout = scenario().options.session_timeout) {
+  auto options = scenario().options;
+  options.session_timeout = timeout;
+  auto pipeline = std::make_unique<ParallelPipeline>(options, shards);
   for (const auto& packet : scenario().packets) pipeline->consume(packet);
   pipeline->finish();
   return pipeline;
@@ -201,6 +208,7 @@ void expect_stats_equal(const ClassifierStats& a, const ClassifierStats& b) {
   EXPECT_EQ(a.research, b.research);
   EXPECT_EQ(a.research_requests, b.research_requests);
   EXPECT_EQ(a.quic_port_rejects, b.quic_port_rejects);
+  EXPECT_EQ(a.kept, b.kept);
 }
 
 constexpr std::size_t kShardCounts[] = {1, 2, 4, 7};
@@ -218,19 +226,8 @@ TEST(ParallelPipelineDifferentialTest, StatsHourlyAndRecordsMatchSerial) {
     EXPECT_EQ(parallel->hourly().other_quic, ref.hourly.other_quic);
     EXPECT_EQ(parallel->hourly().quic_requests, ref.hourly.quic_requests);
     EXPECT_EQ(parallel->hourly().quic_responses, ref.hourly.quic_responses);
-    // Records are grouped by shard, then group (QUIC first, then
-    // TCP/ICMP), in arrival order within each group.
-    auto expected = ref.records;
-    const auto key = [shards](const PacketRecord& r) {
-      return std::pair(util::shard_of(r.src.value(), shards), !r.is_quic());
-    };
-    std::stable_sort(expected.begin(), expected.end(),
-                     [&key](const PacketRecord& a, const PacketRecord& b) {
-                       return key(a) < key(b);
-                     });
-    const auto records = parallel->records();
-    ASSERT_EQ(records.size(), expected.size());
-    EXPECT_TRUE(std::equal(records.begin(), records.end(), expected.begin()));
+    // Every kept record was counted; none of them is held any more.
+    EXPECT_EQ(parallel->stats().kept, ref.records.size());
   }
 }
 
@@ -238,8 +235,9 @@ TEST(ParallelPipelineDifferentialTest, SessionListsMatchSerial) {
   const auto& ref = reference();
   for (const auto shards : kShardCounts) {
     SCOPED_TRACE(shards);
-    auto parallel = parallel_pipeline(shards);
+    // Each pipeline sessionizes at its configured timeout only.
     for (const auto timeout : {util::kMinute, 5 * util::kMinute}) {
+      auto parallel = parallel_pipeline(shards, timeout);
       EXPECT_EQ(parallel->request_sessions(timeout),
                 ref.sessions(timeout, quic_request_filter()));
       EXPECT_EQ(parallel->response_sessions(timeout),
@@ -347,12 +345,133 @@ TEST(ParallelPipelineTest, FinishIsIdempotentAndEmptyInputWorks) {
   ParallelPipeline pipeline(scenario().options, 3);
   pipeline.finish();
   pipeline.finish();
-  EXPECT_TRUE(pipeline.records().empty());
+  EXPECT_EQ(pipeline.stats().kept, 0u);
   EXPECT_EQ(pipeline.stats().total, 0u);
-  EXPECT_TRUE(pipeline.request_sessions(util::kMinute).empty());
+  EXPECT_TRUE(
+      pipeline.request_sessions(pipeline.options().session_timeout).empty());
   const auto analysis = pipeline.analyze_attacks();
   EXPECT_TRUE(analysis.quic_attacks.empty());
   EXPECT_TRUE(analysis.common_attacks.empty());
+}
+
+/// A small stream for the sequencer stress test: eight sources, one
+/// record kind each (QUIC request, QUIC response, TCP SYN-ACK, ICMP echo
+/// reply), one packet a second for 100 s from staggered starts. Sources
+/// 0-3 make one attack each. Sources 4-7 pause six minutes halfway, so
+/// they make two sessions too short to be attacks. Sources 2 and 3 send
+/// one record stamped 30 s before they started, mid-stream.
+std::vector<net::RawPacket> stress_stream() {
+  util::Rng rng(11);
+  const auto start = util::kApril2021Start;
+  std::vector<std::pair<util::Timestamp, net::RawPacket>> arrivals;
+  const auto packet_at = [&rng](util::Timestamp t, std::uint8_t source) {
+    net::Ipv4Header ip;
+    ip.src = net::Ipv4Address::from_octets(142, 250, source, 9);
+    ip.dst = net::Ipv4Address::from_octets(44, 0, 0, 1);
+    const auto ctx = quic::HandshakeContext::random(1, rng);
+    constexpr auto kFast = quic::CryptoFidelity::kFast;
+    constexpr std::uint8_t kPayload[8] = {};
+    switch (source % 4) {
+      case 0:
+        return net::RawPacket{
+            t, net::build_udp(ip, 40000, 443,
+                              quic::build_client_initial(ctx, "x", rng,
+                                                         kFast))};
+      case 1:
+        return net::RawPacket{
+            t, net::build_udp(ip, 443, 40000,
+                              quic::build_server_initial_handshake(
+                                  ctx, rng, kFast))};
+      case 2:
+        return net::RawPacket{
+            t, net::build_tcp(ip, {80, 40000, 1, 2,
+                                   net::TcpFlags::kSyn | net::TcpFlags::kAck,
+                                   {}})};
+      default:
+        return net::RawPacket{t, net::build_icmp(ip, {0, 0, kPayload})};
+    }
+  };
+  for (std::uint8_t source = 0; source < 8; ++source) {
+    const auto first = start + source * 7 * util::kSecond;
+    for (int k = 0; k < 100; ++k) {
+      auto t = first + k * util::kSecond;
+      if (source >= 4 && k >= 50) t += 6 * util::kMinute;
+      arrivals.emplace_back(t, packet_at(t, source));
+      if ((source == 2 || source == 3) && k == 20) {
+        arrivals.emplace_back(t,
+                              packet_at(first - 30 * util::kSecond, source));
+      }
+    }
+  }
+  std::stable_sort(
+      arrivals.begin(), arrivals.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<net::RawPacket> packets;
+  for (auto& [arrival, packet] : arrivals) packets.push_back(packet);
+  return packets;
+}
+
+TEST(ParallelPipelineTest, SequencerKeepsSerialOrderUnderTinyBatches) {
+  // Batches of one and three packets make many more batches than
+  // workers, so classify tasks finish out of order all the time; each
+  // shard must still absorb them in submission order.
+  const auto packets = stress_stream();
+  PipelineOptions options;
+  options.window_start = util::kApril2021Start;
+  options.days = 1;
+  Classifier classifier({});
+  std::vector<PacketRecord> records;
+  for (const auto& packet : packets) {
+    const auto record = classifier.classify(packet);
+    ASSERT_TRUE(record);
+    if (keep_for_analysis(*record)) records.push_back(*record);
+  }
+  const auto timeout = options.session_timeout;
+  const auto requests = build_sessions(records, timeout, quic_request_filter());
+  const auto responses =
+      build_sessions(records, timeout, quic_response_filter());
+  const auto common =
+      build_sessions(records, timeout, common_backscatter_filter());
+  const auto quic_attacks = detect_attacks(responses, DosThresholds{});
+  const auto common_attacks = detect_attacks(common, DosThresholds{});
+  const std::vector<util::Duration> timeouts = {
+      util::kMinute, 5 * util::kMinute,
+      std::numeric_limits<util::Duration>::max()};
+  const auto sweep = timeout_sweep(records, timeouts, sanitized_quic_filter());
+  ASSERT_FALSE(quic_attacks.empty());
+  ASSERT_FALSE(common_attacks.empty());
+  ASSERT_GT(common.size(), common_attacks.size());
+
+  for (const std::size_t shards : {2u, 4u, 7u}) {
+    for (const std::size_t batch_packets : {1u, 3u}) {
+      for (int round = 0; round < 20; ++round) {
+        SCOPED_TRACE(::testing::Message() << shards << " shards, "
+                                          << batch_packets
+                                          << "-packet batches, round "
+                                          << round);
+        ParallelPipeline pipeline(options, shards);
+        for (std::size_t i = 0; i < packets.size(); i += batch_packets) {
+          net::RecordBatch batch(batch_packets, batch_packets * 1500);
+          for (std::size_t j = i; j < std::min(i + batch_packets,
+                                               packets.size());
+               ++j) {
+            ASSERT_TRUE(
+                batch.try_append(packets[j].timestamp, packets[j].data));
+          }
+          pipeline.consume_batch(std::move(batch));
+        }
+        ASSERT_EQ(pipeline.stats().kept, records.size());
+        ASSERT_EQ(pipeline.request_sessions(timeout), requests);
+        ASSERT_EQ(pipeline.session_timeout_sweep(timeouts), sweep);
+        const auto analysis = pipeline.analyze_attacks();
+        ASSERT_EQ(analysis.response_sessions, responses);
+        ASSERT_EQ(analysis.common_sessions, common);
+        ASSERT_EQ(analysis.quic_attacks, quic_attacks);
+        ASSERT_EQ(analysis.common_attacks, common_attacks);
+        ASSERT_EQ(pipeline.late_records(), 2u);
+      }
+    }
+  }
 }
 
 TEST(ParallelPipelineTest, ShardCountDefaultsToHardware) {

@@ -1,12 +1,13 @@
 // Focused pipeline tests: hourly binning bounds, classifier corner
 // cases, hostile input through consume() (late timestamps, packets
-// larger than a batch arena), the record-group split against the
-// serial reference, the accessors on an empty pipeline, and the
-// custom-threshold accessor.
+// larger than a batch arena), the per-shard session groups against the
+// serial reference, the accessors on an empty pipeline, the
+// custom-threshold accessor, and the one timeout the sessions exist at.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -62,7 +63,7 @@ TEST(PipelineTest, HourlyBinsRespectWindowBounds) {
   std::uint64_t total = 0;
   for (const auto v : hourly.quic_responses) total += v;
   EXPECT_EQ(total, 3u);  // out-of-window packets not binned...
-  EXPECT_EQ(pipeline.records().size(), 5u);  // ...but still recorded
+  EXPECT_EQ(pipeline.stats().kept, 5u);  // ...but still kept
 }
 
 TEST(PipelineTest, SourceAndDestPort443IsResponse) {
@@ -93,16 +94,20 @@ TEST(PipelineTest, GquicBackscatterCountsAsQuicResponse) {
                                  quic::ConnectionId(rng().bytes(8)), 3, 200,
                                  rng()))});
   EXPECT_EQ(pipeline.stats().of(TrafficClass::kQuicResponse), 1u);
-  const auto& record = pipeline.records().front();
-  EXPECT_EQ(record.kind_counts[static_cast<std::size_t>(
+  const auto sessions =
+      pipeline.response_sessions(pipeline.options().session_timeout);
+  ASSERT_EQ(sessions.size(), 1u);
+  EXPECT_EQ(sessions.front().kind_counts[static_cast<std::size_t>(
                 quic::QuicPacketKind::kGquic)],
-            1);
+            1u);
 }
 
 TEST(PipelineTest, EmptyPipelineAccessors) {
   ParallelPipeline pipeline(one_day_options(), kShards);
-  EXPECT_TRUE(pipeline.records().empty());
-  EXPECT_TRUE(pipeline.request_sessions(util::kMinute).empty());
+  EXPECT_EQ(pipeline.stats().kept, 0u);
+  EXPECT_EQ(pipeline.late_records(), 0u);
+  EXPECT_TRUE(
+      pipeline.request_sessions(pipeline.options().session_timeout).empty());
   const auto analysis = pipeline.analyze_attacks();
   EXPECT_TRUE(analysis.quic_attacks.empty());
   EXPECT_TRUE(analysis.common_attacks.empty());
@@ -110,6 +115,20 @@ TEST(PipelineTest, EmptyPipelineAccessors) {
   const auto sweep = pipeline.session_timeout_sweep(timeouts);
   ASSERT_EQ(sweep.size(), 1u);
   EXPECT_EQ(sweep[0].second, 0u);
+}
+
+TEST(PipelineTest, SessionsExistAtTheConfiguredTimeoutOnly) {
+  auto options = one_day_options();
+  options.session_timeout = util::kMinute;
+  ParallelPipeline pipeline(options, kShards);
+  pipeline.consume(quic_response_at(kT0));
+  EXPECT_EQ(pipeline.response_sessions(util::kMinute).size(), 1u);
+  EXPECT_THROW((void)pipeline.request_sessions(5 * util::kMinute),
+               std::invalid_argument);
+  EXPECT_THROW((void)pipeline.response_sessions(2 * util::kMinute),
+               std::invalid_argument);
+  EXPECT_THROW((void)pipeline.common_sessions(util::Duration{}),
+               std::invalid_argument);
 }
 
 TEST(PipelineTest, AnalyzeWithCustomThresholds) {
@@ -148,6 +167,7 @@ TEST(PipelineTest, LateTimestampMatchesReferenceAtOneAndFourShards) {
     for (const auto& packet : packets) pipeline.consume(packet);
     EXPECT_EQ(pipeline.response_sessions(5 * util::kMinute), expected);
     EXPECT_EQ(pipeline.analyze_attacks().response_sessions, expected);
+    EXPECT_EQ(pipeline.late_records(), 1u);
   }
 }
 
@@ -188,7 +208,8 @@ TEST(PipelineTest, RecordGroupsMatchReferenceAtEveryShardCount) {
   // SYN-ACKs and ICMP echo replies every 250 ms for 45-210 s; odd
   // sources pause for 150 s after 45 s. Every third source sends one
   // record of each kind mid-stream that is stamped 20 s before it
-  // started, so each group holds records older than their session start.
+  // started, so each group holds records older than their session start:
+  // 16 late records.
   std::vector<std::pair<util::Timestamp, net::RawPacket>> arrivals;
   for (std::uint8_t i = 1; i <= 12; ++i) {
     const auto source = net::Ipv4Address::from_octets(142, 250, i, 9);
@@ -237,10 +258,8 @@ TEST(PipelineTest, RecordGroupsMatchReferenceAtEveryShardCount) {
       build_sessions(records, util::kMinute, quic_request_filter()).size(),
       build_sessions(records, 5 * util::kMinute, quic_request_filter()).size());
 
-  for (const std::size_t shards : {1u, 2u, 4u, 7u}) {
-    SCOPED_TRACE(shards);
-    ParallelPipeline pipeline(one_day_options(), shards);
-    // Small batches, so every group spans many parts.
+  // Small batches, so each shard absorbs many batches in turn.
+  const auto ingest = [&arrivals](ParallelPipeline& pipeline) {
     const auto small_batch = [] { return net::RecordBatch(200, 200 * 1500); };
     auto batch = small_batch();
     for (const auto& [arrival, packet] : arrivals) {
@@ -249,8 +268,16 @@ TEST(PipelineTest, RecordGroupsMatchReferenceAtEveryShardCount) {
       ASSERT_TRUE(batch.try_append(packet.timestamp, packet.data));
     }
     pipeline.consume_batch(std::move(batch));
-    EXPECT_EQ(pipeline.records().size(), records.size());
+  };
+  for (const std::size_t shards : {1u, 2u, 4u, 7u}) {
+    SCOPED_TRACE(shards);
+    // Sessions exist at one timeout per pipeline.
     for (const auto t : {util::kMinute, 5 * util::kMinute}) {
+      auto options = one_day_options();
+      options.session_timeout = t;
+      ParallelPipeline pipeline(options, shards);
+      ingest(pipeline);
+      EXPECT_EQ(pipeline.stats().kept, records.size());
       EXPECT_EQ(pipeline.request_sessions(t),
                 build_sessions(records, t, quic_request_filter()));
       EXPECT_EQ(pipeline.response_sessions(t),
@@ -258,6 +285,13 @@ TEST(PipelineTest, RecordGroupsMatchReferenceAtEveryShardCount) {
       EXPECT_EQ(pipeline.common_sessions(t),
                 build_sessions(records, t, common_backscatter_filter()));
     }
+    obs::MetricsRegistry metrics;
+    auto options = one_day_options();
+    options.obs.metrics = &metrics;
+    ParallelPipeline pipeline(options, shards);
+    ingest(pipeline);
+    EXPECT_EQ(pipeline.late_records(), 16u);
+    EXPECT_EQ(metrics.counter("pipeline.late_records").value(), 16u);
     EXPECT_EQ(pipeline.session_timeout_sweep(timeouts), sweep);
     const auto analysis = pipeline.analyze_attacks();
     EXPECT_EQ(analysis.response_sessions, responses);
@@ -278,12 +312,16 @@ TEST(PipelineTest, OversizedPacketIsClassifiedThroughConsume) {
     pipeline.consume(big);
     pipeline.consume(quic_response_at(kT0 + 2 * util::kSecond));
     EXPECT_EQ(pipeline.stats().of(TrafficClass::kQuicResponse), 3u);
-    const auto view = pipeline.records();
-    const std::vector<PacketRecord> records(view.begin(), view.end());
-    ASSERT_EQ(records.size(), 3u);
-    // One source, one shard: arrival order survives the detour.
-    EXPECT_EQ(records[1].timestamp, kT0 + util::kSecond);
-    EXPECT_EQ(records[2].timestamp, kT0 + 2 * util::kSecond);
+    EXPECT_EQ(pipeline.stats().kept, 3u);
+    // One source, one shard: arrival order survives the detour, so the
+    // three packets make one session that no record reached late.
+    const auto sessions =
+        pipeline.response_sessions(pipeline.options().session_timeout);
+    ASSERT_EQ(sessions.size(), 1u);
+    EXPECT_EQ(sessions[0].packets.count(), 3u);
+    EXPECT_EQ(sessions[0].start, kT0);
+    EXPECT_EQ(sessions[0].end, kT0 + 2 * util::kSecond);
+    EXPECT_EQ(pipeline.late_records(), 0u);
   }
 }
 

@@ -10,6 +10,7 @@
 #include <new>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "net/record_batch.hpp"
@@ -175,6 +176,25 @@ TEST(RecordBatch, SwapExchangesContents) {
   EXPECT_EQ(b.capacity(), 4u);
   ASSERT_EQ(b.size(), 1u);
   EXPECT_EQ(b.view(0).timestamp, ts(1));
+}
+
+TEST(RecordBatch, MovedFromBatchHasNoArena) {
+  RecordBatch a(4, 128);
+  ASSERT_TRUE(a.try_append(ts(1), pattern_bytes(8, 1)));
+  RecordBatch b(std::move(a));
+  ASSERT_EQ(b.size(), 1u);
+  EXPECT_EQ(b.arena_bytes(), 128u);
+  // The arena moved with its bytes; the source holds nothing to append
+  // into, so a pool never hands it out as a usable batch.
+  EXPECT_EQ(a.capacity(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(a.arena_bytes(), 0u);
+  EXPECT_TRUE(a.empty());
+  EXPECT_FALSE(a.has_room(0));
+  RecordBatch c(2, 64);
+  c = std::move(b);
+  EXPECT_EQ(c.capacity(), 4u);
+  EXPECT_EQ(c.view(0).timestamp, ts(1));
+  EXPECT_EQ(b.capacity(), 0u);  // NOLINT(bugprone-use-after-move)
 }
 
 // --- Zero steady-state allocations ------------------------------------

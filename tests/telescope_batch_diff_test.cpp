@@ -236,19 +236,25 @@ std::vector<core::DetectedAttack> normalized(
   return attacks;
 }
 
-std::vector<core::PacketRecord> records_of(core::ParallelPipeline& pipeline) {
-  const auto view = pipeline.records();
-  return {view.begin(), view.end()};
-}
-
-void expect_same_stats(const core::ClassifierStats& a,
-                       const core::ClassifierStats& b) {
-  EXPECT_EQ(a.total, b.total);
-  EXPECT_EQ(a.undecodable, b.undecodable);
-  EXPECT_EQ(a.by_class, b.by_class);
-  EXPECT_EQ(a.research, b.research);
-  EXPECT_EQ(a.research_requests, b.research_requests);
-  EXPECT_EQ(a.quic_port_rejects, b.quic_port_rejects);
+/// Same classifier stats, and the same sessions and gap profile, which
+/// are what the kept records became.
+void expect_same_products(core::ParallelPipeline& a,
+                          core::ParallelPipeline& b) {
+  EXPECT_EQ(a.stats().total, b.stats().total);
+  EXPECT_EQ(a.stats().undecodable, b.stats().undecodable);
+  EXPECT_EQ(a.stats().by_class, b.stats().by_class);
+  EXPECT_EQ(a.stats().research, b.stats().research);
+  EXPECT_EQ(a.stats().research_requests, b.stats().research_requests);
+  EXPECT_EQ(a.stats().quic_port_rejects, b.stats().quic_port_rejects);
+  EXPECT_EQ(a.stats().kept, b.stats().kept);
+  const auto timeout = a.options().session_timeout;
+  EXPECT_EQ(a.request_sessions(timeout), b.request_sessions(timeout));
+  EXPECT_EQ(a.response_sessions(timeout), b.response_sessions(timeout));
+  EXPECT_EQ(a.common_sessions(timeout), b.common_sessions(timeout));
+  EXPECT_EQ(a.late_records(), b.late_records());
+  const std::vector<util::Duration> timeouts = {util::kMinute, timeout};
+  EXPECT_EQ(a.session_timeout_sweep(timeouts),
+            b.session_timeout_sweep(timeouts));
 }
 
 TEST(TelescopeBatchDiff, BatchedIngestMatchesPerRecordAcrossShardCounts) {
@@ -286,14 +292,7 @@ TEST(TelescopeBatchDiff, BatchedIngestMatchesPerRecordAcrossShardCounts) {
       }
       batched.finish();
 
-      expect_same_stats(per_record.stats(), batched.stats());
-
-      const auto lhs = records_of(per_record);
-      const auto rhs = records_of(batched);
-      ASSERT_EQ(lhs.size(), rhs.size());
-      for (std::size_t i = 0; i < lhs.size(); ++i) {
-        ASSERT_EQ(lhs[i], rhs[i]) << "record " << i << " differs";
-      }
+      expect_same_products(per_record, batched);
 
       EXPECT_EQ(normalized(per_record.analyze_attacks().quic_attacks),
                 normalized(batched.analyze_attacks().quic_attacks));
@@ -344,13 +343,7 @@ TEST(TelescopeBatchDiff, MixedPerRecordAndBatchedIngestIsEquivalent) {
   }
   mixed.finish();
 
-  expect_same_stats(reference.stats(), mixed.stats());
-  const auto lhs = records_of(reference);
-  const auto rhs = records_of(mixed);
-  ASSERT_EQ(lhs.size(), rhs.size());
-  for (std::size_t k = 0; k < lhs.size(); ++k) {
-    ASSERT_EQ(lhs[k], rhs[k]) << "record " << k << " differs";
-  }
+  expect_same_products(reference, mixed);
 }
 
 }  // namespace

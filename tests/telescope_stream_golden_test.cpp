@@ -8,8 +8,13 @@
 //
 // A change to a pin is a change to the generated traffic, and must be
 // made on purpose, with the figure goldens checked alongside.
+//
+// A batch arena is not zero-filled, so every producer must write each
+// byte it appends. The second test fills arenas poisoned with two
+// different bytes and requires the two streams to be byte-identical.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <ostream>
@@ -96,11 +101,15 @@ struct StreamDigest {
   std::uint64_t first_bad = 0;  ///< index of the first failing packet
 };
 
-StreamDigest digest_stream(const ScenarioConfig& config) {
+TelescopeGenerator make_generator(const ScenarioConfig& config) {
   static const auto registry = asdb::AsRegistry::synthetic({}, 2021);
   static const auto deployment =
       scanner::Deployment::synthetic(registry, {}, 2021);
-  TelescopeGenerator generator(config, registry, deployment);
+  return TelescopeGenerator(config, registry, deployment);
+}
+
+StreamDigest digest_stream(const ScenarioConfig& config) {
+  auto generator = make_generator(config);
   net::RecordBatch batch;
   Fnv1a64 hash;
   StreamDigest out;
@@ -160,6 +169,40 @@ TEST_P(TelescopeStreamGolden, DigestMatchesPinAndEveryDatagramVerifies) {
       << pin.shape << " seed " << pin.seed << " digest " << hex;
   EXPECT_EQ(got.bad_checksums, 0u)
       << "first failing packet: " << got.first_bad;
+}
+
+/// Write `byte` over the batch's whole arena, then empty the batch.
+void poison(net::RecordBatch& batch, std::uint8_t byte) {
+  batch.clear();
+  const auto arena = batch.append(util::Timestamp{}, batch.arena_bytes());
+  std::fill(arena.begin(), arena.end(), byte);
+  batch.clear();
+}
+
+TEST_P(TelescopeStreamGolden, ProducersWriteEveryByteTheyAppend) {
+  const Pin& pin = GetParam();
+  const auto config = shape(pin.shape, pin.seed);
+  auto a = make_generator(config);
+  auto b = make_generator(config);
+  net::RecordBatch batch_a;
+  net::RecordBatch batch_b;
+  std::uint64_t packets = 0;
+  while (packets < kPacketLimit) {
+    poison(batch_a, 0xA5);
+    poison(batch_b, 0x5A);
+    const auto n = a.next_batch(batch_a);
+    ASSERT_EQ(b.next_batch(batch_b), n);
+    if (n == 0) break;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto lhs = batch_a.view(i);
+      const auto rhs = batch_b.view(i);
+      ASSERT_EQ(lhs.timestamp, rhs.timestamp);
+      ASSERT_TRUE(std::ranges::equal(lhs.data, rhs.data))
+          << "packet " << packets + i << " kept a poisoned byte";
+    }
+    packets += n;
+  }
+  EXPECT_GE(packets, pin.packets) << "the stream ended early";
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -69,7 +69,9 @@ struct TsaNegativeProbe {
 #if TSA_PROBE == 0
   static std::size_t control(ParallelPipeline& pipeline) {
     util::LockGuard lock(pipeline.inflight_mutex_);
-    return pipeline.inflight_;
+    return pipeline.inflight_ + pipeline.sequencers_.size() +
+           pipeline.slots_.size() +
+           static_cast<std::size_t>(pipeline.submitted_);
   }
 #elif TSA_PROBE == 8
   static void probe(ParallelPipeline& pipeline, util::UniqueLock& lock) {
@@ -82,6 +84,18 @@ struct TsaNegativeProbe {
 #elif TSA_PROBE == 10
   static std::size_t probe(ParallelPipeline& pipeline) {
     return pipeline.batch_pool_.size();  // batch_pool_ without pool_mutex_
+  }
+#elif TSA_PROBE == 11
+  static std::size_t probe(ParallelPipeline& pipeline) {
+    return pipeline.sequencers_.size();  // sequencers_ without the mutex
+  }
+#elif TSA_PROBE == 12
+  static std::size_t probe(ParallelPipeline& pipeline) {
+    return pipeline.slots_.size();  // slots_ without inflight_mutex_
+  }
+#elif TSA_PROBE == 13
+  static std::uint64_t probe(ParallelPipeline& pipeline) {
+    return pipeline.submitted_;  // submitted_ without inflight_mutex_
   }
 #endif
 };
