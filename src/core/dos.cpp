@@ -12,20 +12,18 @@ bool DosThresholds::admits(const Session& session) const {
          session.peak_pps() > min_peak_pps;
 }
 
+DetectedAttack attack_of(const Session& session, std::size_t session_index) {
+  return {session_index, session.source,   session.start,
+          session.end,   session.packets, session.peak_pps()};
+}
+
 std::vector<DetectedAttack> detect_attacks(std::span<const Session> sessions,
                                            const DosThresholds& thresholds) {
   std::vector<DetectedAttack> attacks;
   for (std::size_t i = 0; i < sessions.size(); ++i) {
-    const Session& session = sessions[i];
-    if (!thresholds.admits(session)) continue;
-    DetectedAttack attack;
-    attack.session_index = i;
-    attack.victim = session.source;
-    attack.start = session.start;
-    attack.end = session.end;
-    attack.packets = session.packets;
-    attack.peak_pps = session.peak_pps();
-    attacks.push_back(attack);
+    if (thresholds.admits(sessions[i])) {
+      attacks.push_back(attack_of(sessions[i], i));
+    }
   }
   return attacks;
 }

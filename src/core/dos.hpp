@@ -50,6 +50,11 @@ struct DetectedAttack {
                          const DetectedAttack&) = default;
 };
 
+/// The attack `session` makes, at `session_index` in its session list;
+/// the batch and the streaming detector both build attacks with it.
+[[nodiscard]] DetectedAttack attack_of(const Session& session,
+                                       std::size_t session_index = 0);
+
 /// Select the sessions exceeding all thresholds.
 std::vector<DetectedAttack> detect_attacks(std::span<const Session> sessions,
                                            const DosThresholds& thresholds);

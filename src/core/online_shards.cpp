@@ -23,10 +23,8 @@ obs::DetectorEvent make_event(obs::DetectorEventType type,
   return event;
 }
 
-DetectedAttack to_attack(const Session& session) {
-  return {0, session.source, session.start, session.end, session.packets,
-          session.peak_pps()};
-}
+// How often, in stream time, a shard closes its idle sessions.
+constexpr util::Duration kSweepInterval = util::kMinute;
 
 }  // namespace
 
@@ -36,7 +34,7 @@ ShardedOnlineDetector::ShardedOnlineDetector(
   const std::size_t count = std::max<std::size_t>(config.shards, 1);
   shards_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
+    shards_.push_back(std::make_unique<Shard>(config_.session_timeout));
   }
   if (auto* metrics = config_.obs.metrics) {
     records_counter_ = &metrics->counter(
@@ -47,6 +45,8 @@ ShardedOnlineDetector::ShardedOnlineDetector(
         &metrics->counter("online.attacks_closed", "alerted sessions closed");
     evictions_counter_ = &metrics->counter(
         "online.sessions_evicted", "sessions removed by expiry or finish");
+    late_counter_ = &metrics->counter(
+        "online.late_records", "records older than their session's start");
     open_gauge_ =
         &metrics->gauge("online.open_sessions", "sessions currently open");
     alert_latency_us_ = &metrics->histogram(
@@ -106,18 +106,21 @@ void ShardedOnlineDetector::alert(Shard& shard, OpenSession& open,
     config_.obs.events->emit(std::move(event));
   }
   util::LockGuard lock(callback_mutex_);
-  if (on_alert_) on_alert_(to_attack(open.session));
+  if (on_alert_) on_alert_(attack_of(open.session));
 }
 
-void ShardedOnlineDetector::evict(Shard& shard, OpenSession& open) {
-  if (open.alerted) {
-    ++shard.closed;
+void ShardedOnlineDetector::on_closed(Shard& shard, const Session& session) {
+  // admits() never turns false as a session grows, and consume() checks
+  // it after every record, so a session is an attack at close exactly
+  // when it alerted.
+  const bool attack = config_.thresholds.admits(session);
+  if (attack) {
     if (attacks_counter_ != nullptr) attacks_counter_->add();
     if (config_.obs.events != nullptr) {
-      config_.obs.events->emit(make_event(
-          obs::DetectorEventType::kAttackClosed, open.session));
+      config_.obs.events->emit(
+          make_event(obs::DetectorEventType::kAttackClosed, session));
     }
-    shard.attacks.push_back(to_attack(open.session));
+    shard.attacks.push_back(attack_of(session));
     util::LockGuard lock(callback_mutex_);
     if (on_attack_) on_attack_(shard.attacks.back());
   }
@@ -125,21 +128,9 @@ void ShardedOnlineDetector::evict(Shard& shard, OpenSession& open) {
   if (evictions_counter_ != nullptr) evictions_counter_->add();
   if (open_gauge_ != nullptr) open_gauge_->add(-1);
   if (config_.obs.events != nullptr) {
-    auto event =
-        make_event(obs::DetectorEventType::kSessionEvicted, open.session);
-    event.alerted = open.alerted;
+    auto event = make_event(obs::DetectorEventType::kSessionEvicted, session);
+    event.alerted = attack;
     config_.obs.events->emit(std::move(event));
-  }
-}
-
-void ShardedOnlineDetector::sweep(Shard& shard, util::Timestamp now) {
-  for (auto it = shard.open.begin(); it != shard.open.end();) {
-    if (now - it->second.session.end > config_.session_timeout) {
-      evict(shard, it->second);
-      it = shard.open.erase(it);
-    } else {
-      ++it;
-    }
   }
 }
 
@@ -153,43 +144,35 @@ void ShardedOnlineDetector::consume(std::size_t shard_index,
   if (health_ != nullptr && (++shard.consumed & 0xFF) == 0) {
     health_->heartbeat();
   }
-  if (shard.last_sweep == util::Timestamp{}) {
+  if (record.timestamp - shard.last_sweep >= kSweepInterval) {
+    shard.table.close_idle(record.timestamp);
     shard.last_sweep = record.timestamp;
   }
-  if (record.timestamp - shard.last_sweep >= config_.sweep_interval) {
-    sweep(shard, record.timestamp);
-    shard.last_sweep = record.timestamp;
+  OpenSession* open = shard.table.absorb(record);
+  // Report what the table closed, and keep none of it.
+  auto& closed = shard.table.closed();
+  for (const Session& session : closed) on_closed(shard, session);
+  closed.clear();
+  if (open == nullptr) return;
+  // A one-packet session was opened by this record.
+  if (open_gauge_ != nullptr && open->session.packets == PacketCount{1}) {
+    open_gauge_->add(1);
   }
-  if (!accepts(quic_response_filter(), record)) return;
-
-  auto [it, inserted] = shard.open.try_emplace(record.src.value());
-  OpenSession& open = it->second;
-  if (!inserted &&
-      record.timestamp - open.session.end > config_.session_timeout) {
-    // The previous session expired: close it and start fresh.
-    evict(shard, open);
-    open = OpenSession{};
-    inserted = true;
-  }
-  if (inserted) {
-    open.session.source = record.src;
-    open.session.start = record.timestamp;
-    open.session.end = record.timestamp;
-    if (open_gauge_ != nullptr) open_gauge_->add(1);
+  if (late_counter_ != nullptr && record.timestamp < open->session.start) {
+    late_counter_->add();
   }
   if (timing != nullptr) {
     // First available stamps anchor the session; later packets of an
     // already-anchored session leave them alone.
-    if (open.first_send_wall_us < 0) {
-      open.first_send_wall_us = timing->send_wall_us;
+    if (open->first_send_wall_us < 0) {
+      open->first_send_wall_us = timing->send_wall_us;
     }
-    if (open.first_recv_wall_us < 0) {
-      open.first_recv_wall_us = timing->recv_wall_us;
+    if (open->first_recv_wall_us < 0) {
+      open->first_recv_wall_us = timing->recv_wall_us;
     }
   }
-  absorb_record(open.session, record);
-  if (!open.alerted && config_.thresholds.admits(open.session)) {
-    alert(shard, open, record.timestamp);
+  if (!open->alerted && config_.thresholds.admits(open->session)) {
+    alert(shard, *open, record.timestamp);
   }
 }
 
@@ -197,8 +180,9 @@ const std::vector<DetectedAttack>& ShardedOnlineDetector::finish() {
   if (finished_) return merged_;
   finished_ = true;
   for (auto& shard : shards_) {
-    for (auto& [source, open] : shard->open) evict(*shard, open);
-    shard->open.clear();
+    for (const Session& session : shard->table.close_all()) {
+      on_closed(*shard, session);
+    }
     merged_.insert(merged_.end(), shard->attacks.begin(),
                    shard->attacks.end());
   }
@@ -216,12 +200,6 @@ const std::vector<DetectedAttack>& ShardedOnlineDetector::finish() {
     merged_[i].session_index = i;
   }
   return merged_;
-}
-
-std::size_t ShardedOnlineDetector::open_sessions() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard->open.size();
-  return total;
 }
 
 }  // namespace quicsand::core

@@ -2,32 +2,25 @@
 //
 // The paper's motivation (§1) is operational: "it will be crucial to
 // monitor such attack attempts early in the QUIC deployment phase".
-// The batch pipeline answers "what happened last month"; this detector
-// answers "what is happening now": it consumes classified records in
-// time order, keeps per-source open sessions, fires an alert callback
-// the moment a session crosses the Moore et al. thresholds (not when it
-// ends), and reports the finished attack when the session closes.
+// This detector consumes classified records in time order, fires an
+// alert the moment a session crosses the Moore et al. thresholds (not
+// when it ends), and reports the finished attack when the session
+// closes. Sessions are keyed by source, so a stream partitioned by
+// source (util::shard_of, as the live receiver and ParallelPipeline use)
+// splits into shards that share no state, one thread each.
 //
-// Sessions are keyed by source, so a stream partitioned by source (the
-// live receiver uses util::shard_of, the partition ParallelPipeline
-// uses) splits into shards that share no session state: each shard's
-// thread consume()s its own stream without locks, the user callbacks
-// are serialized (shards fire from different threads), and finish()
-// merges the per-shard attack lists into one deterministic,
-// (start, victim, end)-ordered result. Single-stream callers keep the
-// default of one shard and call consume(0, record).
-//
-// Memory is bounded by the number of sources active within one timeout
-// window; expired sessions are evicted lazily and by periodic sweeps.
-// An open session's state grows with its minutes, not its packets: it
-// keeps counts and one counter per minute slot, never the distinct
-// SCID, peer or port sets (see Session), which nothing here reads.
+// Each shard runs one SessionTable over the QUIC responses, the table
+// the batch engine runs. Once a minute of stream time it closes the
+// table's idle sessions, and after every record it reports and drops
+// what the table closed, so memory is bounded by the sources active
+// within one timeout window. An open session grows with its minutes,
+// not its packets: nothing here fills the distinct sets (see Session).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
+#include <type_traits>
 #include <vector>
 
 #include "core/dos.hpp"
@@ -45,8 +38,6 @@ struct ShardedOnlineDetectorConfig {
   struct Detector {
     util::Duration session_timeout = 5 * util::kMinute;
     DosThresholds thresholds;
-    /// Sweep cadence for evicting idle sessions.
-    util::Duration sweep_interval = util::kMinute;
     /// Optional observability sinks, resolved once for all shards:
     /// obs.events receives the structured alert-fired / attack-closed /
     /// session-evicted stream (NDJSON-able), obs.metrics the online.*
@@ -80,11 +71,12 @@ class ShardedOnlineDetector {
 
   /// Consume one record on shard `shard` (non-decreasing timestamps per
   /// shard). Only sanitized QUIC responses join sessions; every record
-  /// drives its shard's sweep. Thread-safe across *distinct* shards (one
-  /// thread per shard, the live receiver's contract). `timing`, when
-  /// provided by a live capture path, carries the record's wall-clock
-  /// ingest stamps; the first admitted packet's stamps anchor the
-  /// session's wire -> alert detection latency.
+  /// drives its shard's once-a-minute close of idle sessions.
+  /// Thread-safe across *distinct* shards (one thread per shard, the
+  /// live receiver's contract). `timing`, when provided by a live
+  /// capture path, carries the record's wall-clock ingest stamps; the
+  /// first admitted packet's stamps anchor the session's wire -> alert
+  /// detection latency.
   void consume(std::size_t shard, const PacketRecord& record,
                const IngestTiming* timing = nullptr);
 
@@ -96,16 +88,23 @@ class ShardedOnlineDetector {
 
   // Sums over all shards; read them from the consuming thread or after
   // the consumers stopped.
-  [[nodiscard]] std::size_t open_sessions() const;
+  [[nodiscard]] std::size_t open_sessions() const {
+    return total([](const Shard& s) { return s.table.open_sessions(); });
+  }
   [[nodiscard]] std::uint64_t alerts_fired() const {
     return total(&Shard::alerts);
   }
   [[nodiscard]] std::uint64_t attacks_closed() const {
-    return total(&Shard::closed);
+    return total([](const Shard& s) { return s.attacks.size(); });
   }
   /// Sessions removed so far (expiry or finish), alerted or not.
   [[nodiscard]] std::uint64_t sessions_evicted() const {
     return total(&Shard::evicted);
+  }
+  /// Records older than their session's start (also counted in
+  /// `online.late_records`). They join it in minute slot 0.
+  [[nodiscard]] std::uint64_t late_records() const {
+    return total([](const Shard& s) { return s.table.late_records(); });
   }
   /// Detection latency: seconds from session start to alert, averaged.
   [[nodiscard]] double mean_alert_latency_s() const {
@@ -114,40 +113,32 @@ class ShardedOnlineDetector {
   }
 
  private:
-  struct OpenSession {
-    Session session;
-    bool alerted = false;
-    /// Wall-clock stamps of the first admitted packet (-1 unknown);
-    /// the send stamp is preferred as the detection-latency origin,
-    /// falling back to arrival when the frame carried none.
-    std::int64_t first_send_wall_us = -1;
-    std::int64_t first_recv_wall_us = -1;
-  };
-
   /// One shard's state, written only by its consuming thread. Each is
   /// its own cache-line-aligned allocation, so shards share no line.
   struct alignas(64) Shard {
-    std::unordered_map<std::uint32_t, OpenSession> open;
-    util::Timestamp last_sweep{};
-    std::uint64_t consumed = 0;  ///< drives the health heartbeat
+    explicit Shard(util::Duration timeout)
+        : table(timeout, quic_response_filter()) {}
+    SessionTable table;
+    util::Timestamp last_sweep{};  ///< when idle sessions last closed
+    std::uint64_t consumed = 0;    ///< drives the health heartbeat
     std::uint64_t alerts = 0;
-    std::uint64_t closed = 0;
     std::uint64_t evicted = 0;
     double latency_sum_s = 0;
     std::vector<DetectedAttack> attacks;  ///< closed, in close order
   };
 
-  template <typename T>
-  [[nodiscard]] T total(T Shard::*field) const {
+  /// The sum over the shards of a field, or of what `of` returns.
+  template <typename F, typename T = std::remove_cvref_t<
+                            std::invoke_result_t<F, const Shard&>>>
+  [[nodiscard]] T total(F of) const {
     T sum{};
-    for (const auto& shard : shards_) sum += (*shard).*field;
+    for (const auto& shard : shards_) sum += std::invoke(of, *shard);
     return sum;
   }
   void alert(Shard& shard, OpenSession& open, util::Timestamp now);
-  /// Bookkeeping for any session leaving the open table: the
+  /// Bookkeeping for a session the shard's table closed: the
   /// attack-closed side effects first, then the eviction event.
-  void evict(Shard& shard, OpenSession& open);
-  void sweep(Shard& shard, util::Timestamp now);
+  void on_closed(Shard& shard, const Session& session);
 
   ShardedOnlineDetectorConfig::Detector config_;
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -164,6 +155,7 @@ class ShardedOnlineDetector {
   obs::Counter* alerts_counter_ = nullptr;
   obs::Counter* attacks_counter_ = nullptr;
   obs::Counter* evictions_counter_ = nullptr;
+  obs::Counter* late_counter_ = nullptr;
   obs::Gauge* open_gauge_ = nullptr;  ///< +1 per open, -1 per eviction
   obs::Histogram* alert_latency_us_ = nullptr;
   obs::Histogram* detect_latency_us_ = nullptr;

@@ -245,11 +245,17 @@ void ParallelPipeline::absorb_in_order(std::size_t s) {
       const obs::ScopedLatency latency(absorb_batch_us_);
       obs::Span span(options_.obs.tracer, "parallel.absorb");
       auto& shard = shard_state_[s];
+      auto& [requests, responses, common] = shard.tables;
       const auto& kept = slot_records_[k];
       for (std::size_t i = 0; i < kept.records.size(); ++i) {
         if (kept.shards[i] != s) continue;
-        for (auto& table : shard.tables) table.absorb(kept.records[i]);
-        shard.gaps.absorb(kept.records[i]);
+        const auto& record = kept.records[i];
+        requests.absorb(record);
+        if (OpenSession* open = responses.absorb(record)) {
+          absorb_distinct(open->session, record);
+        }
+        common.absorb(record);
+        shard.gaps.absorb(record);
         ++shard.records;
       }
     }

@@ -1,17 +1,12 @@
 // The QUICsand batch analysis engine, sharded by source IP.
 //
-// Ingest classifies packet batches on a worker pool: each worker owns a
-// Classifier and a row of hourly ShardedCounters, merged by summation
-// when ingest finishes. Each classify task routes the records it keeps
-// by hash(source IP) % N into one part per shard, and each shard folds
-// its parts into its session tables and gap profile strictly in batch
-// submission order, while ingest runs. No record outlives its batch.
-// Sessionization and DoS detection are purely source-local (§5.1), so
-// each shard sees exactly the serial per-source record sequences, and
-// the merged output equals build_sessions / detect_attacks over the
-// whole stream, whatever the shard count. See DESIGN.md "Parallel
-// execution model" and "Where sessions are built" for the determinism
-// argument.
+// Ingest classifies packet batches on a worker pool; each worker owns a
+// Classifier and a row of hourly counters, summed by finish(). Each
+// shard folds its sources' kept records into its SessionTables and gap
+// collector in batch submission order while ingest runs, so no record
+// outlives its batch. Sessionization is source-local (§5.1), so the
+// merged output equals build_sessions / detect_attacks over the whole
+// stream at any shard count (DESIGN.md §6, "Where sessions are built").
 #pragma once
 
 #include <array>

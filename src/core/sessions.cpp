@@ -7,30 +7,7 @@ namespace quicsand::core {
 
 namespace {
 
-// The distinct counts and the version mix Figure 9 reads.
-void absorb_distinct(Session& session, const PacketRecord& record) {
-  if (record.has_scid) session.scids.insert(record.scid_hash);
-  // The "peer" is the other endpoint: the telescope-side destination.
-  session.peers.insert(record.dst.value());
-  session.peer_ports.insert(
-      (static_cast<std::uint64_t>(record.dst.value()) << 16) |
-      record.dst_port);
-  if (record.quic_version != 0) {
-    ++session.version_counts[record.quic_version];
-  }
-}
-
-Session open_session(const PacketRecord& record) {
-  Session session;
-  session.source = record.src;
-  session.start = record.timestamp;
-  session.end = record.timestamp;
-  absorb_record(session, record);
-  return session;
-}
-
-}  // namespace
-
+// Minute slots, counts and `end`: what every session's readers need.
 void absorb_record(Session& session, const PacketRecord& record) {
   session.end = std::max(session.end, record.timestamp);
   ++session.packets;
@@ -54,6 +31,26 @@ void absorb_record(Session& session, const PacketRecord& record) {
   }
 }
 
+// The 5-minute rule (§5.1): quiet for more than the timeout.
+bool expired(const Session& session, util::Timestamp now,
+             util::Duration timeout) {
+  return now - session.end > timeout;
+}
+
+}  // namespace
+
+void absorb_distinct(Session& session, const PacketRecord& record) {
+  if (record.has_scid) session.scids.insert(record.scid_hash);
+  // The "peer" is the other endpoint: the telescope-side destination.
+  session.peers.insert(record.dst.value());
+  session.peer_ports.insert(
+      (static_cast<std::uint64_t>(record.dst.value()) << 16) |
+      record.dst_port);
+  if (record.quic_version != 0) {
+    ++session.version_counts[record.quic_version];
+  }
+}
+
 bool session_before(const Session& a, const Session& b) {
   return a.start < b.start || (a.start == b.start && a.source < b.source);
 }
@@ -70,27 +67,41 @@ std::uint32_t Session::dominant_version() const {
   return best_version;
 }
 
-void SessionTable::absorb(const PacketRecord& record) {
-  if (!accepts(filter_, record)) return;
-  const auto [it, inserted] =
-      latest_.try_emplace(record.src.value(), sessions_.size());
-  if (inserted ||
-      record.timestamp - sessions_[it->second].end > timeout_) {
-    it->second = sessions_.size();
-    sessions_.push_back(open_session(record));
-  } else {
-    Session& session = sessions_[it->second];
-    if (record.timestamp < session.start) ++late_;
-    absorb_record(session, record);
+OpenSession* SessionTable::absorb(const PacketRecord& record) {
+  if (!accepts(filter_, record)) return nullptr;
+  auto [it, opened] = open_.try_emplace(record.src.value());
+  OpenSession& open = it->second;
+  if (!opened && expired(open.session, record.timestamp, timeout_)) {
+    closed_.push_back(std::move(open.session));
+    open = OpenSession{};
+    opened = true;
   }
-  if (filter_ == RecordFilter::kQuicResponses) {
-    absorb_distinct(sessions_[it->second], record);
+  if (opened) {
+    open.session.source = record.src;
+    open.session.start = record.timestamp;
+    open.session.end = record.timestamp;
+  } else if (record.timestamp < open.session.start) {
+    ++late_;
   }
+  absorb_record(open.session, record);
+  return &open;
+}
+
+void SessionTable::close_idle(util::Timestamp now) {
+  std::erase_if(open_, [&](auto& entry) {
+    if (!expired(entry.second.session, now, timeout_)) return false;
+    closed_.push_back(std::move(entry.second.session));
+    return true;
+  });
 }
 
 std::vector<Session> SessionTable::close_all() {
-  latest_.clear();
-  auto sessions = std::exchange(sessions_, {});
+  auto sessions = std::exchange(closed_, {});
+  sessions.reserve(sessions.size() + open_.size());
+  for (auto& [source, open] : open_) {
+    sessions.push_back(std::move(open.session));
+  }
+  open_.clear();
   std::sort(sessions.begin(), sessions.end(), session_before);
   return sessions;
 }
@@ -99,7 +110,12 @@ std::vector<Session> build_sessions(std::span<const PacketRecord> records,
                                     util::Duration timeout,
                                     RecordFilter filter) {
   SessionTable table(timeout, filter);
-  for (const auto& record : records) table.absorb(record);
+  for (const auto& record : records) {
+    OpenSession* open = table.absorb(record);
+    if (open != nullptr && filter == RecordFilter::kQuicResponses) {
+      absorb_distinct(open->session, record);
+    }
+  }
   return table.close_all();
 }
 

@@ -24,12 +24,9 @@ struct Session {
   std::uint64_t bytes = 0;
   /// Packet count per 1-minute slot since `start` (max-pps computation).
   std::vector<std::uint32_t> minute_counts;
-  /// Distinct counter hashes: SCIDs, peer addresses, (addr, port) pairs.
-  /// These three sets and `version_counts` feed Figure 9, and
-  /// profile_providers is their only reader. So only build_sessions
-  /// fills them, and only for the kQuicResponses group. Every other
-  /// session, and every session of the streaming detector, leaves them
-  /// empty.
+  /// Distinct SCIDs, peer addresses and (addr, port) pairs. These sets
+  /// and `version_counts` feed Figure 9 (profile_providers) only, so only
+  /// batch kQuicResponses sessions fill them (absorb_distinct).
   std::unordered_set<std::uint64_t> scids;
   std::unordered_set<std::uint32_t> peers;
   std::unordered_set<std::uint64_t> peer_ports;
@@ -53,18 +50,10 @@ struct Session {
   friend bool operator==(const Session&, const Session&) = default;
 };
 
-/// Fold one record into an open session (shared by build_sessions and
-/// the online detector). It updates only what every reader needs:
-/// `end`, packets, bytes, minute slots and kind counts. It leaves the
-/// distinct sets and `version_counts` alone; build_sessions fills those
-/// itself for the response group. Minute slots are (i·60s, (i+1)·60s]
-/// relative to the session start, with the start packet in slot 0: a
-/// packet exactly 60 s after the start has one minute of elapsed
-/// activity and belongs to the closing minute rather than opening a
-/// phantom trailing slot.
-/// A late record (older than the session start) counts in slot 0, and
-/// `end` never moves backwards.
-void absorb_record(Session& session, const PacketRecord& record);
+/// Add `record` to the session's distinct sets and version map. Only
+/// the batch callers of a kQuicResponses SessionTable call it, on the
+/// entry absorb() returns.
+void absorb_distinct(Session& session, const PacketRecord& record);
 
 /// Strict ordering of session lists: by start time, ties broken by
 /// source. Two distinct sessions never compare equal (a source's
@@ -110,35 +99,55 @@ constexpr RecordFilter sanitized_quic_filter() {
   return RecordFilter::kSanitizedQuic;
 }
 
-/// The sessions of one record group, built one record at a time. Each
-/// source has at most one open session; it closes when the source's
-/// next record comes more than `timeout` after the session's end. Each
-/// source's records must arrive in time order (pcap / generator order);
-/// how sources interleave does not matter. Only kQuicResponses sessions
-/// get their distinct sets and version map filled (see Session).
-/// build_sessions and every ParallelPipeline shard run this one table.
+/// A source's open session in a SessionTable, with what the streaming
+/// detector tracks while it stays open. Batch tables leave the extra
+/// fields at their defaults, and closing an entry keeps only its Session.
+struct OpenSession {
+  Session session;
+  bool alerted = false;  ///< the streaming detector alerted on it
+  /// Wall-clock stamps of the first admitted packet (-1 unknown).
+  std::int64_t first_send_wall_us = -1;
+  std::int64_t first_recv_wall_us = -1;
+};
+
+/// The sessions of one record group, built one record at a time: an
+/// open entry per source and a list of closed sessions. It is the one
+/// implementation of the inactivity timeout: build_sessions and every
+/// ParallelPipeline and ShardedOnlineDetector shard run it. Each
+/// source's records must arrive in time order; how sources interleave
+/// does not matter. Minute slots are (i·60s, (i+1)·60s] from the session
+/// start, the start packet in slot 0, so a packet exactly 60 s in
+/// belongs to the closing minute rather than a phantom trailing slot.
 class SessionTable {
  public:
   SessionTable(util::Duration timeout, RecordFilter filter)
       : timeout_(timeout), filter_(filter) {}
 
-  /// Fold in one record; records outside the filter's group are ignored.
-  void absorb(const PacketRecord& record);
+  /// Fold in one record, first closing its source's session if that has
+  /// expired. Returns the entry the record joined, valid until the next
+  /// close_idle or close_all, or nullptr for a record outside the group.
+  /// A late record (older than its session's start) counts in slot 0,
+  /// and `end` never moves backwards.
+  OpenSession* absorb(const PacketRecord& record);
 
-  /// Close the open sessions and return every session, sorted by start
-  /// time (session_before). The table is left empty.
+  /// Close every session idle for more than the timeout at `now`.
+  void close_idle(util::Timestamp now);
+
+  /// Close the open sessions and return every session, sorted by
+  /// session_before. The table is left empty.
   [[nodiscard]] std::vector<Session> close_all();
 
-  /// Records older than their session's start: absorb_record counts
-  /// them in slot 0 and never moves `end` backwards.
+  /// The sessions closed so far, in close order; clear() drains it.
+  [[nodiscard]] std::vector<Session>& closed() { return closed_; }
+  [[nodiscard]] std::size_t open_sessions() const { return open_.size(); }
+  /// Records older than their session's start.
   [[nodiscard]] std::uint64_t late_records() const { return late_; }
 
  private:
   util::Duration timeout_;
   RecordFilter filter_;
-  std::vector<Session> sessions_;  ///< every session, in opening order
-  /// Each source's latest session: its index in sessions_.
-  std::unordered_map<std::uint32_t, std::size_t> latest_;
+  std::unordered_map<std::uint32_t, OpenSession> open_;  ///< by source
+  std::vector<Session> closed_;
   std::uint64_t late_ = 0;
 };
 

@@ -1,5 +1,6 @@
-// Online detector edge cases: eviction-strategy equivalence, finish()
-// idempotence, and timestamp-tie / timeout-boundary behavior. These pin
+// Online detector edge cases: equality with the batch reference under
+// source churn, finish() idempotence, and timestamp-tie / timeout-boundary
+// and late-record behavior. These pin
 // the semantics the differential oracle relies on (strict `gap >
 // timeout` splits, alert at the exact threshold-crossing record), and
 // that an open session's memory grows with its minutes, not its packets.
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "core/online_shards.hpp"
+#include "obs/metrics.hpp"
 
 // --- Counting allocator hook ------------------------------------------
 // Every heap allocation in this binary bumps the counter; a test
@@ -74,7 +76,8 @@ struct Capture {
 };
 
 /// A stream with attack bursts from rotating sources and long quiet
-/// gaps, so both lazy (per-record) and sweep-driven eviction paths run.
+/// gaps, so sessions close by the once-a-minute close of idle sessions
+/// and at finish().
 std::vector<PacketRecord> churn_stream() {
   std::vector<PacketRecord> records;
   for (int burst = 0; burst < 6; ++burst) {
@@ -92,41 +95,50 @@ std::vector<PacketRecord> churn_stream() {
   return records;
 }
 
-TEST(OnlineEdge, LazyEvictionMatchesPeriodicSweep) {
-  // Eviction timing (every record vs almost never) must not change what
-  // is detected, only when sessions leave the table.
-  ShardedOnlineDetectorConfig eager;
-  eager.detector.sweep_interval = util::kSecond;
-  ShardedOnlineDetectorConfig lazy;
-  lazy.detector.sweep_interval = 365 * util::kDay;
-
-  ShardedOnlineDetector a(eager), b(lazy);
-  Capture ca, cb;
-  ca.attach(a);
-  cb.attach(b);
-  for (const auto& record : churn_stream()) {
-    a.consume(0, record);
-    b.consume(0, record);
+/// `attacks` ordered by (start, victim, end), each session_index its
+/// position: what finish() returns, whatever order the attacks came in.
+std::vector<DetectedAttack> renumbered(std::vector<DetectedAttack> attacks) {
+  std::sort(attacks.begin(), attacks.end(),
+            [](const DetectedAttack& x, const DetectedAttack& y) {
+              return std::tie(x.start, x.victim, x.end) <
+                     std::tie(y.start, y.victim, y.end);
+            });
+  for (std::size_t i = 0; i < attacks.size(); ++i) {
+    attacks[i].session_index = i;
   }
-  a.finish();
-  b.finish();
+  return attacks;
+}
 
-  // Alerts fire in record order (identical); attacks close in eviction
-  // order, which legitimately differs between the strategies.
-  const auto sorted = [](std::vector<DetectedAttack> attacks) {
-    std::sort(attacks.begin(), attacks.end(),
-              [](const DetectedAttack& x, const DetectedAttack& y) {
-                return std::tie(x.start, x.victim) <
-                       std::tie(y.start, y.victim);
-              });
-    return attacks;
-  };
-  EXPECT_EQ(sorted(ca.attacks), sorted(cb.attacks));
-  EXPECT_EQ(ca.alerts, cb.alerts);
-  EXPECT_EQ(a.alerts_fired(), b.alerts_fired());
-  EXPECT_EQ(a.attacks_closed(), b.attacks_closed());
-  EXPECT_EQ(a.sessions_evicted(), b.sessions_evicted());
-  EXPECT_DOUBLE_EQ(a.mean_alert_latency_s(), b.mean_alert_latency_s());
+TEST(OnlineEdge, ChurnMatchesBatchReference) {
+  // When sessions leave the table (an idle close or finish()) must not
+  // change what is detected: the closed attacks equal the batch reference
+  // field for field, and every alerted session closes as an attack.
+  const auto records = churn_stream();
+  ShardedOnlineDetector detector({});
+  Capture capture;
+  capture.attach(detector);
+  for (const auto& record : records) detector.consume(0, record);
+  // The last burst's attacker and chatter are still open; the five
+  // earlier attacks were reported as their sessions closed.
+  EXPECT_EQ(detector.open_sessions(), 2u);
+  EXPECT_EQ(capture.attacks.size(), 5u);
+  const auto finished = detector.finish();
+
+  const auto sessions =
+      build_sessions(records, kTimeout, quic_response_filter());
+  const auto expected =
+      renumbered(detect_attacks(sessions, DosThresholds{}));
+  ASSERT_EQ(expected.size(), 6u);
+  EXPECT_EQ(finished, expected);
+  EXPECT_EQ(renumbered(capture.attacks), expected);
+  EXPECT_EQ(detector.sessions_evicted(), sessions.size());
+
+  EXPECT_EQ(detector.alerts_fired(), detector.attacks_closed());
+  ASSERT_EQ(capture.alerts.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(capture.alerts[i].victim, expected[i].victim);
+    EXPECT_EQ(capture.alerts[i].start, expected[i].start);
+  }
 }
 
 TEST(OnlineEdge, FinishIsIdempotent) {
@@ -214,12 +226,14 @@ TEST(OnlineEdge, EqualTimestampRunsDoNotAlertUntilDurationExceeded) {
 }
 
 TEST(OnlineEdge, SweepAtExactTimeoutBoundaryKeepsSession) {
-  // sweep() evicts on `now - end > timeout`, mirroring the split rule: a
-  // session whose last record is exactly `timeout` old survives a sweep
-  // triggered by other traffic and can still be extended.
+  // Idle sessions close on `now - end > timeout`, the split rule: a
+  // session whose last record is exactly `timeout` old survives a close
+  // of idle sessions triggered by other traffic and can still be
+  // extended. The closes run once a minute of stream time: the last one
+  // before the boundary record ran at kT0 + 60 s, so the boundary record
+  // (kT0 + 399 s) runs one.
   ShardedOnlineDetectorConfig config;
   config.detector.session_timeout = kTimeout;
-  config.detector.sweep_interval = util::kSecond;
   ShardedOnlineDetector detector(config);
   Capture capture;
   capture.attach(detector);
@@ -228,7 +242,8 @@ TEST(OnlineEdge, SweepAtExactTimeoutBoundaryKeepsSession) {
     detector.consume(0, response_record(kT0 + i * util::kSecond, 0xaa000001));
   }
   const auto last = kT0 + 99 * util::kSecond;
-  // Unrelated source triggers a sweep exactly at the boundary.
+  // Unrelated source triggers a close of idle sessions exactly at the
+  // boundary.
   detector.consume(0, response_record(last + kTimeout, 0xbb000002));
   EXPECT_EQ(detector.open_sessions(), 2u);
   // The original session is still extendable at the boundary.
@@ -240,11 +255,17 @@ TEST(OnlineEdge, SweepAtExactTimeoutBoundaryKeepsSession) {
 }
 
 TEST(OnlineEdge, LateTimestampJoinsOpenSession) {
-  // Two minutes older than the session start must not throw.
-  ShardedOnlineDetector detector({});
+  // Two minutes older than the session start must not throw; it joins
+  // the open session and is counted.
+  obs::MetricsRegistry metrics;
+  ShardedOnlineDetectorConfig config;
+  config.detector.obs.metrics = &metrics;
+  ShardedOnlineDetector detector(config);
   detector.consume(0, response_record(kT0 + 2 * util::kMinute, 0xee000001));
   EXPECT_NO_THROW(detector.consume(0, response_record(kT0, 0xee000001)));
   EXPECT_EQ(detector.open_sessions(), 1u);
+  EXPECT_EQ(detector.late_records(), 1u);
+  EXPECT_EQ(metrics.counter("online.late_records").value(), 1u);
   detector.finish();
   EXPECT_EQ(detector.sessions_evicted(), 1u);
 }

@@ -3,6 +3,7 @@
 // and correlator consistency against the raw attack intervals.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <set>
 
@@ -46,6 +47,24 @@ std::vector<PacketRecord> random_records(util::Rng& rng,
             [](const PacketRecord& a, const PacketRecord& b) {
               return a.timestamp < b.timestamp;
             });
+  return records;
+}
+
+/// random_records spread over the three session groups, some with a
+/// SCID, so every group's table and the response group's distinct sets
+/// run.
+std::vector<PacketRecord> random_grouped_records(util::Rng& rng,
+                                                 std::size_t packets,
+                                                 std::size_t sources) {
+  constexpr std::array kClasses{
+      TrafficClass::kQuicRequest, TrafficClass::kQuicResponse,
+      TrafficClass::kTcpBackscatter, TrafficClass::kIcmpBackscatter};
+  auto records = random_records(rng, packets, sources);
+  for (auto& record : records) {
+    record.cls = kClasses[rng.uniform(kClasses.size())];
+    record.has_scid = rng.uniform(2) == 0;
+    record.scid_hash = rng.uniform(64);
+  }
   return records;
 }
 
@@ -222,6 +241,49 @@ TEST(SessionProperty, SweepMatchesBuildSessionsOnRandomTimeouts) {
   }
 }
 
+TEST(SessionProperty, ClosingIdleSessionsNeverChangesTheResult) {
+  // The streaming detector closes idle sessions while the stream runs;
+  // batch callers close them all at the end. On a per-source-ordered
+  // stream, when close_idle(now) runs must not change the sessions.
+  util::Rng rng(79);
+  const auto timeout = 5 * util::kMinute;
+  for (int trial = 0; trial < 5; ++trial) {
+    const auto records = random_grouped_records(rng, 2000, 40);
+    for (const auto filter : {quic_request_filter(), quic_response_filter(),
+                              common_backscatter_filter()}) {
+      const auto expected = build_sessions(records, timeout, filter);
+      for (const std::size_t every : {1u, 7u, 0u}) {  // 0: never
+        SessionTable table(timeout, filter);
+        for (std::size_t i = 0; i < records.size(); ++i) {
+          OpenSession* open = table.absorb(records[i]);
+          if (open != nullptr && filter == quic_response_filter()) {
+            absorb_distinct(open->session, records[i]);
+          }
+          if (every != 0 && (i + 1) % every == 0) {
+            table.close_idle(records[i].timestamp);
+          }
+        }
+        if (every == 1) {
+          EXPECT_FALSE(table.closed().empty());
+        }
+        EXPECT_EQ(table.close_all(), expected) << "every " << every;
+      }
+    }
+  }
+
+  // Idle for exactly the timeout: still open. One microsecond more:
+  // closed.
+  const auto record = random_records(rng, 1, 1).front();
+  SessionTable table(timeout, quic_request_filter());
+  ASSERT_NE(table.absorb(record), nullptr);
+  table.close_idle(record.timestamp + timeout);
+  EXPECT_EQ(table.open_sessions(), 1u);
+  EXPECT_TRUE(table.closed().empty());
+  table.close_idle(record.timestamp + timeout + util::kMicrosecond);
+  EXPECT_EQ(table.open_sessions(), 0u);
+  EXPECT_EQ(table.closed().size(), 1u);
+}
+
 TEST(DosProperty, DetectionIsMonotoneInWeight) {
   util::Rng rng(59);
   // Build sessions with a wide spread of sizes.
@@ -276,6 +338,59 @@ TEST(DosProperty, DetectedPlusExcludedCoverAllSessions) {
   const auto attacks = detect_attacks(sessions, {});
   const auto excluded = summarize_excluded(sessions, {});
   EXPECT_EQ(attacks.size() + excluded.count, sessions.size());
+}
+
+TEST(DosProperty, AdmitsIsMonotoneOverASession) {
+  // The streaming detector decides "attack closed" with admits() on the
+  // closed session, not with its alert flag. That holds only if admits()
+  // never turns false as a session grows, through equal-timestamp runs
+  // and late records too.
+  util::Rng rng(83);
+  constexpr std::array kWeights{0.1, 1.0, 10.0};
+  constexpr std::array kGapBounds{10 * util::kMillisecond,
+                                  100 * util::kMillisecond, util::kSecond,
+                                  10 * util::kSecond};
+  std::array<int, kWeights.size()> crossed{};
+  for (int trial = 0; trial < 20; ++trial) {
+    SessionTable table(5 * util::kMinute, quic_request_filter());
+    auto record = random_records(rng, 1, 1).front();
+    const auto start = record.timestamp;
+    auto now = start;
+    auto gap_bound = kGapBounds[0];
+    std::uint64_t late = 0;
+    std::array<bool, kWeights.size()> admitted{};
+    const auto packets = 500 + rng.uniform(2500);
+    for (std::uint64_t p = 0; p < packets; ++p) {
+      if (p % 100 == 0) gap_bound = kGapBounds[rng.uniform(kGapBounds.size())];
+      const auto roll = rng.uniform(20);
+      if (p > 0 && roll == 0) {
+        record.timestamp = start - util::kMicrosecond -
+                           random_duration(rng, 2 * util::kMinute);
+        ++late;
+      } else {
+        // One roll in five repeats the last timestamp.
+        if (roll >= 4) now += random_duration(rng, gap_bound);
+        record.timestamp = now;
+      }
+      const OpenSession* open = table.absorb(record);
+      ASSERT_NE(open, nullptr);
+      ASSERT_EQ(open->session.packets.count(), p + 1);  // never split
+      for (std::size_t w = 0; w < kWeights.size(); ++w) {
+        const bool admits =
+            DosThresholds{}.weighted(kWeights[w]).admits(open->session);
+        if (admitted[w]) {
+          ASSERT_TRUE(admits) << "w " << kWeights[w] << ", packet " << p;
+        } else if (admits) {
+          admitted[w] = true;
+          ++crossed[w];
+        }
+      }
+    }
+    EXPECT_EQ(table.late_records(), late);
+  }
+  // Every weight's thresholds were crossed in some trial, so the check
+  // above ran on sessions that admit.
+  for (const int count : crossed) EXPECT_GT(count, 0);
 }
 
 DetectedAttack make_attack(std::uint32_t victim, util::Timestamp start,
