@@ -1,12 +1,15 @@
 // Microbenchmarks (google-benchmark) for the hot paths: the crypto core,
-// the QUIC codec/dissector, packet builders and the classifier. These
-// bound the throughput of the telescope generator and the analysis
-// pipeline. The last one prices the metrics-history sampler's pass.
+// the QUIC codec/dissector, packet builders, the capture reader and the
+// classifier. These bound the throughput of the telescope generator and
+// the analysis pipeline. The last one prices the metrics-history
+// sampler's pass.
 #include <benchmark/benchmark.h>
 
 #include <array>
 #include <chrono>
+#include <istream>
 #include <memory>
+#include <streambuf>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +26,8 @@
 #include "net/headers.hpp"
 #include "net/live/frame.hpp"
 #include "net/live/receiver.hpp"
+#include "net/pcap.hpp"
+#include "net/record_batch.hpp"
 #include "obs/sampler.hpp"
 #include "obs/tsdb.hpp"
 #include "quic/dissector.hpp"
@@ -137,6 +142,185 @@ void BM_Classifier(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Classifier);
+
+// --- perfbench's three traffic mixes --------------------------------------
+// Each workload's stream (its first `packets` datagrams), keeping one in
+// `stride` so each mix holds about 50k datagrams in the stream's
+// proportions: gen_backscatter's TCP/ICMP backscatter day, pcap_quicscan's
+// research-heavy QUIC-scan day and live_loopback's QUIC-flood day, all
+// /16, seed 1.
+
+enum class Mix { kBackscatter, kQuicScan, kQuicFlood };
+
+telescope::ScenarioConfig mix_config(Mix mix) {
+  auto config = telescope::ScenarioConfig::april2021(1, 1);
+  config.telescope = {net::Ipv4Address::from_octets(44, 0, 0, 0), 16};
+  auto& attacks = config.attacks;
+  for (double* sigma :
+       {&attacks.quic_duration_sigma, &attacks.quic_peak_pps_sigma,
+        &attacks.common_duration_sigma, &attacks.common_peak_pps_sigma}) {
+    *sigma = 0.5;
+  }
+  const bool scan = mix == Mix::kQuicScan;
+  config.tum.passes_per_day = scan ? 3 : 0;
+  config.rwth.passes_per_day = scan ? 3 : 0;
+  switch (mix) {
+    case Mix::kBackscatter:
+      attacks.common_attacks_per_day = 2400;
+      break;
+    case Mix::kQuicScan:
+      attacks.common_attacks_per_day = 30;
+      break;
+    case Mix::kQuicFlood:
+      attacks.quic_attacks_per_day = 3000;
+      attacks.common_attacks_per_day = 60;
+      break;
+  }
+  return config;
+}
+
+/// The mix in default RecordBatches, the way the pipeline holds packets;
+/// generated on first use.
+const std::vector<net::RecordBatch>& mix_batches(Mix mix) {
+  struct Stream {
+    std::size_t packets;
+    std::size_t stride;
+  };
+  static constexpr Stream kStreams[] = {{500000, 10}, {450000, 9}, {300000, 6}};
+  static std::array<std::vector<net::RecordBatch>, 3> mixes;
+  const auto index = static_cast<std::size_t>(mix);
+  auto& batches = mixes[index];
+  if (!batches.empty()) return batches;
+  telescope::TelescopeGenerator generator(mix_config(mix), bench::registry(),
+                                          bench::deployment());
+  net::RecordBatch source;
+  batches.emplace_back();
+  std::size_t seen = 0;
+  while (seen < kStreams[index].packets && generator.next_batch(source) > 0) {
+    for (std::size_t i = 0; i < source.size(); ++i, ++seen) {
+      if (seen % kStreams[index].stride != 0) continue;
+      const auto view = source.view(i);
+      if (!batches.back().try_append(view.timestamp, view.data)) {
+        batches.emplace_back();
+        batches.back().try_append(view.timestamp, view.data);
+      }
+    }
+  }
+  return batches;
+}
+
+/// perfbench's classifier: the two research scanners flagged.
+core::ClassifierConfig research_config() {
+  core::ClassifierConfig config;
+  for (const auto asn :
+       {asdb::AsRegistry::kTumScanner, asdb::AsRegistry::kRwthScanner}) {
+    config.research_prefixes.push_back(
+        bench::registry().prefixes_of(asn).front());
+  }
+  return config;
+}
+
+void classify_batch(core::Classifier& classifier,
+                    const net::RecordBatch& batch) {
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const auto view = batch.view(i);
+    auto record = classifier.classify(view.timestamp, view.data);
+    benchmark::DoNotOptimize(record);
+  }
+}
+
+// Classify on each mix, hot: each batch is classified once untimed, so
+// its bytes are in cache, then again timed. per_datagram is the hot cost
+// of one classify() call.
+void BM_Classify(benchmark::State& state, Mix mix) {
+  const auto& batches = mix_batches(mix);
+  core::Classifier classifier(research_config());
+  std::size_t next = 0;
+  double datagrams = 0;
+  for (auto _ : state) {
+    const auto& batch = batches[next++ % batches.size()];
+    state.PauseTiming();
+    classify_batch(classifier, batch);
+    state.ResumeTiming();
+    classify_batch(classifier, batch);
+    datagrams += static_cast<double>(batch.size());
+  }
+  state.counters["per_datagram"] = benchmark::Counter(
+      datagrams, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_Classify, backscatter, Mix::kBackscatter);
+BENCHMARK_CAPTURE(BM_Classify, quicscan, Mix::kQuicScan);
+BENCHMARK_CAPTURE(BM_Classify, quicflood, Mix::kQuicFlood);
+
+/// Reads an in-memory image through std::istream without copying it.
+class MemoryBuf final : public std::streambuf {
+ public:
+  explicit MemoryBuf(const std::string& bytes) {
+    char* begin = const_cast<char*>(bytes.data());
+    setg(begin, begin, begin + bytes.size());
+  }
+};
+
+/// The QUIC-scan mix as a classic LINKTYPE_RAW capture with µs stamps,
+/// the layout net::PcapWriter writes.
+const std::string& quicscan_capture() {
+  static const std::string image = [] {
+    std::string out;
+    auto put = [&](std::uint32_t v) {
+      for (int i = 0; i < 4; ++i) {
+        out.push_back(static_cast<char>(v >> (8 * i)));
+      }
+    };
+    for (const std::uint32_t word :
+         {net::kPcapMagicMicros, 2u | 4u << 16, 0u, 0u, 65535u,
+          net::kLinktypeRaw}) {
+      put(word);
+    }
+    const auto second = util::kSecond.count();
+    for (const auto& batch : mix_batches(Mix::kQuicScan)) {
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        const auto view = batch.view(i);
+        const auto size = static_cast<std::uint32_t>(view.data.size());
+        put(static_cast<std::uint32_t>(view.timestamp.count() / second));
+        put(static_cast<std::uint32_t>(view.timestamp.count() % second));
+        put(size);
+        put(size);
+        out.append(view.data.begin(), view.data.end());
+      }
+    }
+    return out;
+  }();
+  return image;
+}
+
+// PcapReader::next() over the QUIC-scan capture, from memory: the time
+// per iteration is the cost of reading one record. Reopening the capture
+// at its end is not timed.
+void BM_PcapNext(benchmark::State& state) {
+  const auto& image = quicscan_capture();
+  std::unique_ptr<MemoryBuf> buf;
+  std::unique_ptr<std::istream> in;
+  std::unique_ptr<net::PcapReader> reader;
+  auto reopen = [&] {
+    reader.reset();
+    buf = std::make_unique<MemoryBuf>(image);
+    in = std::make_unique<std::istream>(buf.get());
+    reader = std::make_unique<net::PcapReader>(*in);
+  };
+  reopen();
+  for (auto _ : state) {
+    auto packet = reader->next();
+    if (!packet) {
+      state.PauseTiming();
+      reopen();
+      state.ResumeTiming();
+      packet = reader->next();
+    }
+    benchmark::DoNotOptimize(packet->data.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PcapNext);
 
 void BM_RegistryLookup(benchmark::State& state) {
   static const auto registry = asdb::AsRegistry::synthetic({}, 9);

@@ -141,7 +141,7 @@ int analyze(const Args& args) {
   net::PcapReader reader(args.in);
   reader.set_metrics(&metrics);
   const std::uint64_t n = reader.for_each(
-      [&](const net::RawPacket& packet) { pipeline.consume(packet); });
+      [&](net::PacketView packet) { pipeline.consume(packet); });
   std::cout << "read " << n << " packets from " << args.in << "\n\n";
 
   const auto& stats = pipeline.stats();

@@ -8,28 +8,35 @@ namespace {
 
 constexpr std::uint16_t kQuicPort = 443;
 
-/// Folds a walked datagram into a record's QUIC fields. The per-datagram
-/// counts saturate at 255, the most their 8-bit fields hold.
+/// Folds a walked datagram's packets into a record's QUIC fields, in
+/// place. The per-datagram counts saturate at 255, the most their 8-bit
+/// fields hold; the SCID is hashed where it lies in the datagram.
 class QuicFold final : public quic::PacketSink {
  public:
-  void on_packet(const quic::DissectedPacket& packet) override {
-    saturating_increment(packet_count_);
-    saturating_increment(kind_counts_[static_cast<std::size_t>(packet.kind)]);
-    if (version_ == 0 && packet.kind != quic::QuicPacketKind::kShort) {
-      version_ = packet.version;
+  explicit QuicFold(PacketRecord& record) : record_(record) {}
+
+  void on_packet(const quic::DissectedPacketView& packet) override {
+    saturating_increment(record_.quic_packet_count);
+    saturating_increment(
+        record_.kind_counts[static_cast<std::size_t>(packet.kind)]);
+    if (record_.quic_version == 0 &&
+        packet.kind != quic::QuicPacketKind::kShort) {
+      record_.quic_version = packet.version;
     }
-    if (!has_scid_ && !packet.scid.empty()) {
-      has_scid_ = true;
-      scid_hash_ = packet.scid.hash();
+    if (!record_.has_scid && !packet.scid.empty()) {
+      record_.has_scid = true;
+      record_.scid_hash = quic::connection_id_hash(packet.scid);
     }
   }
 
-  void commit_to(PacketRecord& record) const {
-    record.quic_packet_count = packet_count_;
-    record.kind_counts = kind_counts_;
-    record.quic_version = version_;
-    record.has_scid = has_scid_;
-    record.scid_hash = scid_hash_;
+  /// Undo the fold, for a payload the walk rejected after folding some
+  /// of its packets.
+  void clear() {
+    record_.quic_packet_count = 0;
+    record_.kind_counts = {};
+    record_.quic_version = 0;
+    record_.has_scid = false;
+    record_.scid_hash = 0;
   }
 
  private:
@@ -37,11 +44,7 @@ class QuicFold final : public quic::PacketSink {
     if (count < std::numeric_limits<std::uint8_t>::max()) ++count;
   }
 
-  std::uint8_t packet_count_ = 0;
-  std::array<std::uint8_t, kQuicKindCount> kind_counts_{};
-  std::uint32_t version_ = 0;
-  bool has_scid_ = false;
-  std::uint64_t scid_hash_ = 0;
+  PacketRecord& record_;
 };
 
 bool is_backscatter_icmp(std::uint8_t type) {
@@ -92,27 +95,28 @@ std::optional<PacketRecord> Classifier::classify(
 
 std::optional<PacketRecord> Classifier::classify(
     util::Timestamp timestamp, std::span<const std::uint8_t> data) {
+  // Every return names `out`, so the record is built in the caller's
+  // slot: each field is read from the datagram and written once, there.
+  std::optional<PacketRecord> out;
   ++stats_.total;
   const auto decoded = net::decode_ipv4(data);
   if (!decoded) {
     ++stats_.undecodable;
-    return std::nullopt;
+    return out;
   }
 
-  PacketRecord record;
+  PacketRecord& record = out.emplace();
   record.timestamp = timestamp;
-  record.src = decoded->ip.src;
-  record.dst = decoded->ip.dst;
-  // The IPv4 total length, which decode_ipv4 has checked against the
-  // capture: a capture can be longer than its datagram (and than 65,535).
-  record.wire_size = decoded->ip.total_length;
+  record.src = decoded->src();
+  record.dst = decoded->dst();
+  record.wire_size = decoded->total_length();
 
   if (decoded->is_udp()) {
-    const auto& udp = decoded->udp();
+    const auto udp = decoded->udp();
     record.src_port = udp.src_port;
     record.dst_port = udp.dst_port;
     if (udp.src_port == kQuicPort || udp.dst_port == kQuicPort) {
-      QuicFold fold;
+      QuicFold fold(record);
       if (quic::walk_udp_payload(udp.payload, fold) == nullptr) {
         // Source port 443 -> response (backscatter); destination port
         // 443 -> request (scan). The two sets are disjoint by
@@ -120,14 +124,14 @@ std::optional<PacketRecord> Classifier::classify(
         record.cls = udp.src_port == kQuicPort
                          ? TrafficClass::kQuicResponse
                          : TrafficClass::kQuicRequest;
-        fold.commit_to(record);
       } else {
+        fold.clear();
         ++stats_.quic_port_rejects;
         record.cls = TrafficClass::kOther;
       }
     }
   } else if (decoded->is_tcp()) {
-    const auto& tcp = decoded->tcp();
+    const auto tcp = decoded->tcp();
     record.src_port = tcp.src_port;
     record.dst_port = tcp.dst_port;
     const bool syn = tcp.flags & net::TcpFlags::kSyn;
@@ -158,7 +162,7 @@ std::optional<PacketRecord> Classifier::classify(
     }
   }
   if (keep_for_analysis(record)) ++stats_.kept;
-  return record;
+  return out;
 }
 
 }  // namespace quicsand::core

@@ -108,7 +108,7 @@ ParallelPipeline::~ParallelPipeline() {
   if (pool_) pool_->wait_idle();
 }
 
-void ParallelPipeline::consume(const net::RawPacket& packet) {
+void ParallelPipeline::consume(net::PacketView packet) {
   if (packets_counter_ != nullptr) packets_counter_->add();
   if (!current_.try_append(packet.timestamp, packet.data)) {
     flush_current();

@@ -50,8 +50,10 @@ class ParallelPipeline {
 
   /// Ingest one packet (must arrive in time order). Packets collect in a
   /// current batch that is classified on the pool once full; a packet
-  /// larger than a whole batch arena travels in a batch of its own.
-  void consume(const net::RawPacket& packet);
+  /// larger than a whole batch arena travels in a batch of its own. The
+  /// bytes are copied into the batch, so the view need only outlive the
+  /// call (a capture reader's next() view, or a RawPacket).
+  void consume(net::PacketView packet);
 
   /// Take a recycled (empty) batch from the pool, or a fresh default
   /// RecordBatch on first use. Fill it with packets in time order and

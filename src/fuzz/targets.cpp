@@ -37,8 +37,8 @@ namespace {
 
 /// Records every packet the walk hands over.
 struct VisitLog final : quic::PacketSink {
-  void on_packet(const quic::DissectedPacket& packet) override {
-    packets.push_back(packet);
+  void on_packet(const quic::DissectedPacketView& packet) override {
+    packets.emplace_back(packet);
   }
   std::vector<quic::DissectedPacket> packets;
 };
@@ -230,7 +230,7 @@ void fuzz_live_datagram(std::span<const std::uint8_t> data) {
   if (const auto decoded = net::decode_ipv4(frame.datagram)) {
     QUICSAND_FUZZ_CHECK(source.has_value(), "live_datagram",
                         "quick_ipv4_source rejected a decodable datagram");
-    QUICSAND_FUZZ_CHECK(*source == decoded->ip.src.value(), "live_datagram",
+    QUICSAND_FUZZ_CHECK(*source == decoded->src().value(), "live_datagram",
                         "quick_ipv4_source disagrees with decode_ipv4");
   }
 }

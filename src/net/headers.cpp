@@ -291,6 +291,12 @@ std::optional<IcmpQuote> parse_icmp_quote(
   }
 }
 
+void DecodedPacket::throw_not(IpProtocol wanted) const {
+  throw std::logic_error(
+      "DecodedPacket: protocol " + std::to_string(datagram_[9]) +
+      " read as " + std::to_string(static_cast<int>(wanted)));
+}
+
 std::optional<DecodedPacket> decode_ipv4(std::span<const std::uint8_t> data) {
   // One length check covers every fixed-offset load of the base header.
   if (data.size() < kIpv4HeaderSize || (data[0] >> 4) != 4) {
@@ -302,25 +308,15 @@ std::optional<DecodedPacket> decode_ipv4(std::span<const std::uint8_t> data) {
       total_length > data.size()) {
     return std::nullopt;
   }
-  const auto protocol = static_cast<IpProtocol>(data[9]);
-  DecodedPacket out;
-  out.ip = {Ipv4Address(load_be32(data, 12)),
-            Ipv4Address(load_be32(data, 16)),
-            protocol,
-            data[8],
-            load_be16(data, 4),
-            total_length};
-  // Options (IHL > 5) are skipped; the L4 header starts at `ihl`.
+  // Options (IHL > 5) are skipped; the L4 header starts at `ihl`. Each
+  // case checks what DecodedPacket's accessor for it reads.
   const auto l4 = data.subspan(ihl, total_length - ihl);
-
-  switch (protocol) {
+  switch (static_cast<IpProtocol>(data[9])) {
     case IpProtocol::kUdp: {
       if (l4.size() < kUdpHeaderSize) return std::nullopt;
       const std::uint16_t udp_len = load_be16(l4, 4);
       if (udp_len < kUdpHeaderSize || udp_len > l4.size()) return std::nullopt;
-      out.l4 = UdpInfo{load_be16(l4, 0), load_be16(l4, 2),
-                       l4.subspan(kUdpHeaderSize, udp_len - kUdpHeaderSize)};
-      return out;
+      break;
     }
     case IpProtocol::kTcp: {
       // Data offset 5..15 words, and the header it names must fit.
@@ -329,19 +325,16 @@ std::optional<DecodedPacket> decode_ipv4(std::span<const std::uint8_t> data) {
       if (data_offset < kTcpHeaderSize || data_offset > l4.size()) {
         return std::nullopt;
       }
-      out.l4 = TcpInfo{load_be16(l4, 0), load_be16(l4, 2),
-                       load_be32(l4, 4), load_be32(l4, 8),
-                       l4[13], l4.subspan(data_offset)};
-      return out;
+      break;
     }
-    case IpProtocol::kIcmp: {
+    case IpProtocol::kIcmp:
       if (l4.size() < kIcmpHeaderSize) return std::nullopt;
-      out.l4 = IcmpInfo{l4[0], l4[1], l4.subspan(kIcmpHeaderSize)};
-      return out;
-    }
+      break;
     default:
       return std::nullopt;
   }
+  return DecodedPacket(data.first(total_length),
+                       static_cast<std::uint8_t>(ihl));
 }
 
 bool verify_checksums(std::span<const std::uint8_t> data) {
@@ -352,10 +345,10 @@ bool verify_checksums(std::span<const std::uint8_t> data) {
 
   const auto decoded = decode_ipv4(data);
   if (!decoded) return false;
-  const std::size_t l4_len = decoded->ip.total_length - ihl;
+  const std::size_t l4_len = decoded->total_length() - ihl;
   const auto l4 = data.subspan(ihl, l4_len);
 
-  switch (decoded->ip.protocol) {
+  switch (decoded->protocol()) {
     case IpProtocol::kUdp:
       // A transmitted zero means "no checksum" (RFC 768) — scanners
       // commonly send that; it verifies trivially.
@@ -363,7 +356,7 @@ bool verify_checksums(std::span<const std::uint8_t> data) {
       [[fallthrough]];
     case IpProtocol::kTcp: {
       const std::uint64_t sum = pseudo_header_sum(
-          decoded->ip.src, decoded->ip.dst, decoded->ip.protocol, l4_len);
+          decoded->src(), decoded->dst(), decoded->protocol(), l4_len);
       return checksum_fold(sum + sum_bytes(l4)) == 0;
     }
     case IpProtocol::kIcmp:

@@ -10,10 +10,10 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <variant>
 #include <vector>
 
 #include "net/ip.hpp"
+#include "util/bytes.hpp"
 
 namespace quicsand::net {
 
@@ -65,24 +65,67 @@ struct IcmpInfo {
   std::span<const std::uint8_t> payload;
 };
 
-/// Decoded view into a raw IPv4 datagram. Spans point into the original
-/// buffer, which must outlive the view.
-struct DecodedPacket {
-  Ipv4Header ip;
-  std::variant<UdpInfo, TcpInfo, IcmpInfo> l4;
+/// An IPv4 datagram decode_ipv4() accepted, read in place: each accessor
+/// loads its field from the datagram at its fixed offset, so a caller
+/// reads only the fields it uses and nothing is copied up front. Spans
+/// point into the datagram, which must outlive the view. udp(), tcp()
+/// and icmp() throw std::logic_error unless the matching is_*() holds.
+class DecodedPacket {
+ public:
+  [[nodiscard]] Ipv4Address src() const {
+    return Ipv4Address(util::load_be32(datagram_, 12));
+  }
+  [[nodiscard]] Ipv4Address dst() const {
+    return Ipv4Address(util::load_be32(datagram_, 16));
+  }
+  [[nodiscard]] IpProtocol protocol() const {
+    return static_cast<IpProtocol>(datagram_[9]);
+  }
+  [[nodiscard]] std::uint8_t ttl() const { return datagram_[8]; }
+  [[nodiscard]] std::uint16_t identification() const {
+    return util::load_be16(datagram_, 4);
+  }
+  /// The IPv4 total length, which decode_ipv4() checked against the
+  /// capture: a capture can be longer than its datagram.
+  [[nodiscard]] std::uint16_t total_length() const {
+    return static_cast<std::uint16_t>(datagram_.size());
+  }
 
-  [[nodiscard]] bool is_udp() const {
-    return std::holds_alternative<UdpInfo>(l4);
-  }
-  [[nodiscard]] bool is_tcp() const {
-    return std::holds_alternative<TcpInfo>(l4);
-  }
+  [[nodiscard]] bool is_udp() const { return protocol() == IpProtocol::kUdp; }
+  [[nodiscard]] bool is_tcp() const { return protocol() == IpProtocol::kTcp; }
   [[nodiscard]] bool is_icmp() const {
-    return std::holds_alternative<IcmpInfo>(l4);
+    return protocol() == IpProtocol::kIcmp;
   }
-  [[nodiscard]] const UdpInfo& udp() const { return std::get<UdpInfo>(l4); }
-  [[nodiscard]] const TcpInfo& tcp() const { return std::get<TcpInfo>(l4); }
-  [[nodiscard]] const IcmpInfo& icmp() const { return std::get<IcmpInfo>(l4); }
+  [[nodiscard]] UdpInfo udp() const {
+    if (!is_udp()) throw_not(IpProtocol::kUdp);
+    const auto l4 = datagram_.subspan(ihl_);
+    return {util::load_be16(l4, 0), util::load_be16(l4, 2),
+            l4.subspan(8, util::load_be16(l4, 4) - std::size_t{8})};
+  }
+  [[nodiscard]] TcpInfo tcp() const {
+    if (!is_tcp()) throw_not(IpProtocol::kTcp);
+    const auto l4 = datagram_.subspan(ihl_);
+    return {util::load_be16(l4, 0), util::load_be16(l4, 2),
+            util::load_be32(l4, 4), util::load_be32(l4, 8), l4[13],
+            l4.subspan((l4[12] >> 4) * std::size_t{4})};
+  }
+  [[nodiscard]] IcmpInfo icmp() const {
+    if (!is_icmp()) throw_not(IpProtocol::kIcmp);
+    const auto l4 = datagram_.subspan(ihl_);
+    return {l4[0], l4[1], l4.subspan(4)};
+  }
+
+ private:
+  friend std::optional<DecodedPacket> decode_ipv4(
+      std::span<const std::uint8_t> data);
+
+  DecodedPacket(std::span<const std::uint8_t> datagram, std::uint8_t ihl)
+      : datagram_(datagram), ihl_(ihl) {}
+
+  [[noreturn]] void throw_not(IpProtocol wanted) const;
+
+  std::span<const std::uint8_t> datagram_;  ///< the first total_length bytes
+  std::uint8_t ihl_;                        ///< IPv4 header bytes, 20..60
 };
 
 /// Wire size of the datagram each writer below produces for a payload
@@ -149,7 +192,8 @@ struct IcmpQuote {
 std::optional<IcmpQuote> parse_icmp_quote(
     std::span<const std::uint8_t> icmp_payload);
 
-/// Parse a raw IPv4 datagram. Returns nullopt on truncation, bad version,
+/// Check a raw IPv4 datagram and its UDP, TCP or ICMP header, reading
+/// each length field once. Returns nullopt on truncation, bad version,
 /// or unsupported protocol. Checksums are NOT verified here (telescopes
 /// keep packets with bad checksums too); use verify_checksums() if needed.
 std::optional<DecodedPacket> decode_ipv4(std::span<const std::uint8_t> data);

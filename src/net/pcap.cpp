@@ -209,10 +209,10 @@ void PcapReader::add_interface(std::span<const std::uint8_t> body) {
   interfaces_.push_back(iface);
 }
 
-/// The step both formats share: stamp the frame, unwrap its link layer
-/// and copy the datagram out of the buffer. nullopt for a link type we
-/// cannot unwrap.
-std::optional<RawPacket> PcapReader::make_packet(
+/// The step both formats share: stamp the frame and unwrap its link
+/// layer, in place in the buffer. nullopt for a link type we cannot
+/// unwrap.
+std::optional<PacketView> PcapReader::make_packet(
     const Interface& iface, std::uint64_t ticks,
     std::span<const std::uint8_t> frame) {
   // Ticks to microseconds in 128-bit integer math: a fabricated stamp
@@ -242,12 +242,9 @@ std::optional<RawPacket> PcapReader::make_packet(
     bump(linktype_drops_counter_);
     return std::nullopt;
   }
-  RawPacket out;
-  out.timestamp = util::Timestamp{static_cast<std::int64_t>(micros)};
-  out.data.assign(frame.begin(), frame.end());
   bump(packets_counter_);
-  bump(bytes_counter_, out.data.size());
-  return out;
+  bump(bytes_counter_, frame.size());
+  return PacketView{util::Timestamp{static_cast<std::int64_t>(micros)}, frame};
 }
 
 void PcapReader::set_metrics(obs::MetricsRegistry* metrics) {
@@ -269,7 +266,7 @@ void PcapReader::set_metrics(obs::MetricsRegistry* metrics) {
                  : &metrics->histogram("pcap.read_us", "wall time per packet");
 }
 
-std::optional<RawPacket> PcapReader::next() {
+std::optional<PacketView> PcapReader::next() {
   const obs::ScopedLatency latency(read_us_);
   if (classic_) {
     if (at_end()) return std::nullopt;
@@ -313,7 +310,7 @@ std::optional<RawPacket> PcapReader::next() {
 }
 
 std::uint64_t PcapReader::for_each(
-    const std::function<void(const RawPacket&)>& fn) {
+    const std::function<void(PacketView)>& fn) {
   std::uint64_t n = 0;
   for (; auto packet = next(); ++n) fn(*packet);
   return n;

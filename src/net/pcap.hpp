@@ -69,10 +69,15 @@ class PcapReader {
   /// Next packet as a raw IPv4 datagram, skipping non-packet blocks and
   /// packets on interfaces of other link types. nullopt at a clean end of
   /// file; throws std::runtime_error on truncated or malformed input.
-  std::optional<RawPacket> next();
+  /// The view points into the reader's buffer and is valid until the
+  /// next call (libpcap's pcap_next_ex contract): a caller that keeps a
+  /// packet copies it first, with RawPacket(view). Nothing is allocated
+  /// per record once the buffer holds the largest record read so far.
+  std::optional<PacketView> next();
 
-  /// Invoke `fn` for each remaining packet; returns the count.
-  std::uint64_t for_each(const std::function<void(const RawPacket&)>& fn);
+  /// Invoke `fn` for each remaining packet; returns the count. Each view
+  /// is valid during its call only.
+  std::uint64_t for_each(const std::function<void(PacketView)>& fn);
 
   /// Interface 0's link type (0 before a pcapng capture describes one).
   [[nodiscard]] std::uint32_t linktype() const {
@@ -103,9 +108,9 @@ class PcapReader {
   [[nodiscard]] std::uint32_t u32(const std::uint8_t* p) const;
   bool next_block(std::uint32_t& type, std::span<const std::uint8_t>& body);
   void add_interface(std::span<const std::uint8_t> body);
-  std::optional<RawPacket> make_packet(const Interface& iface,
-                                       std::uint64_t ticks,
-                                       std::span<const std::uint8_t> frame);
+  std::optional<PacketView> make_packet(const Interface& iface,
+                                        std::uint64_t ticks,
+                                        std::span<const std::uint8_t> frame);
 
   std::ifstream file_;
   std::istream* in_ = nullptr;  ///< &file_ or the caller's stream

@@ -23,15 +23,10 @@
 #include <utility>
 #include <vector>
 
+#include "net/packet.hpp"
 #include "util/time.hpp"
 
 namespace quicsand::net {
-
-/// Non-owning view of one packet stored in a RecordBatch.
-struct PacketView {
-  util::Timestamp timestamp{};
-  std::span<const std::uint8_t> data;
-};
 
 class RecordBatch {
  public:

@@ -18,6 +18,15 @@
 
 namespace quicsand::quic {
 
+/// FNV-1a over a connection ID's bytes; stable across runs. Hashing the
+/// bytes where they lie lets a record take a CID's hash straight from
+/// the datagram, without building a ConnectionId.
+inline std::size_t connection_id_hash(std::span<const std::uint8_t> bytes) {
+  std::size_t h = 14695981039346656037ULL;
+  for (const std::uint8_t b : bytes) h = (h ^ b) * 1099511628211ULL;
+  return h;
+}
+
 class ConnectionId {
  public:
   static constexpr std::size_t kMaxSize = 20;
@@ -29,7 +38,8 @@ class ConnectionId {
       throw std::invalid_argument("ConnectionId: longer than 20 bytes");
     }
     length_ = static_cast<std::uint8_t>(bytes.size());
-    // Inlined: the dissector builds two CIDs per long-header packet.
+    // Inlined fixed-size moves: a libc memcpy call costs more than the
+    // copy for CIDs this short.
     util::copy_short(data_, bytes);
   }
 
@@ -53,14 +63,7 @@ class ConnectionId {
     return a.length_ <=> b.length_;
   }
 
-  /// FNV-1a over the contents; stable across runs.
-  [[nodiscard]] std::size_t hash() const {
-    std::size_t h = 14695981039346656037ULL;
-    for (std::size_t i = 0; i < length_; ++i) {
-      h = (h ^ data_[i]) * 1099511628211ULL;
-    }
-    return h;
-  }
+  [[nodiscard]] std::size_t hash() const { return connection_id_hash(bytes()); }
 
  private:
   std::array<std::uint8_t, kMaxSize> data_{};

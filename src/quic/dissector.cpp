@@ -36,8 +36,9 @@ InitialDirection classify_initial(std::span<const std::uint8_t> payload,
     return InitialDirection::kUndecryptable;
   }
   // A client Initial is protected with keys derived from its own DCID.
+  const ConnectionId dcid(view.dcid);
   const auto client_keys =
-      derive_initial_keys(view.version, view.dcid, Perspective::kClient);
+      derive_initial_keys(view.version, dcid, Perspective::kClient);
   if (auto opened = open_long_header_packet(client_keys, payload, view)) {
     if (auto frames = parse_frames(opened->payload)) {
       for (const auto& frame : *frames) {
@@ -53,7 +54,7 @@ InitialDirection classify_initial(std::span<const std::uint8_t> payload,
   // A server Initial reply is keyed on the *original* client DCID, which
   // an observer who missed the request cannot know.
   const auto server_keys =
-      derive_initial_keys(view.version, view.dcid, Perspective::kServer);
+      derive_initial_keys(view.version, dcid, Perspective::kServer);
   if (open_long_header_packet(server_keys, payload, view)) {
     return InitialDirection::kServerResponse;
   }
@@ -92,7 +93,7 @@ const char* walk_udp_payload(std::span<const std::uint8_t> payload,
     // plausible minimum size (1-RTT packets carry >= 20 bytes of CID +
     // sample material).
     if (has_fixed_bit(first) && payload.size() >= kMinShortHeaderPacket) {
-      DissectedPacket pkt;
+      DissectedPacketView pkt;
       pkt.kind = QuicPacketKind::kShort;
       pkt.size = payload.size();
       sink.on_packet(pkt);
@@ -102,7 +103,7 @@ const char* walk_udp_payload(std::span<const std::uint8_t> payload,
     // byte selects connection id / version / packet number length. This
     // is how Google's Q0xx server responses appear on the wire.
     if (const auto gquic = parse_gquic_packet(payload)) {
-      DissectedPacket pkt;
+      DissectedPacketView pkt;
       pkt.kind = QuicPacketKind::kGquic;
       pkt.version = gquic->version;
       pkt.dcid = gquic->connection_id;
@@ -118,16 +119,16 @@ const char* walk_udp_payload(std::span<const std::uint8_t> payload,
   // check the version field family first.
   if (payload.size() >= 5) {
     const std::uint32_t version = util::load_be32(payload, 1);
-    if (version_family(version) == VersionFamily::kGquic) {
-      DissectedPacket pkt;
+    const VersionFamily family = version_family(version);
+    if (family == VersionFamily::kGquic) {
+      DissectedPacketView pkt;
       pkt.kind = QuicPacketKind::kGquic;
       pkt.version = version;
       pkt.size = payload.size();
       sink.on_packet(pkt);
       return nullptr;
     }
-    if (version_family(version) == VersionFamily::kUnknown &&
-        !is_grease_version(version)) {
+    if (family == VersionFamily::kUnknown && !is_grease_version(version)) {
       return "unknown-version";
     }
   }
@@ -146,7 +147,7 @@ const char* walk_udp_payload(std::span<const std::uint8_t> payload,
     if (!is_long_header_byte(payload[offset])) {
       // A short-header packet may terminate a coalesced datagram.
       if (walked > 0 && has_fixed_bit(payload[offset])) {
-        DissectedPacket pkt;
+        DissectedPacketView pkt;
         pkt.kind = QuicPacketKind::kShort;
         pkt.size = rest.size();
         sink.on_packet(pkt);
@@ -158,7 +159,7 @@ const char* walk_udp_payload(std::span<const std::uint8_t> payload,
     ParseError error{};
     const auto view = parse_long_header(payload, offset, &error);
     if (!view) return parse_error_name(error);
-    DissectedPacket pkt;
+    DissectedPacketView pkt;
     pkt.kind = view->is_version_negotiation()
                    ? QuicPacketKind::kVersionNegotiation
                    : kind_of(view->type);
@@ -181,8 +182,8 @@ DissectResult dissect_udp_payload(std::span<const std::uint8_t> payload,
                                   const DissectOptions& options) {
   struct Collector final : PacketSink {
     explicit Collector(std::vector<DissectedPacket>& out) : packets(out) {}
-    void on_packet(const DissectedPacket& packet) override {
-      packets.push_back(packet);
+    void on_packet(const DissectedPacketView& packet) override {
+      packets.emplace_back(packet);
     }
     std::vector<DissectedPacket>& packets;
   };

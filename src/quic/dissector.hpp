@@ -10,9 +10,11 @@
 // not contain an unencrypted TLS Client Hello.
 //
 // One walk, walk_udp_payload(), does the work and hands each packet to a
-// caller-supplied sink. The classifier folds it straight into a record
-// without touching the heap; dissect_udp_payload() collects it into a
-// DissectResult for callers that want the packet list.
+// caller-supplied sink as a DissectedPacketView, whose connection IDs
+// are spans into the payload. The classifier folds it straight into a
+// record without copying a CID or touching the heap;
+// dissect_udp_payload() collects owning DissectedPackets into a
+// DissectResult for callers that keep the packet list past the payload.
 #pragma once
 
 #include <cstdint>
@@ -46,6 +48,19 @@ enum class InitialDirection : std::uint8_t {
   kUndecryptable,  ///< neither key works: response to an unseen Initial
 };
 
+/// One packet as the walk hands it to a sink: the connection IDs point
+/// into the walked payload and are valid during on_packet() only.
+struct DissectedPacketView {
+  QuicPacketKind kind = QuicPacketKind::kShort;
+  std::uint32_t version = 0;
+  std::span<const std::uint8_t> dcid;
+  std::span<const std::uint8_t> scid;  ///< long headers only
+  std::size_t token_length = 0;
+  std::size_t size = 0;  ///< bytes of this QUIC packet on the wire
+  InitialDirection direction = InitialDirection::kNotAttempted;
+};
+
+/// A walked packet with its own copies of the connection IDs.
 struct DissectedPacket {
   QuicPacketKind kind = QuicPacketKind::kShort;
   std::uint32_t version = 0;
@@ -54,6 +69,16 @@ struct DissectedPacket {
   std::size_t token_length = 0;
   std::size_t size = 0;  ///< bytes of this QUIC packet on the wire
   InitialDirection direction = InitialDirection::kNotAttempted;
+
+  DissectedPacket() = default;
+  explicit DissectedPacket(const DissectedPacketView& view)
+      : kind(view.kind),
+        version(view.version),
+        dcid(view.dcid),
+        scid(view.scid),
+        token_length(view.token_length),
+        size(view.size),
+        direction(view.direction) {}
 };
 
 struct DissectResult {
@@ -72,7 +97,7 @@ struct DissectOptions {
 /// order.
 class PacketSink {
  public:
-  virtual void on_packet(const DissectedPacket& packet) = 0;
+  virtual void on_packet(const DissectedPacketView& packet) = 0;
 
  protected:
   ~PacketSink() = default;
@@ -89,7 +114,7 @@ const char* walk_udp_payload(std::span<const std::uint8_t> payload,
                              const DissectOptions& options = {});
 
 /// The walk, collected: every packet of an accepted payload, or none and
-/// the reject reason.
+/// the reject reason. The only place the walk's CIDs are copied.
 DissectResult dissect_udp_payload(std::span<const std::uint8_t> payload,
                                   const DissectOptions& options = {});
 

@@ -99,7 +99,7 @@ std::optional<GquicPacketView> parse_gquic_packet(
   if (data.size() < pos) return std::nullopt;
   GquicPacketView view;
   view.is_reset = (flags & GquicPublicFlags::kReset) != 0;
-  view.connection_id = ConnectionId(data.subspan(1, 8));
+  view.connection_id = data.subspan(1, 8);
   if (flags & GquicPublicFlags::kVersion) {
     if (data.size() - pos < 4) return std::nullopt;
     view.has_version = true;

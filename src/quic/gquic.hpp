@@ -36,7 +36,7 @@ struct GquicPacketView {
   std::uint32_t version = 0;  ///< 0 when the version flag is absent
   bool has_version = false;
   bool is_reset = false;
-  ConnectionId connection_id;  ///< empty when omitted
+  std::span<const std::uint8_t> connection_id;  ///< 8 bytes of the packet
   int packet_number_length = 1;
   std::uint64_t packet_number = 0;
   std::size_t header_size = 0;
@@ -51,7 +51,8 @@ std::vector<std::uint8_t> build_gquic_packet(
     std::uint64_t packet_number, std::span<const std::uint8_t> payload);
 
 /// Parse a Q043-style public header. Returns nullopt when the bytes are
-/// not plausibly gQUIC (e.g. long-header form bit set, truncation).
+/// not plausibly gQUIC (e.g. long-header form bit set, truncation). The
+/// view's connection ID points into `data`.
 std::optional<GquicPacketView> parse_gquic_packet(
     std::span<const std::uint8_t> data);
 

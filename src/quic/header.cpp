@@ -91,84 +91,96 @@ std::size_t encoded_long_header_size(const LongHeader& hdr) {
   return size;
 }
 
-std::optional<LongHeaderView> parse_long_header(
-    std::span<const std::uint8_t> data, std::size_t offset,
-    ParseError* error) {
-  auto fail = [&](ParseError e) -> std::optional<LongHeaderView> {
-    if (error != nullptr) *error = e;
-    return std::nullopt;
-  };
-  if (offset >= data.size()) return fail(ParseError::kTruncated);
+namespace {
+
+/// parse_long_header's reader: fills `view` from `data[offset]` and
+/// returns the error, or nullopt when the packet parsed.
+std::optional<ParseError> read_long_header(std::span<const std::uint8_t> data,
+                                           std::size_t offset,
+                                           LongHeaderView& view) {
+  if (offset >= data.size()) return ParseError::kTruncated;
   const auto p = data.subspan(offset);
   const std::uint8_t first = p[0];
-  if (!is_long_header_byte(first)) return fail(ParseError::kNotLongHeader);
-  if (p.size() < 5) return fail(ParseError::kTruncated);
+  if (!is_long_header_byte(first)) return ParseError::kNotLongHeader;
+  if (p.size() < 5) return ParseError::kTruncated;
 
-  LongHeaderView view;
   view.packet_start = offset;
   view.version = util::load_be32(p, 1);
   // Version Negotiation: version == 0, fixed bit may be anything.
   if (view.version != 0 && !has_fixed_bit(first)) {
-    return fail(ParseError::kFixedBitClear);
+    return ParseError::kFixedBitClear;
   }
 
   // DCID and SCID, each a length byte then up to 20 bytes. `pos` is the
   // offset in `p` of the next unread byte.
   std::size_t pos = 5;
-  for (ConnectionId* cid : {&view.dcid, &view.scid}) {
-    if (pos >= p.size()) return fail(ParseError::kTruncated);
+  for (auto* cid : {&view.dcid, &view.scid}) {
+    if (pos >= p.size()) return ParseError::kTruncated;
     const std::size_t cid_len = p[pos];
     if (cid_len > ConnectionId::kMaxSize) {
-      return fail(ParseError::kBadConnectionIdLength);
+      return ParseError::kBadConnectionIdLength;
     }
-    if (p.size() - pos - 1 < cid_len) return fail(ParseError::kTruncated);
-    *cid = ConnectionId(p.subspan(pos + 1, cid_len));
+    if (p.size() - pos - 1 < cid_len) return ParseError::kTruncated;
+    *cid = p.subspan(pos + 1, cid_len);
     pos += 1 + cid_len;
   }
 
   if (view.is_version_negotiation()) {
     const std::size_t list_bytes = p.size() - pos;
-    if (list_bytes % 4 != 0 || list_bytes == 0) {
-      return fail(ParseError::kBadLength);
-    }
+    if (list_bytes % 4 != 0 || list_bytes == 0) return ParseError::kBadLength;
     view.supported_versions = VersionListView(p.subspan(pos));
     view.packet_end = data.size();
-    return view;
+    return std::nullopt;
   }
 
   view.type = static_cast<PacketType>((first >> 4) & 0x03);
   if (view.type == PacketType::kRetry) {
     // Token is everything up to the 16-byte integrity tag.
-    if (p.size() - pos < 16) return fail(ParseError::kTruncated);
+    if (p.size() - pos < 16) return ParseError::kTruncated;
     view.retry_token = p.subspan(pos, p.size() - pos - 16);
     view.token_length = view.retry_token.size();
     view.packet_end = data.size();
-    return view;
+    return std::nullopt;
   }
 
   if (view.type == PacketType::kInitial) {
     std::uint64_t token_len = 0;
     const std::size_t varint_len = decode_varint(p.subspan(pos), token_len);
-    if (varint_len == 0) return fail(ParseError::kTruncated);
+    if (varint_len == 0) return ParseError::kTruncated;
     pos += varint_len;
-    if (token_len > p.size() - pos) return fail(ParseError::kTruncated);
+    if (token_len > p.size() - pos) return ParseError::kTruncated;
     view.token_length = static_cast<std::size_t>(token_len);
     view.token = p.subspan(pos, view.token_length);
     pos += view.token_length;
   }
 
   const std::size_t varint_len = decode_varint(p.subspan(pos), view.length);
-  if (varint_len == 0) return fail(ParseError::kTruncated);
+  if (varint_len == 0) return ParseError::kTruncated;
   pos += varint_len;
   view.pn_offset = offset + pos;
   // Length counts PN + payload; a protected packet needs at least a
   // 1-byte PN plus a 16-byte AEAD tag, and a PN sample of 16 bytes
   // starting 4 bytes in (RFC 9001 §5.4.2).
   if (view.length < 20 || view.length > p.size() - pos) {
-    return fail(ParseError::kBadLength);
+    return ParseError::kBadLength;
   }
   view.packet_end = view.pn_offset + static_cast<std::size_t>(view.length);
-  return view;
+  return std::nullopt;
+}
+
+}  // namespace
+
+std::optional<LongHeaderView> parse_long_header(
+    std::span<const std::uint8_t> data, std::size_t offset,
+    ParseError* error) {
+  // The one return names `out`, so the view is built in the caller's
+  // slot rather than on this frame and copied out.
+  std::optional<LongHeaderView> out(std::in_place);
+  if (const auto failure = read_long_header(data, offset, *out)) {
+    if (error != nullptr) *error = *failure;
+    out.reset();
+  }
+  return out;
 }
 
 }  // namespace quicsand::quic

@@ -89,10 +89,15 @@ class VersionListView {
 
 /// Header fields readable without removing header protection.
 struct LongHeaderView {
+  /// User-provided, so that value-initialization (parse_long_header's
+  /// in-place result) runs only the member initializers below, rather
+  /// than first zero-filling the whole view with a string store.
+  LongHeaderView() {}
+
   PacketType type = PacketType::kInitial;
   std::uint32_t version = 0;
-  ConnectionId dcid;
-  ConnectionId scid;
+  std::span<const std::uint8_t> dcid;  ///< 0..20 bytes
+  std::span<const std::uint8_t> scid;  ///< 0..20 bytes
   std::size_t token_length = 0;   ///< Initial only
   std::uint64_t length = 0;       ///< Length field: PN + payload bytes
   std::size_t packet_start = 0;   ///< offset of this packet's first byte
@@ -117,8 +122,10 @@ const char* parse_error_name(ParseError error);
 
 /// Parse one protected long-header packet starting at `data[offset]`.
 /// Handles Initial / 0-RTT / Handshake / Retry and Version Negotiation.
-/// On success the view's spans point into `data`. Reads at fixed offsets
-/// after explicit length checks: never throws, never allocates.
+/// On success the view's spans, connection IDs included, point into
+/// `data`; ConnectionId(view.dcid) makes an owning copy. Reads at fixed
+/// offsets after explicit length checks and writes each field once, into
+/// the returned view: never throws, never allocates, copies no bytes.
 std::optional<LongHeaderView> parse_long_header(
     std::span<const std::uint8_t> data, std::size_t offset,
     ParseError* error = nullptr);

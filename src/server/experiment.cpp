@@ -65,7 +65,7 @@ ClientExperienceResult run_client_experience(
       // connection id, one simulated round trip later.
       const std::vector<std::uint8_t> token(view->retry_token.begin(),
                                             view->retry_token.end());
-      ctx.client_dcid = view->scid;
+      ctx.client_dcid = quic::ConnectionId(view->scid);
       const auto second = quic::build_client_initial(
           ctx, "honest.example", rng, quic::CryptoFidelity::kFast, token);
       got_response = false;

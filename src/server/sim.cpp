@@ -99,8 +99,8 @@ void QuicServerSim::respond_flight(util::Timestamp now,
   }
   quic::HandshakeContext ctx;
   ctx.version = view.version;
-  ctx.client_dcid = view.dcid;
-  ctx.client_scid = view.scid;
+  ctx.client_dcid = quic::ConnectionId(view.dcid);
+  ctx.client_scid = quic::ConnectionId(view.scid);
   ctx.server_scid = quic::ConnectionId(rng_.bytes(16));
   const std::pair<util::Duration, std::vector<std::uint8_t>> datagrams[] = {
       {util::Duration{},
@@ -126,16 +126,17 @@ void QuicServerSim::respond_retry(util::Timestamp now,
   ++stats_.retries_sent;
   ++stats_.server_responses;
   // The sim has no real client address; bind tokens to a fixed tuple.
+  const quic::ConnectionId dcid(view.dcid);
   const auto token = token_minter_.mint(net::Ipv4Address(0x0a000001), 443,
-                                        view.dcid, kTokenEpoch);
+                                        dcid, kTokenEpoch);
   if (!sink_) {
     // header(~20) + token + 16-byte integrity tag.
     stats_.bytes_sent += 20 + token.size() + 16;
     return;
   }
   const auto new_scid = quic::ConnectionId(rng_.bytes(8));
-  const auto packet = quic::build_retry_packet(view.version, view.scid,
-                                               new_scid, token, view.dcid);
+  const auto packet = quic::build_retry_packet(
+      view.version, quic::ConnectionId(view.scid), new_scid, token, dcid);
   stats_.bytes_sent += packet.size();
   sink_(now, packet);
 }

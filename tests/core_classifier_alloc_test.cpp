@@ -1,22 +1,34 @@
-// Zero-allocation pin for the classify path: a global operator-new hook
-// counts heap allocations, and Classifier::classify must make none per
-// datagram once warm. The mix is generated flood and research-scan
-// traffic plus handcrafted datagrams, so every QUIC packet kind (Version
-// Negotiation, gQUIC, Retry and short headers included) and rejected
-// UDP/443 payloads all pass through the measured calls.
+// Zero-allocation pins for the path from capture bytes to record: a
+// global operator-new hook counts heap allocations.
+//
+//  * Classifier::classify must make none per datagram once warm. The mix
+//    is generated flood and research-scan traffic plus handcrafted
+//    datagrams, so every QUIC packet kind (Version Negotiation, gQUIC,
+//    Retry and short headers included) and rejected UDP/443 payloads all
+//    pass through the measured calls.
+//  * PcapReader::next() must make none per record after the first: it
+//    returns a view into its buffer. Classic pcap in both byte orders
+//    with µs and ns stamps, and pcapng with Ethernet frames and VLAN
+//    tags, all read from memory.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "capture_writers.hpp"
 #include "core/classifier.hpp"
 #include "net/headers.hpp"
+#include "net/pcap.hpp"
 #include "net/record_batch.hpp"
+#include "obs/metrics.hpp"
 #include "quic/gquic.hpp"
 #include "quic/packets.hpp"
 #include "quic/retry.hpp"
@@ -212,6 +224,107 @@ TEST(ClassifierAllocations, SteadyStateClassifyNeverTouchesTheHeap) {
   EXPECT_GT(stats.of(TrafficClass::kQuicResponse), 0u);
   EXPECT_GT(stats.of(TrafficClass::kQuicRequest), 0u);
   EXPECT_GT(stats.quic_port_rejects, 0u);
+}
+
+/// 600 UDP datagrams of 28 to 1,500 bytes: about 450 KB, several times
+/// the reader's 64 KiB chunk, so the measured reads refill its buffer.
+std::vector<Bytes> capture_datagrams() {
+  util::Rng rng(4242);
+  net::Ipv4Header ip;
+  ip.src = net::Ipv4Address::from_octets(142, 250, 1, 1);
+  ip.dst = net::Ipv4Address::from_octets(44, 0, 0, 9);
+  std::vector<Bytes> out;
+  for (int i = 0; i < 600; ++i) {
+    out.push_back(
+        net::build_udp(ip, 443, 40000, rng.bytes(rng.uniform(1473))));
+  }
+  return out;
+}
+
+/// `datagrams` as a classic LINKTYPE_RAW capture in the given byte order,
+/// with µs or ns stamps.
+std::string classic_capture(const std::vector<Bytes>& datagrams,
+                            bool big_endian, bool nanos) {
+  std::string out;
+  auto put = [&](std::uint32_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      const int shift = 8 * (big_endian ? bytes - 1 - i : i);
+      out.push_back(static_cast<char>(v >> shift));
+    }
+  };
+  put(nanos ? net::kPcapMagicNanos : net::kPcapMagicMicros, 4);
+  put(2, 2);  // version 2.4
+  put(4, 2);
+  put(0, 4);  // thiszone
+  put(0, 4);  // sigfigs
+  put(65535, 4);
+  put(net::kLinktypeRaw, 4);
+  for (std::size_t i = 0; i < datagrams.size(); ++i) {
+    const auto size = static_cast<std::uint32_t>(datagrams[i].size());
+    put(1617235200 + static_cast<std::uint32_t>(i), 4);
+    put(static_cast<std::uint32_t>(i) * (nanos ? 1001 : 1), 4);
+    put(size, 4);
+    put(size, 4);
+    out.append(datagrams[i].begin(), datagrams[i].end());
+  }
+  return out;
+}
+
+/// `datagrams` as a pcapng capture of one Ethernet interface, the frames
+/// untagged, 802.1Q-tagged and QinQ-tagged in turn.
+std::string pcapng_capture(const std::vector<Bytes>& datagrams,
+                           bool big_endian) {
+  static constexpr std::uint16_t kQinQ[] = {0x88a8, 0x8100};
+  net::TestPcapngWriter writer(big_endian);
+  writer.section_header();
+  writer.interface_description(net::kLinktypeEthernet);
+  for (std::size_t i = 0; i < datagrams.size(); ++i) {
+    const std::span<const std::uint16_t> tags(kQinQ, i % 3);
+    writer.enhanced_packet(0, 1617235200000000ULL + i,
+                           net::ethernet_frame(datagrams[i], tags));
+  }
+  std::ostringstream out;
+  writer.flush(out);
+  return out.str();
+}
+
+TEST(PcapAllocations, NextAllocatesNothingPerRecord) {
+  const auto datagrams = capture_datagrams();
+  struct Capture {
+    const char* name;
+    std::string image;
+  };
+  const Capture captures[] = {
+      {"classic µs little-endian", classic_capture(datagrams, false, false)},
+      {"classic µs big-endian", classic_capture(datagrams, true, false)},
+      {"classic ns little-endian", classic_capture(datagrams, false, true)},
+      {"classic ns big-endian", classic_capture(datagrams, true, true)},
+      {"pcapng Ethernet+VLAN little-endian", pcapng_capture(datagrams, false)},
+      {"pcapng Ethernet+VLAN big-endian", pcapng_capture(datagrams, true)},
+  };
+  for (const auto& capture : captures) {
+    SCOPED_TRACE(capture.name);
+    std::istringstream in(capture.image);
+    obs::MetricsRegistry metrics;
+    net::PcapReader reader(in);
+    reader.set_metrics(&metrics);
+    ASSERT_TRUE(reader.next().has_value());  // the first record warms up
+
+    const auto before = allocations();
+    std::size_t read = 1;
+    bool same_bytes = true;
+    while (const auto packet = reader.next()) {
+      same_bytes =
+          same_bytes && std::ranges::equal(packet->data, datagrams[read]);
+      ++read;
+    }
+    const auto allocated = allocations() - before;
+
+    EXPECT_EQ(read, datagrams.size());
+    EXPECT_TRUE(same_bytes);
+    EXPECT_EQ(allocated, 0u) << allocated << " allocations over "
+                             << read - 1 << " records";
+  }
 }
 
 }  // namespace

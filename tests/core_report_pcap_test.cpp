@@ -142,7 +142,7 @@ TEST(PcapEquivalence, PcapRoundTripMatchesDirectConsumption) {
     {
       net::PcapReader reader(capture);
       reader.for_each(
-          [&](const net::RawPacket& packet) { via_pcap.consume(packet); });
+          [&](net::PacketView packet) { via_pcap.consume(packet); });
     }
     std::filesystem::remove(capture);
 

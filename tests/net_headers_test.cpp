@@ -43,14 +43,24 @@ TEST(BuildUdp, RoundTripsThroughDecode) {
   const auto decoded = decode_ipv4(pkt);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_TRUE(decoded->is_udp());
-  EXPECT_EQ(decoded->ip.src, kSrc);
-  EXPECT_EQ(decoded->ip.dst, kDst);
-  EXPECT_EQ(decoded->ip.ttl, 57);
+  EXPECT_EQ(decoded->src(), kSrc);
+  EXPECT_EQ(decoded->dst(), kDst);
+  EXPECT_EQ(decoded->ttl(), 57);
   EXPECT_EQ(decoded->udp().src_port, 50000);
   EXPECT_EQ(decoded->udp().dst_port, 443);
   ASSERT_EQ(decoded->udp().payload.size(), payload.size());
   EXPECT_TRUE(std::equal(payload.begin(), payload.end(),
                          decoded->udp().payload.begin()));
+}
+
+TEST(BuildUdp, OtherProtocolAccessorsThrow) {
+  const auto pkt =
+      build_udp(header(), 50000, 443, std::vector<std::uint8_t>(8));
+  const auto decoded = decode_ipv4(pkt);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_THROW((void)decoded->tcp(), std::logic_error);
+  EXPECT_THROW((void)decoded->icmp(), std::logic_error);
+  EXPECT_NO_THROW((void)decoded->udp());
 }
 
 TEST(BuildUdp, ChecksumsAreValid) {
@@ -177,7 +187,7 @@ TEST(BuildUdp, LargestDatagramBuildsAndVerifies) {
   ASSERT_EQ(pkt.size(), 65535u);
   const auto decoded = decode_ipv4(pkt);
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->ip.total_length, 65535);
+  EXPECT_EQ(decoded->total_length(), 65535);
   EXPECT_EQ(decoded->udp().payload.size(), payload.size());
   EXPECT_TRUE(verify_checksums(pkt));
 }

@@ -82,7 +82,7 @@ TEST_F(PcapTest, ForEachCountsAllPackets) {
   }
   PcapReader reader(path_);
   std::uint64_t seen = 0;
-  const auto n = reader.for_each([&](const RawPacket&) { ++seen; });
+  const auto n = reader.for_each([&](PacketView) { ++seen; });
   EXPECT_EQ(n, 10u);
   EXPECT_EQ(seen, 10u);
 }
@@ -156,7 +156,7 @@ TEST_F(PcapTest, StripsEthernetHeader) {
   EXPECT_EQ(reader.linktype(), kLinktypeEthernet);
   auto p = reader.next();
   ASSERT_TRUE(p.has_value());
-  EXPECT_EQ(p->data, ip_packet);
+  EXPECT_EQ(RawPacket(*p).data, ip_packet);
   EXPECT_EQ(p->timestamp, util::Timestamp{} + 42 * util::kSecond);
 }
 
@@ -179,13 +179,13 @@ TEST_F(PcapTest, StripsVlanTags) {
   for (int i = 0; i < 2; ++i) {
     auto packet = reader.next();
     ASSERT_TRUE(packet.has_value());
-    EXPECT_EQ(packet->data, ip_packet);
+    EXPECT_EQ(RawPacket(*packet).data, ip_packet);
     EXPECT_TRUE(decode_ipv4(packet->data).has_value());
   }
   // Any other EtherType goes on to the classifier, header stripped.
   auto other = reader.next();
   ASSERT_TRUE(other.has_value());
-  EXPECT_EQ(other->data, ip_packet);
+  EXPECT_EQ(RawPacket(*other).data, ip_packet);
   EXPECT_THROW((void)reader.next(), std::runtime_error);
 }
 

@@ -50,7 +50,7 @@ TEST_F(PcapngTest, ReadsRawPackets) {
   auto first = reader.next();
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->timestamp, util::Timestamp{1617235200000000LL});
-  EXPECT_EQ(first->data, packet);
+  EXPECT_EQ(RawPacket(*first).data, packet);
   auto second = reader.next();
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->timestamp, util::Timestamp{1617235200123456LL});
@@ -74,7 +74,7 @@ TEST_F(PcapngTest, StripsEthernetAndSkipsUnknownBlocks) {
   PcapReader reader(path_);
   auto packet = reader.next();
   ASSERT_TRUE(packet.has_value());
-  EXPECT_EQ(packet->data, ip_packet);
+  EXPECT_EQ(RawPacket(*packet).data, ip_packet);
 }
 
 TEST_F(PcapngTest, HonoursNanosecondTsresol) {
@@ -102,7 +102,7 @@ TEST_F(PcapngTest, BigEndianSections) {
   PcapReader reader(path_);
   auto read = reader.next();
   ASSERT_TRUE(read.has_value());
-  EXPECT_EQ(read->data, packet);
+  EXPECT_EQ(RawPacket(*read).data, packet);
   EXPECT_EQ(read->timestamp, util::Timestamp{77});
 }
 
@@ -117,7 +117,7 @@ TEST_F(PcapngTest, ForEachCounts) {
   writer.save(path_);
   PcapReader reader(path_);
   std::uint64_t seen = 0;
-  EXPECT_EQ(reader.for_each([&](const RawPacket&) { ++seen; }), 7u);
+  EXPECT_EQ(reader.for_each([&](PacketView) { ++seen; }), 7u);
   EXPECT_EQ(seen, 7u);
 }
 
@@ -156,7 +156,7 @@ TEST_F(PcapngTest, ReadsFromCallerOwnedStream) {
   PcapReader reader(in);
   auto read = reader.next();
   ASSERT_TRUE(read.has_value());
-  EXPECT_EQ(read->data, packet);
+  EXPECT_EQ(RawPacket(*read).data, packet);
 }
 
 // The next three are fuzzer-found regressions (see tests/corpus/pcapng).
@@ -233,13 +233,13 @@ TEST_F(PcapngTest, StripsVlanTags) {
   for (int i = 0; i < 2; ++i) {
     auto packet = reader.next();
     ASSERT_TRUE(packet.has_value());
-    EXPECT_EQ(packet->data, ip_packet);
+    EXPECT_EQ(RawPacket(*packet).data, ip_packet);
     EXPECT_TRUE(decode_ipv4(packet->data).has_value());
   }
   // Any other EtherType goes on to the classifier, header stripped.
   auto other = reader.next();
   ASSERT_TRUE(other.has_value());
-  EXPECT_EQ(other->data, ip_packet);
+  EXPECT_EQ(RawPacket(*other).data, ip_packet);
   EXPECT_THROW((void)reader.next(), std::runtime_error);
 }
 

@@ -7,20 +7,28 @@
 //    included. Each runs on over 100k random, mutated, truncated and
 //    generator-built inputs, plus the committed fuzz corpus.
 //  * ClassifierOracle: Classifier::classify's QUIC fields against a fold
-//    over dissect_udp_payload(...).packets, on the DissectorFuzz inputs.
+//    over dissect_udp_payload(...).packets, on the DissectorFuzz inputs;
+//    and every record field and ClassifierStats counter against a
+//    reference classifier over the ByteReader parsers with a walk of its
+//    own (reference_parsers.*), on generated backscatter, QUIC-scan and
+//    QUIC-flood mixes, the DissectorFuzz inputs and the fuzz corpus.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
 #include <string>
+#include <variant>
 #include <vector>
 
+#include "asdb/registry.hpp"
 #include "core/classifier.hpp"
 #include "dissector_fuzz_inputs.hpp"
 #include "fuzz/corpus.hpp"
 #include "fuzz/mutator.hpp"
 #include "net/headers.hpp"
+#include "net/packet.hpp"
+#include "net/record_batch.hpp"
 #include "quic/dissector.hpp"
 #include "quic/gquic.hpp"
 #include "quic/header.hpp"
@@ -155,23 +163,29 @@ std::string ipv4_mismatch(std::span<const std::uint8_t> data) {
   const auto want = reference::decode_ipv4(data);
   if (got.has_value() != want.has_value()) return "accepted";
   if (!got) return "";
-  if (got->ip.src != want->ip.src) return "ip.src";
-  if (got->ip.dst != want->ip.dst) return "ip.dst";
-  if (got->ip.protocol != want->ip.protocol) return "ip.protocol";
-  if (got->ip.ttl != want->ip.ttl) return "ip.ttl";
-  if (got->ip.identification != want->ip.identification) {
+  if (got->src() != want->ip.src) return "ip.src";
+  if (got->dst() != want->ip.dst) return "ip.dst";
+  if (got->protocol() != want->ip.protocol) return "ip.protocol";
+  if (got->ttl() != want->ip.ttl) return "ip.ttl";
+  if (got->identification() != want->ip.identification) {
     return "ip.identification";
   }
-  if (got->ip.total_length != want->ip.total_length) return "ip.total_length";
-  if (got->l4.index() != want->l4.index()) return "l4 kind";
+  if (got->total_length() != want->ip.total_length) return "ip.total_length";
+  if (got->is_udp() != std::holds_alternative<net::UdpInfo>(want->l4) ||
+      got->is_tcp() != std::holds_alternative<net::TcpInfo>(want->l4) ||
+      got->is_icmp() != std::holds_alternative<net::IcmpInfo>(want->l4)) {
+    return "l4 kind";
+  }
   if (got->is_udp()) {
-    const auto &a = got->udp(), &b = want->udp();
+    const auto a = got->udp();
+    const auto& b = std::get<net::UdpInfo>(want->l4);
     if (a.src_port != b.src_port || a.dst_port != b.dst_port) {
       return "udp ports";
     }
     if (!same_span(a.payload, b.payload)) return "udp payload";
   } else if (got->is_tcp()) {
-    const auto &a = got->tcp(), &b = want->tcp();
+    const auto a = got->tcp();
+    const auto& b = std::get<net::TcpInfo>(want->l4);
     if (a.src_port != b.src_port || a.dst_port != b.dst_port) {
       return "tcp ports";
     }
@@ -179,7 +193,8 @@ std::string ipv4_mismatch(std::span<const std::uint8_t> data) {
     if (a.flags != b.flags) return "tcp flags";
     if (!same_span(a.payload, b.payload)) return "tcp payload";
   } else {
-    const auto &a = got->icmp(), &b = want->icmp();
+    const auto a = got->icmp();
+    const auto& b = std::get<net::IcmpInfo>(want->l4);
     if (a.type != b.type || a.code != b.code) return "icmp type/code";
     if (!same_span(a.payload, b.payload)) return "icmp payload";
   }
@@ -238,8 +253,8 @@ std::string long_header_mismatch(std::span<const std::uint8_t> data,
   }
   if (got->type != want->type) return "type";
   if (got->version != want->version) return "version";
-  if (got->dcid != want->dcid) return "dcid";
-  if (got->scid != want->scid) return "scid";
+  if (!std::ranges::equal(got->dcid, want->dcid.bytes())) return "dcid";
+  if (!std::ranges::equal(got->scid, want->scid.bytes())) return "scid";
   if (got->token_length != want->token_length) return "token_length";
   if (got->length != want->length) return "length";
   if (got->packet_start != want->packet_start) return "packet_start";
@@ -348,7 +363,9 @@ std::string gquic_mismatch(std::span<const std::uint8_t> data) {
   if (got->version != want->version) return "version";
   if (got->has_version != want->has_version) return "has_version";
   if (got->is_reset != want->is_reset) return "is_reset";
-  if (got->connection_id != want->connection_id) return "connection_id";
+  if (!same_span(got->connection_id, want->connection_id)) {
+    return "connection_id";
+  }
   if (got->packet_number_length != want->packet_number_length) {
     return "packet_number_length";
   }
@@ -492,6 +509,206 @@ TEST(ClassifierOracle, FoldMatchesDissectionOnMutatedInitials) {
 
 TEST(ClassifierOracle, FoldMatchesDissectionOnTruncationSweep) {
   expect_classifier_folds_dissection(quic::fuzz_inputs::truncation_sweep());
+}
+
+// --- Classifier vs the reference classifier ----------------------------
+
+/// About 50k datagrams of one of perfbench's streams (one in `stride` of
+/// its first `packets`), each with its timestamp: light backscatter,
+/// a research-heavy QUIC scan and a QUIC flood, /16, seed 1.
+std::vector<net::RawPacket> generated_mix(
+    const telescope::ScenarioConfig& config, std::size_t packets,
+    std::size_t stride) {
+  const auto registry = asdb::AsRegistry::synthetic({}, 2021);
+  const auto deployment = scanner::Deployment::synthetic(registry, {}, 2021);
+  telescope::TelescopeGenerator generator(config, registry, deployment);
+  net::RecordBatch batch;
+  std::vector<net::RawPacket> out;
+  std::size_t seen = 0;
+  while (seen < packets && generator.next_batch(batch) > 0) {
+    for (std::size_t i = 0; i < batch.size(); ++i, ++seen) {
+      if (seen % stride == 0) out.emplace_back(batch.view(i));
+    }
+  }
+  return out;
+}
+
+telescope::ScenarioConfig mix_day(int tum_rwth_passes, int quic_attacks,
+                                  int common_attacks) {
+  auto config = telescope::ScenarioConfig::april2021(1, 1);
+  config.telescope = {net::Ipv4Address::from_octets(44, 0, 0, 0), 16};
+  auto& attacks = config.attacks;
+  for (double* sigma :
+       {&attacks.quic_duration_sigma, &attacks.quic_peak_pps_sigma,
+        &attacks.common_duration_sigma, &attacks.common_peak_pps_sigma}) {
+    *sigma = 0.5;
+  }
+  config.tum.passes_per_day = tum_rwth_passes;
+  config.rwth.passes_per_day = tum_rwth_passes;
+  if (quic_attacks > 0) config.attacks.quic_attacks_per_day = quic_attacks;
+  config.attacks.common_attacks_per_day = common_attacks;
+  return config;
+}
+
+/// The TUM and RWTH scanner prefixes, as the pipeline flags them.
+core::ClassifierConfig research_config() {
+  const auto registry = asdb::AsRegistry::synthetic({}, 2021);
+  core::ClassifierConfig config;
+  for (const auto asn :
+       {asdb::AsRegistry::kTumScanner, asdb::AsRegistry::kRwthScanner}) {
+    config.research_prefixes.push_back(registry.prefixes_of(asn).front());
+  }
+  return config;
+}
+
+/// Name of the first record field where the two classifiers differ, ""
+/// if none.
+std::string record_mismatch(const std::optional<core::PacketRecord>& got,
+                            const std::optional<core::PacketRecord>& want) {
+  if (got.has_value() != want.has_value()) return "decodable";
+  if (!got) return "";
+  const auto& a = *got;
+  const auto& b = *want;
+  if (a.timestamp != b.timestamp) return "timestamp";
+  if (a.src != b.src) return "src";
+  if (a.dst != b.dst) return "dst";
+  if (a.src_port != b.src_port) return "src_port";
+  if (a.dst_port != b.dst_port) return "dst_port";
+  if (a.wire_size != b.wire_size) return "wire_size";
+  if (a.cls != b.cls) return "cls";
+  if (a.is_research != b.is_research) return "is_research";
+  if (a.quic_version != b.quic_version) return "quic_version";
+  if (a.quic_packet_count != b.quic_packet_count) return "quic_packet_count";
+  if (a.kind_counts != b.kind_counts) return "kind_counts";
+  if (a.has_scid != b.has_scid) return "has_scid";
+  if (a.scid_hash != b.scid_hash) return "scid_hash";
+  return a == b ? "" : "record";
+}
+
+/// Classifies every datagram with both classifiers, expecting the same
+/// records and the same counters.
+class RecordOracle {
+ public:
+  RecordOracle() : got_(research_config()), want_(research_config()) {}
+
+  void check(util::Timestamp timestamp, std::span<const std::uint8_t> data) {
+    const auto got = got_.classify(timestamp, data);
+    const auto want = want_.classify(timestamp, data);
+    if (want && want->is_quic()) ++quic_;
+    const auto field = record_mismatch(got, want);
+    if (!field.empty() && mismatches_++ == 0) {
+      ADD_FAILURE() << "first mismatch, " << field << ", for "
+                    << util::to_hex(data);
+    }
+  }
+
+  /// `payload` as a UDP datagram from and to port 443.
+  void check_payload(std::span<const std::uint8_t> payload) {
+    net::Ipv4Header ip;
+    ip.src = net::Ipv4Address::from_octets(142, 250, 1, 1);
+    ip.dst = net::Ipv4Address::from_octets(44, 1, 2, 3);
+    check(util::Timestamp{}, net::build_udp(ip, 443, 40000, payload));
+    check(util::Timestamp{}, net::build_udp(ip, 55555, 443, payload));
+  }
+
+  void expect_same_stats() const {
+    const auto& a = got_.stats();
+    const auto& b = want_.stats();
+    EXPECT_EQ(mismatches_, 0u);
+    EXPECT_EQ(a.total, b.total);
+    EXPECT_EQ(a.undecodable, b.undecodable);
+    EXPECT_EQ(a.by_class, b.by_class);
+    EXPECT_EQ(a.research, b.research);
+    EXPECT_EQ(a.research_requests, b.research_requests);
+    EXPECT_EQ(a.quic_port_rejects, b.quic_port_rejects);
+    EXPECT_EQ(a.kept, b.kept);
+  }
+
+  [[nodiscard]] const core::ClassifierStats& stats() const {
+    return want_.stats();
+  }
+  [[nodiscard]] std::uint64_t quic() const { return quic_; }
+
+ private:
+  core::Classifier got_;
+  reference::Classifier want_;
+  std::uint64_t mismatches_ = 0;
+  std::uint64_t quic_ = 0;
+};
+
+/// A datagram of `count` coalesced minimal Handshake packets, each with a
+/// distinct 8-byte SCID: past 255, the 8-bit counts saturate.
+Bytes coalesced_handshakes(std::size_t count) {
+  util::Rng rng(149);
+  util::ByteWriter w;
+  for (std::size_t i = 0; i < count; ++i) {
+    w.write_u8(0xe0);
+    w.write_u32(1);
+    w.write_u8(0);  // empty DCID
+    w.write_u8(8);
+    w.write_bytes(rng.bytes(8));
+    w.write_u8(20);  // Length
+    w.write_bytes(rng.bytes(20));
+  }
+  return w.take();
+}
+
+TEST(ClassifierOracle, RecordsMatchReferenceOnGeneratedStreams) {
+  RecordOracle oracle;
+  struct Stream {
+    const char* name;
+    telescope::ScenarioConfig config;
+    std::size_t packets;
+    std::size_t stride;
+  };
+  const Stream streams[] = {
+      {"backscatter", mix_day(0, 0, 2400), 500000, 10},
+      {"quicscan", mix_day(3, 0, 30), 450000, 9},
+      {"quicflood", mix_day(0, 3000, 60), 300000, 6},
+  };
+  std::uint64_t generated = 0;
+  for (const auto& stream : streams) {
+    SCOPED_TRACE(stream.name);
+    const auto mix =
+        generated_mix(stream.config, stream.packets, stream.stride);
+    EXPECT_GE(mix.size(), 45000u);
+    for (const auto& packet : mix) oracle.check(packet.timestamp, packet.data);
+    generated += mix.size();
+  }
+  // The mixes cover QUIC both ways, TCP and ICMP backscatter, and the
+  // research scans.
+  const auto& stats = oracle.stats();
+  for (const auto cls :
+       {core::TrafficClass::kQuicRequest, core::TrafficClass::kQuicResponse,
+        core::TrafficClass::kTcpBackscatter,
+        core::TrafficClass::kIcmpBackscatter}) {
+    EXPECT_GT(stats.of(cls), 1000u) << core::traffic_class_name(cls);
+  }
+  EXPECT_GT(stats.research_requests, 10000u);
+
+  // Ragged inputs: the DissectorFuzz payloads, the committed corpora,
+  // and 256 and 300 coalesced packets.
+  for (auto* inputs : {&quic::fuzz_inputs::random_payloads,
+                       &quic::fuzz_inputs::mutated_initials,
+                       &quic::fuzz_inputs::truncation_sweep}) {
+    for (const auto& payload : inputs()) oracle.check_payload(payload);
+  }
+  for (const auto* target : {"quic_dissect", "quic_header"}) {
+    for (const auto& payload : corpus(target)) oracle.check_payload(payload);
+  }
+  for_each_derived(corpus("net_headers"), 151,
+                   [&](std::span<const std::uint8_t> datagram) {
+                     oracle.check(util::Timestamp{}, datagram);
+                   });
+  for (const std::size_t count : {256u, 300u}) {
+    oracle.check_payload(coalesced_handshakes(count));
+  }
+
+  oracle.expect_same_stats();
+  EXPECT_GE(generated, 140000u);
+  EXPECT_GT(oracle.quic(), 60000u);
+  EXPECT_GT(stats.quic_port_rejects, 0u);
+  EXPECT_GT(stats.undecodable, 0u);
 }
 
 }  // namespace

@@ -27,8 +27,8 @@ TEST(NetProperty, UdpBuildDecodeVerifySweep) {
     ASSERT_TRUE(net::verify_checksums(packet));
     const auto decoded = net::decode_ipv4(packet);
     ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(decoded->ip.src, ip.src);
-    EXPECT_EQ(decoded->ip.dst, ip.dst);
+    EXPECT_EQ(decoded->src(), ip.src);
+    EXPECT_EQ(decoded->dst(), ip.dst);
     EXPECT_EQ(decoded->udp().src_port, sport);
     EXPECT_EQ(decoded->udp().dst_port, dport);
     EXPECT_EQ(decoded->udp().payload.size(), payload.size());

@@ -21,7 +21,7 @@ TEST(Gquic, BuildParseRoundTripClientPacket) {
   ASSERT_TRUE(view.has_value());
   EXPECT_TRUE(view->has_version);
   EXPECT_EQ(view->version, 0x51303530u);
-  EXPECT_EQ(view->connection_id, cid);
+  EXPECT_EQ(ConnectionId(view->connection_id), cid);
   EXPECT_EQ(view->packet_number, 7u);
   EXPECT_EQ(view->packet_number_length, 1);
   EXPECT_EQ(view->payload_size, payload.size());
@@ -36,7 +36,7 @@ TEST(Gquic, ServerResponseOmitsVersion) {
   ASSERT_TRUE(view.has_value());
   EXPECT_FALSE(view->has_version);
   EXPECT_EQ(view->version, 0u);
-  EXPECT_EQ(view->connection_id, cid);
+  EXPECT_EQ(ConnectionId(view->connection_id), cid);
   EXPECT_EQ(view->packet_number, 42u);
   EXPECT_GE(view->payload_size, 300u);
 }

@@ -139,8 +139,8 @@ TEST(ParseLongHeader, RoundTripsInitial) {
   ASSERT_TRUE(view.has_value());
   EXPECT_EQ(view->type, PacketType::kInitial);
   EXPECT_EQ(view->version, 1u);
-  EXPECT_EQ(view->dcid, hdr.dcid);
-  EXPECT_EQ(view->scid, hdr.scid);
+  EXPECT_EQ(ConnectionId(view->dcid), hdr.dcid);
+  EXPECT_EQ(ConnectionId(view->scid), hdr.scid);
   EXPECT_EQ(view->token_length, 5u);
   EXPECT_EQ(view->length, 44u);  // pn(4) + body(40)
   EXPECT_EQ(view->packet_start, 0u);
@@ -212,7 +212,7 @@ TEST(ParseLongHeader, ParsesVersionNegotiation) {
   const auto view = parse_long_header(pkt, 0);
   ASSERT_TRUE(view.has_value());
   EXPECT_TRUE(view->is_version_negotiation());
-  EXPECT_EQ(view->dcid.to_hex(), "aabbccdd");
+  EXPECT_EQ(ConnectionId(view->dcid).to_hex(), "aabbccdd");
   ASSERT_EQ(view->supported_versions.size(), 2u);
   EXPECT_EQ(view->supported_versions[0], 1u);
   EXPECT_EQ(view->supported_versions[1], 0xff00001du);

@@ -155,7 +155,7 @@ TEST(ClientHandshakeFinish, DecryptsWithClientHandshakeKeys) {
       build_client_handshake_finish(ctx, rng, CryptoFidelity::kFull);
   const auto view = parse_long_header(fin, 0);
   ASSERT_TRUE(view.has_value());
-  EXPECT_EQ(view->dcid, ctx.server_scid);
+  EXPECT_EQ(ConnectionId(view->dcid), ctx.server_scid);
   const auto keys = derive_handshake_keys_simulated(1, ctx.client_dcid,
                                                     Perspective::kClient);
   EXPECT_TRUE(open_long_header_packet(keys, fin, *view).has_value());

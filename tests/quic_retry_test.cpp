@@ -103,7 +103,7 @@ TEST_P(RetryPacketTest, BuildVerifyRoundTrip) {
   ASSERT_TRUE(view.has_value());
   EXPECT_EQ(view->type, PacketType::kRetry);
   EXPECT_EQ(view->version, version);
-  EXPECT_EQ(view->scid, cid("0123456789abcdef"));
+  EXPECT_EQ(ConnectionId(view->scid), cid("0123456789abcdef"));
   ASSERT_EQ(view->retry_token.size(), token.size());
   EXPECT_TRUE(std::equal(token.begin(), token.end(),
                          view->retry_token.begin()));

@@ -1,6 +1,9 @@
 #include "reference_parsers.hpp"
 
+#include <algorithm>
+
 #include "quic/varint.hpp"
+#include "quic/version.hpp"
 #include "util/bytes.hpp"
 
 namespace quicsand::reference {
@@ -27,10 +30,90 @@ std::uint64_t read_varint(ByteReader& r) {
   return value;
 }
 
+/// One packet of a walked payload, as the reference fold reads it.
+struct WalkedPacket {
+  quic::QuicPacketKind kind = quic::QuicPacketKind::kShort;
+  std::uint32_t version = 0;
+  std::vector<std::uint8_t> scid;
+};
+
+/// The packets of an accepted UDP/443 payload, nullopt for one the
+/// dissector rejects: short headers of at least 21 bytes with the fixed
+/// bit, gQUIC public headers, gQUIC-versioned long headers, then
+/// coalesced IETF long headers, where trailing zero padding or a
+/// short-header packet may end the datagram.
+std::optional<std::vector<WalkedPacket>> walk(
+    std::span<const std::uint8_t> payload) {
+  using quic::QuicPacketKind;
+  if (payload.empty()) return std::nullopt;
+  const std::uint8_t first = payload[0];
+  if (!quic::is_long_header_byte(first)) {
+    if (quic::has_fixed_bit(first) && payload.size() >= 21) {
+      return std::vector<WalkedPacket>{{QuicPacketKind::kShort, 0, {}}};
+    }
+    if (const auto gquic = reference::parse_gquic_packet(payload)) {
+      return std::vector<WalkedPacket>{
+          {QuicPacketKind::kGquic, gquic->version, {}}};
+    }
+    return std::nullopt;
+  }
+  if (payload.size() >= 5) {
+    ByteReader r(payload.subspan(1));
+    const std::uint32_t version = r.read_u32().to_host();
+    const auto family = quic::version_family(version);
+    if (family == quic::VersionFamily::kGquic) {
+      return std::vector<WalkedPacket>{{QuicPacketKind::kGquic, version, {}}};
+    }
+    if (family == quic::VersionFamily::kUnknown &&
+        !quic::is_grease_version(version)) {
+      return std::nullopt;
+    }
+  }
+  std::vector<WalkedPacket> packets;
+  std::size_t offset = 0;
+  while (offset < payload.size()) {
+    const auto rest = payload.subspan(offset);
+    if (!packets.empty() &&
+        std::ranges::all_of(rest, [](std::uint8_t b) { return b == 0; })) {
+      break;
+    }
+    if (!quic::is_long_header_byte(rest[0])) {
+      if (packets.empty() || !quic::has_fixed_bit(rest[0])) {
+        return std::nullopt;
+      }
+      packets.push_back({QuicPacketKind::kShort, 0, {}});
+      break;
+    }
+    const auto view = reference::parse_long_header(payload, offset);
+    if (!view) return std::nullopt;
+    static constexpr QuicPacketKind kKinds[] = {
+        QuicPacketKind::kInitial, QuicPacketKind::kZeroRtt,
+        QuicPacketKind::kHandshake, QuicPacketKind::kRetry};
+    packets.push_back(
+        {view->version == 0 ? QuicPacketKind::kVersionNegotiation
+                            : kKinds[static_cast<std::size_t>(view->type)],
+         view->version,
+         {view->scid.bytes().begin(), view->scid.bytes().end()}});
+    offset = view->packet_end;
+  }
+  if (packets.empty()) return std::nullopt;
+  return packets;
+}
+
+/// FNV-1a, 64-bit.
+std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const std::uint8_t b : bytes) h = (h ^ b) * 1099511628211ULL;
+  return h;
+}
+
+std::uint8_t saturating_add(std::uint8_t count) {
+  return count == 255 ? count : static_cast<std::uint8_t>(count + 1);
+}
+
 }  // namespace
 
-std::optional<net::DecodedPacket> decode_ipv4(
-    std::span<const std::uint8_t> data) {
+std::optional<DecodedPacket> decode_ipv4(std::span<const std::uint8_t> data) {
   using net::IpProtocol;
   try {
     ByteReader r(data);
@@ -51,7 +134,7 @@ std::optional<net::DecodedPacket> decode_ipv4(
     // Skip IPv4 options if present.
     r.skip(ihl - kIpv4HeaderSize);
 
-    net::DecodedPacket out;
+    DecodedPacket out;
     out.ip = {src, dst, static_cast<IpProtocol>(protocol), ttl,
               identification, total_length};
     const std::size_t l4_len = total_length - ihl;
@@ -206,7 +289,7 @@ std::optional<quic::GquicPacketView> parse_gquic_packet(
 
     quic::GquicPacketView view;
     view.is_reset = (flags & GquicPublicFlags::kReset) != 0;
-    view.connection_id = ConnectionId(r.read_bytes(8));
+    view.connection_id = r.read_bytes(8);
     if (flags & GquicPublicFlags::kVersion) {
       view.has_version = true;
       view.version = r.read_u32().to_host();
@@ -232,6 +315,77 @@ std::optional<quic::GquicPacketView> parse_gquic_packet(
   } catch (const util::BufferUnderflow&) {
     return std::nullopt;
   }
+}
+
+std::optional<core::PacketRecord> Classifier::classify(
+    util::Timestamp timestamp, std::span<const std::uint8_t> data) {
+  using core::TrafficClass;
+  ++stats_.total;
+  const auto decoded = reference::decode_ipv4(data);
+  if (!decoded) {
+    ++stats_.undecodable;
+    return std::nullopt;
+  }
+  core::PacketRecord record;
+  record.timestamp = timestamp;
+  record.src = decoded->ip.src;
+  record.dst = decoded->ip.dst;
+  record.wire_size = decoded->ip.total_length;
+  if (const auto* udp = std::get_if<net::UdpInfo>(&decoded->l4)) {
+    record.src_port = udp->src_port;
+    record.dst_port = udp->dst_port;
+    if (udp->src_port == 443 || udp->dst_port == 443) {
+      if (const auto packets = walk(udp->payload)) {
+        record.cls = udp->src_port == 443 ? TrafficClass::kQuicResponse
+                                          : TrafficClass::kQuicRequest;
+        for (const auto& packet : *packets) {
+          record.quic_packet_count = saturating_add(record.quic_packet_count);
+          auto& kind =
+              record.kind_counts[static_cast<std::size_t>(packet.kind)];
+          kind = saturating_add(kind);
+          if (record.quic_version == 0 &&
+              packet.kind != quic::QuicPacketKind::kShort) {
+            record.quic_version = packet.version;
+          }
+          if (!record.has_scid && !packet.scid.empty()) {
+            record.has_scid = true;
+            record.scid_hash = fnv1a(packet.scid);
+          }
+        }
+      } else {
+        ++stats_.quic_port_rejects;
+      }
+    }
+  } else if (const auto* tcp = std::get_if<net::TcpInfo>(&decoded->l4)) {
+    record.src_port = tcp->src_port;
+    record.dst_port = tcp->dst_port;
+    const bool syn = (tcp->flags & 0x02) != 0;
+    const bool ack = (tcp->flags & 0x10) != 0;
+    const bool rst = (tcp->flags & 0x04) != 0;
+    if (syn && !ack) {
+      record.cls = TrafficClass::kTcpRequest;
+    } else if ((syn && ack) || rst) {
+      record.cls = TrafficClass::kTcpBackscatter;
+    }
+  } else {
+    const auto type = std::get<net::IcmpInfo>(decoded->l4).type;
+    if (type == 0 || type == 3 || type == 4 || type == 11) {
+      record.cls = TrafficClass::kIcmpBackscatter;
+    }
+  }
+  record.is_research = std::ranges::any_of(
+      config_.research_prefixes, [&](const net::Ipv4Prefix& prefix) {
+        return prefix.contains(record.src);
+      });
+  ++stats_.by_class[static_cast<std::size_t>(record.cls)];
+  const bool quic = record.cls == TrafficClass::kQuicRequest ||
+                    record.cls == TrafficClass::kQuicResponse;
+  if (record.is_research && quic) {
+    ++stats_.research;
+    if (record.cls == TrafficClass::kQuicRequest) ++stats_.research_requests;
+  }
+  if (!record.is_research && record.cls != TrafficClass::kOther) ++stats_.kept;
+  return record;
 }
 
 }  // namespace quicsand::reference

@@ -165,8 +165,8 @@ TEST(QuicServerSim, ResponseSinkProducesRealPackets) {
   ASSERT_TRUE(client_view.has_value());
   const auto view = quic::parse_long_header(responses[0], 0);
   ASSERT_TRUE(view.has_value());
-  const auto keys = quic::derive_initial_keys(1, client_view->dcid,
-                                              quic::Perspective::kServer);
+  const auto keys = quic::derive_initial_keys(
+      1, quic::ConnectionId(client_view->dcid), quic::Perspective::kServer);
   EXPECT_TRUE(
       quic::open_long_header_packet(keys, responses[0], *view).has_value());
 }
@@ -188,8 +188,8 @@ TEST(QuicServerSim, RetrySinkEmitsVerifiableRetry) {
   ASSERT_EQ(responses.size(), 1u);
   const auto client_view = quic::parse_long_header(record->datagram, 0);
   ASSERT_TRUE(client_view.has_value());
-  EXPECT_TRUE(
-      quic::verify_retry_integrity(1, responses[0], client_view->dcid));
+  EXPECT_TRUE(quic::verify_retry_integrity(
+      1, responses[0], quic::ConnectionId(client_view->dcid)));
 }
 
 // Table 1 shape at reduced scale: without RETRY availability collapses

@@ -95,7 +95,7 @@ std::uint64_t research_probes(const std::vector<net::RawPacket>& packets,
   for (const auto& packet : packets) {
     const auto decoded = net::decode_ipv4(packet.data);
     if (decoded && decoded->is_udp() &&
-        (tum.contains(decoded->ip.src) || rwth.contains(decoded->ip.src))) {
+        (tum.contains(decoded->src()) || rwth.contains(decoded->src()))) {
       ++probes;
     }
   }

@@ -54,13 +54,13 @@ TEST(QuicBackscatterEmitterTest, WireInvariants) {
   while (auto packet = emitter.next()) {
     const auto decoded = net::decode_ipv4(packet->data);
     ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(decoded->ip.src, attack.victim);     // victim responds
+    EXPECT_EQ(decoded->src(), attack.victim);     // victim responds
     EXPECT_EQ(decoded->udp().src_port, 443);       // from the service port
-    EXPECT_TRUE(config.telescope.contains(decoded->ip.dst));
+    EXPECT_TRUE(config.telescope.contains(decoded->dst()));
     EXPECT_GE(packet->timestamp, last);
     last = packet->timestamp;
     EXPECT_GE(packet->timestamp, attack.start);
-    clients.insert(decoded->ip.dst.value());
+    clients.insert(decoded->dst().value());
     ports.insert(decoded->udp().dst_port);
     ++packets;
   }
@@ -120,7 +120,7 @@ TEST(CommonBackscatterEmitterTest, TcpSynAckBursts) {
               net::TcpFlags::kSyn | net::TcpFlags::kAck);
     EXPECT_TRUE(decoded->tcp().src_port == 80 ||
                 decoded->tcp().src_port == 443);
-    ++per_connection[{decoded->ip.dst.value(), decoded->tcp().dst_port}];
+    ++per_connection[{decoded->dst().value(), decoded->tcp().dst_port}];
     ++packets;
   }
   EXPECT_GT(packets, 100u);
@@ -171,7 +171,7 @@ TEST(MisconfigEmitterTest, IetfSessionsAreValidQuic) {
     const auto decoded = net::decode_ipv4(packet->data);
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(decoded->udp().src_port, 443);
-    targets.insert(decoded->ip.dst.value());
+    targets.insert(decoded->dst().value());
     const auto result = quic::dissect_udp_payload(decoded->udp().payload);
     EXPECT_TRUE(result.is_quic) << result.reject_reason;
     ++packets;

@@ -164,8 +164,8 @@ TEST(Generator, PacketsDecodeAndTargetTelescope) {
   generator.generate([&](const net::RawPacket& packet) {
     const auto decoded = net::decode_ipv4(packet.data);
     ASSERT_TRUE(decoded.has_value());
-    EXPECT_TRUE(config.telescope.contains(decoded->ip.dst));
-    EXPECT_FALSE(config.telescope.contains(decoded->ip.src));
+    EXPECT_TRUE(config.telescope.contains(decoded->dst()));
+    EXPECT_FALSE(config.telescope.contains(decoded->src()));
     if (decoded->is_udp()) {
       ++udp;
     } else if (decoded->is_tcp()) {
@@ -193,12 +193,12 @@ TEST(Generator, ResearchScannerCoversTelescope) {
   const auto count = generator.generate([&](const net::RawPacket& packet) {
     const auto decoded = net::decode_ipv4(packet.data);
     ASSERT_TRUE(decoded.has_value());
-    EXPECT_TRUE(tum_prefix.contains(decoded->ip.src));
+    EXPECT_TRUE(tum_prefix.contains(decoded->src()));
     EXPECT_EQ(decoded->udp().dst_port, 443);
     const auto dissected = quic::dissect_udp_payload(decoded->udp().payload);
     ASSERT_TRUE(dissected.is_quic);
     EXPECT_EQ(dissected.packets[0].kind, quic::QuicPacketKind::kInitial);
-    targets.insert(decoded->ip.dst.value());
+    targets.insert(decoded->dst().value());
   });
   EXPECT_EQ(count, 256u);  // one pass over a /24
   EXPECT_EQ(targets.size(), 256u);
